@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 import os
 import struct
+import tempfile
 import threading
 from dataclasses import dataclass, field
+from operator import mul
 
 from .errors import (
     AmbientMismatch,
@@ -25,8 +27,8 @@ from .rootsystem import (
     GroupType,
     RootDatum,
     Weight,
+    _dominant,
     build_root_datum,
-    dominant_representative,
     is_dominant,
     normalize_type,
     weyl_orbit,
@@ -107,6 +109,11 @@ def _dominant_weights_below(rd: RootDatum, lam: Weight) -> list[Weight]:
 
 
 def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
+    """Dominant multiplicities of the dual Weyl module, by Freudenthal's recursion.
+
+    Runs on ints only: inner products are taken with the integer Gram matrix
+    ``rd.gram``, whose common scale cancels in the quotient.
+    """
     key = (str(rd.gtype), tuple(lam))
     with _LOCK:
         cached = _DOMINANT_MULTS.get(key)
@@ -115,29 +122,38 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     if not rd.positive_roots:
         mults = {tuple(lam): 1}
     else:
+        gram = rd.gram
+        simple, columns = rd.simple_indices(), rd._columns
+
+        def norm(v):
+            return sum(x * sum(map(mul, row, v)) for x, row in zip(v, gram) if x)
+
+        # (alpha, G alpha, <alpha, alpha>): <mu + k alpha, alpha> = <mu, alpha> + k <alpha, alpha>
+        roots = []
+        for alpha in rd.positive_roots:
+            g_alpha = tuple(sum(map(mul, row, alpha)) for row in gram)
+            roots.append((alpha, g_alpha, sum(map(mul, alpha, g_alpha))))
         order = _dominant_weights_below(rd, lam)
-        lam_rho = tuple(l + r for l, r in zip(lam, rd.rho))
-        clam = rd.inner(lam_rho, lam_rho)
+        clam = norm([a + r for a, r in zip(lam, rd.rho)])
         mults = {order[0]: 1}
         for mu in order[1:]:
-            mu_rho = tuple(m + r for m, r in zip(mu, rd.rho))
-            denom = clam - rd.inner(mu_rho, mu_rho)
+            denom = clam - norm([m + r for m, r in zip(mu, rd.rho)])
             total = 0
-            for alpha in rd.positive_roots:
-                k = 1
+            for alpha, g_alpha, aa in roots:
+                ip = sum(map(mul, mu, g_alpha))
+                nu = mu
                 while True:
-                    nu = tuple(m + k * a for m, a in zip(mu, alpha))
-                    m_nu = mults.get(dominant_representative(rd, nu), 0)
+                    nu = tuple([x + a for x, a in zip(nu, alpha)])
+                    m_nu = mults.get(_dominant(nu, simple, columns), 0)
                     if m_nu == 0:
                         break
-                    total += m_nu * rd.inner(nu, alpha)
-                    k += 1
-            val = 2 * total / denom
-            if val.denominator != 1:
+                    ip += aa
+                    total += m_nu * ip
+            q, r = divmod(2 * total, denom)
+            if r:
                 raise AssertionError("Freudenthal multiplicity not integral")
-            if val:
-                mults[mu] = int(val)
-        mults = {w: m for w, m in mults.items() if m}
+            if q:
+                mults[mu] = q
     with _LOCK:
         _DOMINANT_MULTS.setdefault(key, mults)
     return mults
@@ -210,7 +226,7 @@ def _exterior_direct(chi: FormalCharacter, kmax: int) -> list[FormalCharacter]:
     rows: list[dict[Weight, int]] = [{zero: 1}] + [dict() for _ in range(kmax)]
     for w, mult in sorted(chi.support.items()):
         for _ in range(mult):
-            for k in range(min(kmax, 0) or kmax, 0, -1):
+            for k in range(kmax, 0, -1):
                 src = rows[k - 1]
                 if not src:
                     continue
@@ -381,10 +397,16 @@ def save_cache_file(path: str | None = None) -> str:
         for w, m in sorted(mults.items()):
             blob.append(struct.pack(f">{len(lam)}i", *w))
             blob.append(_pack_int(m))
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(blob))
-    os.replace(tmp, path)
+    # a temp file of its own per writer, so concurrent saves cannot interleave
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(b"".join(blob))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 

@@ -60,8 +60,9 @@ def _emit(fmt, kind, payload, text_lines):
         click.echo(json.dumps({"schema": SCHEMA, "kind": kind, **payload},
                               sort_keys=True))
     else:
-        for line in text_lines:
-            click.echo(line)
+        # a few large writes, not one per line; chunks keep the joined copy small
+        for start in range(0, len(text_lines), 1024):
+            click.echo("\n".join(text_lines[start:start + 1024]))
 
 
 def _load_cache():
@@ -79,7 +80,18 @@ def _save_cache():
         pass  # cache is best-effort only
 
 
-@click.group()
+class _Main(click.Group):
+    """The top-level group; the one place a DonkinError becomes exit status 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DonkinError as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Main)
 @click.option("--format", "fmt", type=click.Choice(["text", "jsonl"]),
               default="text", show_default=True, help="Output format.")
 @click.option("--timing", is_flag=True, help="Append a wall-clock timing line.")

@@ -15,9 +15,11 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import BadIndex, DimensionMismatch, NotDominant, UnknownType
@@ -163,10 +165,6 @@ def normalize_type(gtype: GroupType) -> GroupType:
     return GroupType(tuple(semis))
 
 
-def same_type(a: GroupType, b: GroupType) -> bool:
-    return normalize_type(a) == normalize_type(b)
-
-
 # ---------------------------------------------------------------------------
 # Cartan data per simple type
 
@@ -264,6 +262,11 @@ class RootDatum:
     fundamental-weight coordinates, coroots as integer functionals on those
     coordinates (coefficients on the simple coroots).  Torus coordinates carry
     no roots and zero Cartan rows.
+
+    The W-invariant inner product on fw coordinates is G = (A^{-1})^T D per
+    semisimple block, zero on torus coordinates.  It is kept as the integer
+    matrix ``gram`` = L * G, where ``gram_scale`` L is the lcm of the
+    denominators of G.
     """
 
     def __init__(self, gtype: GroupType):
@@ -274,6 +277,7 @@ class RootDatum:
         cartan = [[0] * n for _ in range(n)]
         torus = [False] * n
         sym = [0] * n
+        gram = [[Fraction(0)] * n for _ in range(n)]
         pos_roots: list[Weight] = []
         pos_coroots: list[Weight] = []
         offset = 0
@@ -285,10 +289,12 @@ class RootDatum:
                 offset += r
                 continue
             block, d = _simple_cartan(fac.letter, fac.rank)
+            inv = linalg.rational_inverse(block)
             for i in range(r):
                 sym[offset + i] = d[i]
                 for j in range(r):
                     cartan[offset + i][offset + j] = block[i][j]
+                    gram[offset + i][offset + j] = inv[j][i] * d[j]
             for rc in _simple_positive_roots(fac.letter, fac.rank):
                 fw = [0] * n
                 for i in range(r):
@@ -309,11 +315,12 @@ class RootDatum:
         self.symmetrizer = tuple(sym)
         self.positive_roots = tuple(pos_roots)
         self.positive_coroots = tuple(pos_coroots)
-        self.fundamental_weights = "bourbaki-fundamental"
+        self.gram_scale = math.lcm(*(x.denominator for row in gram for x in row))
+        self.gram = tuple(tuple(int(x * self.gram_scale) for x in row) for row in gram)
         self.rho: Weight = tuple(0 if torus[i] else 1 for i in range(n))
+        self._simple = tuple(i for i in range(n) if not torus[i])
         # column i of the Cartan matrix = alpha_i in fw coordinates
         self._columns = tuple(tuple(cartan[r][i] for r in range(n)) for i in range(n))
-        self._inner_cache = None
         # sum of positive coroots; any dominance-compatible height functional
         self.height_functional: Weight = tuple(
             sum(cv[i] for cv in pos_coroots) for i in range(n))
@@ -325,8 +332,8 @@ class RootDatum:
             raise DimensionMismatch(
                 f"weight of length {len(w)} against rank {self.rank}")
 
-    def simple_indices(self) -> list[int]:
-        return [i for i in range(self.rank) if not self.torus[i]]
+    def simple_indices(self) -> tuple[int, ...]:
+        return self._simple
 
     def reflect(self, w: Weight, i: int) -> Weight:
         """Simple reflection s_i (0-based coordinate index)."""
@@ -337,37 +344,15 @@ class RootDatum:
         return tuple(w[j] - c * col[j] for j in range(self.rank))
 
     def height(self, w: Weight) -> int:
-        return sum(h * x for h, x in zip(self.height_functional, w))
+        return sum(map(mul, self.height_functional, w))
 
     def pairing(self, w: Weight, coroot: Weight) -> int:
         return sum(c * x for c, x in zip(coroot, w))
 
-    @property
-    def inner_matrix(self):
-        """W-invariant inner product on fw coordinates (Fractions).
-
-        G = (A^{-1})^T D per semisimple block, zero on torus coordinates.
-        """
-        if self._inner_cache is None:
-            n = self.rank
-            g = [[Fraction(0)] * n for _ in range(n)]
-            offset = 0
-            for fac in self.gtype.factors:
-                r = fac.rank
-                if not fac.is_torus:
-                    block, d = _simple_cartan(fac.letter, fac.rank)
-                    inv = linalg.rational_inverse(block)
-                    for i in range(r):
-                        for j in range(r):
-                            g[offset + i][offset + j] = inv[j][i] * d[j]
-                offset += r
-            self._inner_cache = tuple(tuple(row) for row in g)
-        return self._inner_cache
-
     def inner(self, v: Weight, w: Weight) -> Fraction:
-        g = self.inner_matrix
-        return sum(v[i] * sum(g[i][j] * w[j] for j in range(self.rank))
-                   for i in range(self.rank) if v[i])
+        """The exact W-invariant inner product <v, w>."""
+        num = sum(x * sum(map(mul, row, w)) for x, row in zip(v, self.gram) if x)
+        return Fraction(num, self.gram_scale)
 
     def group_dimension(self) -> int:
         """Dimension of the group: rank + number of roots."""
@@ -400,32 +385,45 @@ def is_dominant(rd: RootDatum, w: Weight) -> bool:
 def dominant_representative(rd: RootDatum, w: Weight) -> Weight:
     """The dominant weight in the Weyl orbit of ``w``."""
     rd.check_weight(w)
-    w = tuple(w)
-    simple = rd.simple_indices()
+    return _dominant(tuple(w), rd._simple, rd._columns)
+
+
+def _dominant(w: Weight, simple, columns) -> Weight:
+    """Reflect ``w`` by s_i at its first negative simple coordinate until none is left."""
     while True:
-        i = next((i for i in simple if w[i] < 0), None)
-        if i is None:
+        for i in simple:
+            c = w[i]
+            if c < 0:
+                w = tuple([x - c * a for x, a in zip(w, columns[i])])
+                break
+        else:
             return w
-        w = rd.reflect(w, i)
 
 
 def weyl_orbit(rd: RootDatum, w: Weight) -> tuple[Weight, ...]:
-    """Full Weyl orbit of a dominant weight, canonically sorted."""
+    """Full Weyl orbit of a dominant weight, canonically sorted.
+
+    Only the lowering reflections (s_i where v[i] > 0) are applied: every
+    orbit point u other than ``w`` has some u[i] < 0, so s_i u is a higher
+    orbit point from which s_i lowers back to u.
+    """
     rd.check_weight(w)
-    if not is_dominant(rd, w):
+    w = tuple(w)
+    simple = rd._simple
+    if any(w[i] < 0 for i in simple):
         raise NotDominant(f"{w} is not dominant")
-    simple = rd.simple_indices()
-    seen = {tuple(w)}
-    frontier = [tuple(w)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in simple:
-                u = rd.reflect(v, i)
+    columns = rd._columns
+    seen = {w}
+    stack = [w]
+    while stack:
+        v = stack.pop()
+        for i in simple:
+            c = v[i]
+            if c > 0:
+                u = tuple([x - c * a for x, a in zip(v, columns[i])])
                 if u not in seen:
                     seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
+                    stack.append(u)
     return tuple(sorted(seen))
 
 

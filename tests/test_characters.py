@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,13 @@ from donkin.characters import (
     trivial_character,
 )
 from donkin.errors import AmbientMismatch, NegativeInput, NotDominant, NotSymmetric
-from donkin.rootsystem import GroupType, build_root_datum, weyl_dim, weyl_orbit
+from donkin.rootsystem import (
+    GroupType,
+    build_root_datum,
+    dominant_representative,
+    weyl_dim,
+    weyl_orbit,
+)
 
 
 def test_a1_three_dim():
@@ -76,6 +83,76 @@ def test_weyl_invariance(name, lam):
     for i in rd.simple_indices():
         reflected = {rd.reflect(w, i): m for w, m in chi.support.items()}
         assert reflected == chi.support
+
+
+def textbook_freudenthal(rd, lam):
+    """Oracle: Freudenthal's formula over all weights, in Fractions via rd.inner.
+
+    (<lam+rho, lam+rho> - <mu+rho, mu+rho>) m(mu)
+        = 2 sum_{alpha > 0} sum_{k >= 1} <mu + k alpha, alpha> m(mu + k alpha).
+    Weights are found layer by layer, lam minus d simple roots at depth d, so
+    every mu + k alpha is known before mu; no Weyl symmetry is used.
+    """
+    def plus(v, w, k=1):
+        return tuple(a + k * b for a, b in zip(v, w))
+
+    def norm(v):
+        return rd.inner(plus(v, rd.rho), plus(v, rd.rho))
+
+    simple_roots = [tuple(row[i] for row in rd.cartan) for i in rd.simple_indices()]
+    lam = tuple(lam)
+    mults = {lam: 1}
+    layer = [lam]
+    while layer:
+        below = {plus(mu, a, -1) for mu in layer for a in simple_roots}
+        layer = []
+        for mu in below:
+            gap = norm(lam) - norm(mu)
+            if gap == 0:
+                continue  # among weights, |mu + rho| = |lam + rho| only at mu = lam
+            total = Fraction(0)
+            for alpha in rd.positive_roots:
+                k = 1
+                while plus(mu, alpha, k) in mults:
+                    nu = plus(mu, alpha, k)
+                    total += mults[nu] * rd.inner(nu, alpha)
+                    k += 1
+            m = 2 * total / gap
+            assert m.denominator == 1
+            if m:
+                mults[mu] = int(m)
+                layer.append(mu)
+    return {mu: m for mu, m in mults.items()
+            if all(mu[i] >= 0 for i in rd.simple_indices())}
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("G2", (3, 2)), ("B3", (1, 1, 1)), ("C3", (1, 0, 1)), ("D4", (1, 1, 1, 1)),
+    ("F4", (0, 0, 1, 1)), ("E6", (1, 0, 0, 0, 0, 1)), ("A1.B2", (2, 0, 1)),
+    ("B2.T1", (1, 0, 5)),
+])
+def test_freudenthal_matches_textbook_oracle(name, lam):
+    rd = build_root_datum(name)
+    assert ch._freudenthal(rd, lam) == textbook_freudenthal(rd, lam)
+
+
+def reflection_bfs_orbit(rd, lam):
+    """Oracle: close {lam} under every simple reflection."""
+    seen = {tuple(lam)}
+    frontier = [tuple(lam)]
+    while frontier:
+        frontier = [u for v in frontier for i in rd.simple_indices()
+                    if (u := rd.reflect(v, i)) not in seen and not seen.add(u)]
+    return seen
+
+
+@pytest.mark.parametrize("name,lam", SAMPLE)
+def test_weyl_orbit_matches_reflection_bfs(name, lam):
+    rd = build_root_datum(name)
+    orbit = weyl_orbit(rd, lam)
+    assert list(orbit) == sorted(orbit)
+    assert set(orbit) == reflection_bfs_orbit(rd, lam)
+    assert all(dominant_representative(rd, w) == lam for w in orbit)
 
 
 def test_e8_adjoint():
@@ -268,6 +345,49 @@ def test_cache_ignores_garbage(tmp_path):
     path.write_bytes(ch.CACHE_MAGIC + b"\x00\x00\x00\x05truncated")
     assert ch.load_cache_file(str(path)) == 0
     assert ch.load_cache_file(str(tmp_path / "missing.bin")) == 0
+
+
+def test_cache_concurrent_writers_leave_no_temp_files(tmp_path):
+    import threading
+    a2 = build_root_datum("A2")
+    chi = dual_weyl_character(a2, (2, 1))
+    path = str(tmp_path / ch.CACHE_FILENAME)
+    start = threading.Barrier(8)
+    errors = []
+
+    def save():
+        start.wait(timeout=10)
+        try:
+            for _ in range(5):
+                ch.save_cache_file(path)
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=save) for _ in range(8)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert not list(tmp_path.glob("*.tmp"))
+        ch.clear_memo()
+        assert ch.load_cache_file(path) > 0
+        assert dual_weyl_character(a2, (2, 1)) == chi
+    finally:
+        ch.clear_memo()
+
+
+def test_cache_failed_write_removes_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    dual_weyl_character(build_root_datum("A1"), (3,))
+    monkeypatch.setattr(ch.os, "replace", fail)
+    with pytest.raises(OSError):
+        ch.save_cache_file(str(tmp_path / ch.CACHE_FILENAME))
+    assert not list(tmp_path.iterdir())
 
 
 def test_cold_start_independent_of_cache():

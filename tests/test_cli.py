@@ -82,6 +82,14 @@ def test_restrict_max_chain_rejected(runner):
     assert result.exit_code == 2
 
 
+def test_restrict_donkin_error_is_a_usage_error(runner):
+    # no Levi subdiagram of G2 has type A1.A1: a DonkinError, not a failed verification
+    result = runner.invoke(main, ["restrict", "A1.A1 -[levi]-> G2", "1,0"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: (A1.A1, G2): no Levi subdiagram matches\n"
+    assert result.stdout == ""
+
+
 def test_orbit_classical(runner):
     result = runner.invoke(main, ["orbit", "classical", "GL", "3,1"])
     assert result.exit_code == 0
