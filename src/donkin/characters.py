@@ -112,7 +112,7 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     """Dominant multiplicities of the dual Weyl module, by Freudenthal's recursion.
 
     Runs on ints only: inner products are taken with the integer Gram matrix
-    ``rd.gram``, whose common scale cancels in the quotient.
+    ``rd.gram``, whose scale ``rd.gram_scale`` cancels in the quotient.
     """
     key = (str(rd.gtype), tuple(lam))
     with _LOCK:
@@ -122,22 +122,19 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     if not rd.positive_roots:
         mults = {tuple(lam): 1}
     else:
-        gram = rd.gram
         simple, columns = rd.simple_indices(), rd._columns
-
-        def norm(v):
-            return sum(x * sum(map(mul, row, v)) for x, row in zip(v, gram) if x)
-
         # (alpha, G alpha, <alpha, alpha>): <mu + k alpha, alpha> = <mu, alpha> + k <alpha, alpha>
         roots = []
         for alpha in rd.positive_roots:
-            g_alpha = tuple(sum(map(mul, row, alpha)) for row in gram)
+            g_alpha = tuple(sum(map(mul, row, alpha)) for row in rd.gram)
             roots.append((alpha, g_alpha, sum(map(mul, alpha, g_alpha))))
         order = _dominant_weights_below(rd, lam)
-        clam = norm([a + r for a, r in zip(lam, rd.rho)])
+        lam_rho = tuple(a + r for a, r in zip(lam, rd.rho))
+        clam = rd.scaled_inner(lam_rho, lam_rho)
         mults = {order[0]: 1}
         for mu in order[1:]:
-            denom = clam - norm([m + r for m, r in zip(mu, rd.rho)])
+            mu_rho = tuple(m + r for m, r in zip(mu, rd.rho))
+            denom = clam - rd.scaled_inner(mu_rho, mu_rho)
             total = 0
             for alpha, g_alpha, aa in roots:
                 ip = sum(map(mul, mu, g_alpha))

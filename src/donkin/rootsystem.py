@@ -349,10 +349,13 @@ class RootDatum:
     def pairing(self, w: Weight, coroot: Weight) -> int:
         return sum(c * x for c, x in zip(coroot, w))
 
+    def scaled_inner(self, v: Weight, w: Weight) -> int:
+        """gram_scale * <v, w>, an exact int."""
+        return sum(x * sum(map(mul, row, w)) for x, row in zip(v, self.gram) if x)
+
     def inner(self, v: Weight, w: Weight) -> Fraction:
         """The exact W-invariant inner product <v, w>."""
-        num = sum(x * sum(map(mul, row, w)) for x, row in zip(v, self.gram) if x)
-        return Fraction(num, self.gram_scale)
+        return Fraction(self.scaled_inner(v, w), self.gram_scale)
 
     def group_dimension(self) -> int:
         """Dimension of the group: rank + number of roots."""
