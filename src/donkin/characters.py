@@ -34,10 +34,6 @@ from .rootsystem import (
     weyl_orbit,
 )
 
-# direct k-subset expansion of exterior powers up to this dimension,
-# Newton/Adams identities above it
-DIRECT_EXTERIOR_LIMIT = 24
-
 
 @dataclass(frozen=True)
 class FormalCharacter:
@@ -210,78 +206,44 @@ def external_product(c1: FormalCharacter, c2: FormalCharacter) -> FormalCharacte
     return FormalCharacter(gt, out)
 
 
-def adams(chi: FormalCharacter, k: int) -> FormalCharacter:
-    """k-th Adams operation: stretch every weight by k."""
-    return FormalCharacter(
-        chi.ambient,
-        {tuple(k * x for x in w): m for w, m in chi.support.items()})
-
-
-def _exterior_direct(chi: FormalCharacter, kmax: int) -> list[FormalCharacter]:
-    """Exterior powers 0..kmax by expanding one weight copy at a time."""
-    zero = (0,) * chi.ambient.rank
-    rows: list[dict[Weight, int]] = [{zero: 1}] + [dict() for _ in range(kmax)]
-    for w, mult in sorted(chi.support.items()):
-        for _ in range(mult):
-            for k in range(kmax, 0, -1):
-                src = rows[k - 1]
-                if not src:
-                    continue
-                dst = rows[k]
-                for v, m in src.items():
-                    u = tuple(a + b for a, b in zip(v, w))
-                    dst[u] = dst.get(u, 0) + m
-    return [FormalCharacter(chi.ambient, r) for r in rows]
-
-
-def _exterior_newton(chi: FormalCharacter, kmax: int) -> list[FormalCharacter]:
-    """Exterior powers 0..kmax from Adams operations via Newton's identity."""
-    psi = [None] + [adams(chi, i) for i in range(1, kmax + 1)]
-    es: list[FormalCharacter] = [trivial_character(chi.ambient)]
-    for k in range(1, kmax + 1):
-        acc: dict[Weight, int] = {}
-        for i in range(1, k + 1):
-            sign = 1 if i % 2 == 1 else -1
-            term = tensor(es[k - i], psi[i])
-            for w, m in term.support.items():
-                acc[w] = acc.get(w, 0) + sign * m
-        out = {}
-        for w, m in acc.items():
-            if m % k:
-                raise AssertionError("Newton identity produced a non-integer")
-            if m // k:
-                out[w] = m // k
-        es.append(FormalCharacter(chi.ambient, out))
-    return es
-
-
-def _exterior_powers(chi: FormalCharacter, kmax: int) -> list[FormalCharacter]:
+def _check_genuine(chi: FormalCharacter):
     if any(m < 0 for m in chi.support.values()):
         raise NegativeInput("exterior powers need a genuine character")
-    d = chi.dim()
-    kmax = min(kmax, d)
-    if d <= DIRECT_EXTERIOR_LIMIT:
-        return _exterior_direct(chi, kmax)
-    return _exterior_newton(chi, kmax)
 
 
 def exterior_power(chi: FormalCharacter, k: int) -> FormalCharacter:
+    """k-th exterior power, by a graded subset expansion: after each weight
+    copy w, row j holds Lambda^j of the copies seen so far, and row j gains
+    row j-1 shifted by w."""
     if k < 0:
         raise NegativeInput("negative exterior power")
-    if any(m < 0 for m in chi.support.values()):
-        raise NegativeInput("exterior powers need a genuine character")
+    _check_genuine(chi)
     if k > chi.dim():
         return FormalCharacter(chi.ambient, {})
-    return _exterior_powers(chi, k)[k]
+    rows: list[dict[Weight, int]] = [{(0,) * chi.ambient.rank: 1}]
+    rows += [{} for _ in range(k)]
+    for w, mult in chi.support.items():
+        for _ in range(mult):
+            for j in range(k, 0, -1):
+                dst = rows[j]
+                for v, m in rows[j - 1].items():
+                    u = tuple([a + b for a, b in zip(v, w)])
+                    dst[u] = dst.get(u, 0) + m
+    return FormalCharacter(chi.ambient, rows[k])
 
 
 def exterior_algebra(chi: FormalCharacter) -> FormalCharacter:
-    """Sum of all exterior powers; total dimension 2**dim."""
-    powers = _exterior_powers(chi, chi.dim())
-    out: dict[Weight, int] = {}
-    for p in powers:
-        for w, m in p.support.items():
-            out[w] = out.get(w, 0) + m
+    """Sum of all exterior powers: the product of (1 + e^w) over the weight
+    copies w; total dimension 2**dim."""
+    _check_genuine(chi)
+    out: dict[Weight, int] = {(0,) * chi.ambient.rank: 1}
+    for w, mult in chi.support.items():
+        for _ in range(mult):
+            nxt = dict(out)
+            for v, m in out.items():
+                u = tuple([a + b for a, b in zip(v, w)])
+                nxt[u] = nxt.get(u, 0) + m
+            out = nxt
     result = FormalCharacter(chi.ambient, out)
     if result.dim() != 2 ** chi.dim():
         raise AssertionError("exterior algebra dimension check failed")

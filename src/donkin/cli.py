@@ -213,7 +213,8 @@ def exterior(ctx, gtype, lam, prime):
     ea = ch.exterior_algebra(chi)
     dec = ch.decompose_dual_weyl(rd, ea)
     _save_cache()
-    terms = [(",".join(map(str, k)), m) for k, m in dec.items_sorted()]
+    items = dec.items_sorted()
+    terms = [(",".join(map(str, k)), m) for k, m in items]
     lines = [f"type {rd.gtype}, module dimension {chi.dim()}, "
              f"exterior algebra dimension {ea.dim()}",
              f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
@@ -222,8 +223,7 @@ def exterior(ctx, gtype, lam, prime):
                "algebra_dim": ea.dim(), "exact": dec.exact, "terms": dict(terms)}
     ok = True
     if prime is not None:
-        bad = [k for k, _ in dec.items_sorted()
-               if not ch.is_restricted(rd, k, prime)]
+        bad = [k for k, _ in items if not ch.is_restricted(rd, k, prime)]
         ok = dec.exact and not bad
         payload["p"] = prime
         payload["all_restricted"] = not bad

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -209,13 +210,44 @@ def test_exterior_dimensions(name, lam):
     ("A1", (5,)), ("A2", (1, 1)), ("A1", (11,)), ("B2", (1, 1)), ("A3", (0, 1, 0)),
 ])
 def test_lambda_ring_consistency(name, lam):
-    """Direct subset expansion agrees with Newton/Adams on dimension <= 12."""
+    """The subset expansion agrees with brute-force k-subset enumeration on
+    dimension <= 16."""
     rd = build_root_datum(name)
     chi = dual_weyl_character(rd, lam)
     assert chi.dim() <= 16
-    direct = ch._exterior_direct(chi, chi.dim())
-    newton = ch._exterior_newton(chi, chi.dim())
-    assert direct == newton
+    copies = [w for w, m in chi.support.items() for _ in range(m)]
+    for k in range(chi.dim() + 1):
+        brute = {}
+        for subset in itertools.combinations(copies, k):
+            u = tuple(map(sum, zip(*subset))) if subset else (0,) * rd.rank
+            brute[u] = brute.get(u, 0) + 1
+        assert exterior_power(chi, k).support == brute
+
+
+def test_exterior_of_27_dim_module():
+    """A2 (2,2) is 27-dimensional: the algebra is the sum of the powers, each
+    power has binomial dimension, and the decomposition accounts for 2**27 by
+    the Weyl dimension formula."""
+    a2 = build_root_datum("A2")
+    chi = dual_weyl_character(a2, (2, 2))
+    d = chi.dim()
+    assert d == 27
+    total = {}
+    for k in range(d + 1):
+        power = exterior_power(chi, k)
+        assert power.dim() == ch.binomial(d, k)
+        for w, m in power.support.items():
+            total[w] = total.get(w, 0) + m
+    ea = exterior_algebra(chi)
+    assert ea.support == total
+    dec = decompose_dual_weyl(a2, ea)
+    assert dec.exact
+    assert sum(m * weyl_dim(a2, lam) for lam, m in dec.terms.items()) == 2 ** d
+
+
+def test_exterior_algebra_rejects_negative_input():
+    with pytest.raises(NegativeInput):
+        exterior_algebra(FormalCharacter(GroupType.parse("A1"), {(1,): 1, (0,): -1}))
 
 
 def test_decompose_single_module():
