@@ -372,7 +372,8 @@ def save_cache_file(path: str | None = None) -> str:
 def load_cache_file(path: str | None = None) -> int:
     """Merge a cache file into the in-memory table; returns entries loaded.
 
-    Silently returns 0 on a missing, truncated, or wrong-version file.
+    Silently returns 0 on a missing or wrong-version file.  A file cut short
+    keeps the entries that are complete before the cut and returns their count.
     """
     if path is None:
         path = os.path.join(default_cache_dir(), CACHE_FILENAME)

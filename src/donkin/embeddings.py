@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -52,18 +53,22 @@ class WeightMap:
     source: GroupType
     target: GroupType
     matrix: tuple[tuple[int, ...], ...]
+    _source_rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.matrix) != normalize_type(self.target).rank:
             raise TypeMismatch("matrix rows do not match target rank")
-        if self.matrix and len(self.matrix[0]) != normalize_type(self.source).rank:
+        rank = normalize_type(self.source).rank
+        if self.matrix and len(self.matrix[0]) != rank:
             raise TypeMismatch("matrix columns do not match source rank")
+        object.__setattr__(self, "_source_rank", rank)
 
     def apply(self, w: Weight) -> Weight:
-        if len(w) != normalize_type(self.source).rank:
+        """Image of one weight: the matrix times ``w``."""
+        if len(w) != self._source_rank:
             raise AmbientMismatch(
                 f"weight of length {len(w)} under a map from {self.source}")
-        return linalg.mat_vec(self.matrix, tuple(w))
+        return tuple([sum(map(mul, row, w)) for row in self.matrix])
 
 
 def identity_map(gtype: GroupType) -> WeightMap:
@@ -81,9 +86,10 @@ def restrict_character(chi: FormalCharacter, wmap: WeightMap) -> FormalCharacter
     """Pushforward of the multiplicity map; total dimension is preserved."""
     if chi.ambient != normalize_type(wmap.source):
         raise AmbientMismatch(f"{chi.ambient} vs map source {wmap.source}")
+    apply = wmap.apply
     out: dict[Weight, int] = {}
     for w, m in chi.support.items():
-        v = wmap.apply(w)
+        v = apply(w)
         out[v] = out.get(v, 0) + m
     return FormalCharacter(normalize_type(wmap.target), out)
 

@@ -6,9 +6,10 @@ failure.  Reports come back in input order.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .characters import decompose_dual_weyl, dual_weyl_character
+from .characters import FormalCharacter, decompose_dual_weyl, dual_weyl_character
 from .embeddings import (
     EmbeddingStep,
     chain_restriction_map,
@@ -144,6 +145,12 @@ class SpotVerdict:
                 if self.terms is not None else None}
 
 
+@functools.lru_cache(maxsize=1)
+def _ambient_character(gtype: GroupType, lam: tuple[int, ...]) -> FormalCharacter:
+    """∇(lam) of the ambient group, shared read-only by the records of a table."""
+    return dual_weyl_character(build_root_datum(gtype), lam)
+
+
 def spot_check(rec: OrbitRecord, lam) -> SpotVerdict:
     """Restrict the ambient dual Weyl character along the chain and demand an
     exact nonnegative dual-Weyl decomposition at the bottom.
@@ -162,7 +169,7 @@ def spot_check(rec: OrbitRecord, lam) -> SpotVerdict:
     lam = tuple(lam)
     if not is_dominant(amb_rd, lam):
         return SpotVerdict(rec, "FAIL", f"{lam} is not dominant for {rec.ambient}")
-    chi = dual_weyl_character(amb_rd, lam)
+    chi = _ambient_character(amb_rd.gtype, lam)
     restricted = restrict_character(chi, total)
     if restricted.dim() != chi.dim():
         return SpotVerdict(rec, "FAIL", "restriction changed the dimension")

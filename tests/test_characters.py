@@ -379,6 +379,26 @@ def test_cache_ignores_garbage(tmp_path):
     assert ch.load_cache_file(str(tmp_path / "missing.bin")) == 0
 
 
+def test_cache_truncated_file_keeps_complete_entries(tmp_path):
+    path = tmp_path / "chars.bin"
+    a2 = build_root_datum("A2")
+    ch.clear_memo()
+    try:
+        chi = dual_weyl_character(a2, (1, 1))
+        dual_weyl_character(a2, (2, 2))
+        ch.save_cache_file(str(path))
+        ch.clear_memo()
+        assert ch.load_cache_file(str(path)) == 2
+        ch.clear_memo()
+        path.write_bytes(path.read_bytes()[:-3])  # cut inside the second entry
+        assert ch.load_cache_file(str(path)) == 1
+        with ch._LOCK:
+            assert set(ch._DOMINANT_MULTS) == {("A2", (1, 1))}
+        assert dual_weyl_character(a2, (1, 1)) == chi
+    finally:
+        ch.clear_memo()
+
+
 def test_cache_concurrent_writers_leave_no_temp_files(tmp_path):
     import threading
     a2 = build_root_datum("A2")

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from donkin.characters import (
+    FormalCharacter,
     decompose_dual_weyl,
     dual_weyl_character,
     external_product,
@@ -26,6 +27,7 @@ from donkin.embeddings import (
     tensor_map,
 )
 from donkin.errors import (
+    AmbientMismatch,
     NotAClassicalSplit,
     NotAMaxRankSubgroup,
     NotARestrictedEmbedding,
@@ -33,7 +35,8 @@ from donkin.errors import (
     TypeMismatch,
     UnknownPair,
 )
-from donkin.rootsystem import GroupType, build_root_datum, normalize_type
+from donkin.linalg import mat_vec
+from donkin.rootsystem import GroupType, build_root_datum, highest_root, normalize_type
 
 G = GroupType.parse
 
@@ -374,6 +377,39 @@ def test_chain_restriction_map():
     assert normalize_type(total.target) == G("G2")
     with_max = steps + (EmbeddingStep("max", G("E8"), G("E8")),)
     assert chain_restriction_map(with_max) is None
+
+
+def test_restriction_rejects_wrong_ambient():
+    m = identity_map(G("A2"))
+    with pytest.raises(AmbientMismatch):
+        m.apply((1, 0, 0))
+    short = FormalCharacter(G("A2"), {(1, 0, 0): 1})
+    with pytest.raises(AmbientMismatch):
+        restrict_character(short, m)
+    b2 = dual_weyl_character(build_root_datum("B2"), (1, 0))
+    with pytest.raises(AmbientMismatch):
+        restrict_character(b2, m)
+
+
+@pytest.mark.parametrize("name", ["e6", "e7", "f4"])
+def test_restriction_matches_brute_force_pushforward(shipped_tables, name):
+    """The adjoint character pushed along every shipped chain map agrees with a
+    per-weight ``linalg.mat_vec`` pushforward and keeps its dimension."""
+    maps = [m for m in (chain_restriction_map(r.chain)
+                        for r in shipped_tables[name] if not r.is_torus)
+            if m is not None]
+    assert maps
+    for m in maps:
+        rd = build_root_datum(m.source)
+        adj = dual_weyl_character(rd, highest_root(rd))
+        expected = {}
+        for w, mult in adj.support.items():
+            v = mat_vec(m.matrix, w)
+            expected[v] = expected.get(v, 0) + mult
+        r = restrict_character(adj, m)
+        assert r.ambient == normalize_type(m.target)
+        assert r.support == expected
+        assert r.dim() == adj.dim() == 2 * len(rd.positive_roots) + rd.rank
 
 
 def test_step_map_alias():

@@ -5,6 +5,7 @@ from donkin.errors import UnknownType
 from donkin.nilpotent import OrbitRecord, parse_orbit_tables
 from donkin.rootsystem import GroupType
 from donkin.verifier import (
+    _ambient_character,
     check_step,
     good_prime_bound,
     spot_check,
@@ -145,3 +146,24 @@ def test_spot_check_rejects_nondominant(shipped_tables):
     rec = next(r for r in shipped_tables["e7"] if not r.is_torus)
     v = spot_check(rec, (-1, 0, 0, 0, 0, 0, 0))
     assert v.status == "FAIL"
+
+
+def test_spot_check_ambient_memo_never_goes_stale(shipped_tables):
+    """The shared ambient character follows the type and λ: a run that reuses
+    it gives the verdicts of a run that rebuilds it for every record."""
+    order = [("e8", (0, 0, 0, 0, 0, 0, 0, 1)), ("e7", (0, 0, 0, 0, 0, 0, 1)),
+             ("e8", (1, 0, 0, 0, 0, 0, 0, 0)), ("e8", (0, 0, 0, 0, 0, 0, 0, 1))]
+
+    def run(clear):
+        out = []
+        for name, lam in order:
+            for rec in shipped_tables[name]:
+                if clear:
+                    _ambient_character.cache_clear()
+                v = spot_check(rec, lam)
+                out.append((name, lam, rec.label, v.status, v.terms))
+        return out
+
+    shared = run(clear=False)
+    assert {s for *_, s, _ in shared} == {"PASS", "SKIPPED"}
+    assert shared == run(clear=True)
