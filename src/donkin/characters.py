@@ -54,8 +54,7 @@ class FormalCharacter:
         return self.support.get(tuple(w), 0)
 
     def items_sorted(self):
-        rd = build_root_datum(self.ambient)
-        return sorted(self.support.items(), key=lambda kv: (-rd.height(kv[0]), kv[0]))
+        return _by_height(self.ambient, self.support)
 
     def __eq__(self, other):
         return (isinstance(other, FormalCharacter)
@@ -64,6 +63,14 @@ class FormalCharacter:
 
     def __repr__(self):
         return f"FormalCharacter({self.ambient}, {len(self.support)} weights, dim {self.dim()})"
+
+
+def _by_height(ambient: GroupType, mults: dict[Weight, int]) -> list[tuple[Weight, int]]:
+    """The (weight, multiplicity) pairs by descending height, ties by weight."""
+    hf = build_root_datum(ambient).height_functional
+    # decorated once and sorted without a key; weights are distinct, so m never decides
+    deco = sorted([(-sum(map(mul, hf, w)), w, m) for w, m in mults.items()])
+    return [(w, m) for _, w, m in deco]
 
 
 def trivial_character(ambient) -> FormalCharacter:
@@ -270,8 +277,7 @@ class DualWeylDecomposition:
         return FormalCharacter(self.ambient, out)
 
     def items_sorted(self):
-        rd = build_root_datum(self.ambient)
-        return sorted(self.terms.items(), key=lambda kv: (-rd.height(kv[0]), kv[0]))
+        return _by_height(self.ambient, self.terms)
 
 
 def decompose_dual_weyl(rd: RootDatum, chi: FormalCharacter) -> DualWeylDecomposition:

@@ -48,6 +48,11 @@ def _parse_weight(text: str, rank: int):
     return coords
 
 
+def _weight_format(rank: int) -> str:
+    """The %-template that prints a weight of this rank as 'c1,c2,...'."""
+    return ",".join(["%d"] * rank)
+
+
 def _parse_group(text: str) -> GroupType:
     try:
         return GroupType.parse(text)
@@ -142,7 +147,8 @@ def char(ctx, gtype, lam):
     _load_cache()
     chi = ch.dual_weyl_character(rd, w)
     _save_cache()
-    support = [(",".join(map(str, k)), m) for k, m in chi.items_sorted()]
+    template = _weight_format(rd.rank)
+    support = [(template % k, m) for k, m in chi.items_sorted()]
     _emit(ctx.obj["fmt"], "char",
           {"type": str(rd.gtype), "highest_weight": list(w),
            "dimension": chi.dim(), "weights": dict(support)},
@@ -187,7 +193,8 @@ def decompose(ctx, gtype, source):
     chi = _read_character(rd, source[1:])
     dec = ch.decompose_dual_weyl(rd, chi)
     _save_cache()
-    terms = [(",".join(map(str, k)), m) for k, m in dec.items_sorted()]
+    template = _weight_format(rd.rank)
+    terms = [(template % k, m) for k, m in dec.items_sorted()]
     _emit(ctx.obj["fmt"], "decompose",
           {"type": str(rd.gtype), "dimension": chi.dim(), "exact": dec.exact,
            "terms": dict(terms)},
@@ -214,7 +221,8 @@ def exterior(ctx, gtype, lam, prime):
     dec = ch.decompose_dual_weyl(rd, ea)
     _save_cache()
     items = dec.items_sorted()
-    terms = [(",".join(map(str, k)), m) for k, m in items]
+    template = _weight_format(rd.rank)
+    terms = [(template % k, m) for k, m in items]
     lines = [f"type {rd.gtype}, module dimension {chi.dim()}, "
              f"exterior algebra dimension {ea.dim()}",
              f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
@@ -260,7 +268,8 @@ def restrict(ctx, chain, lam):
     sub_rd = build_root_datum(normalize_type(total.target))
     dec = ch.decompose_dual_weyl(sub_rd, restricted)
     _save_cache()
-    terms = [(",".join(map(str, k)), m) for k, m in dec.items_sorted()]
+    template = _weight_format(sub_rd.rank)
+    terms = [(template % k, m) for k, m in dec.items_sorted()]
     _emit(ctx.obj["fmt"], "restrict",
           {"ambient": str(amb_rd.gtype), "subgroup": str(sub_rd.gtype),
            "highest_weight": list(w), "dimension": chi.dim(),

@@ -321,6 +321,17 @@ class RootDatum:
         self._simple = tuple(i for i in range(n) if not torus[i])
         # column i of the Cartan matrix = alpha_i in fw coordinates
         self._columns = tuple(tuple(cartan[r][i] for r in range(n)) for i in range(n))
+        # weyl_orbit's per-i plan: s_i moves coordinate i and i's Dynkin
+        # neighbours j (by -c * a_ji); the simple j < i are split into the
+        # unmoved and the moved, with their Cartan entries
+        plans = []
+        for i in self._simple:
+            col = self._columns[i]
+            moved = tuple((j, col[j]) for j in self._simple if j != i and col[j])
+            plans.append((i, moved,
+                          tuple(j for j in self._simple if j < i and not col[j]),
+                          tuple((j, a) for j, a in moved if j < i)))
+        self._orbit_plans = tuple(plans)
         # sum of positive coroots; any dominance-compatible height functional
         self.height_functional: Weight = tuple(
             sum(cv[i] for cv in pos_coroots) for i in range(n))
@@ -406,28 +417,41 @@ def _dominant(w: Weight, simple, columns) -> Weight:
 def weyl_orbit(rd: RootDatum, w: Weight) -> tuple[Weight, ...]:
     """Full Weyl orbit of a dominant weight, canonically sorted.
 
-    Only the lowering reflections (s_i where v[i] > 0) are applied: every
-    orbit point u other than ``w`` has some u[i] < 0, so s_i u is a higher
-    orbit point from which s_i lowers back to u.
+    Walks Snow's orbit tree ("Weyl group orbits", ACM TOMS 16, 1990), which
+    needs no visited set.  Every orbit point u other than the dominant ``w``
+    has a first negative simple coordinate i, and its parent is s_i u, a
+    higher orbit point with (s_i u)[i] = -u[i] > 0.  From a point v the walk
+    therefore keeps u = s_i v (for v[i] = c > 0) only when i is u's first
+    negative simple coordinate, that is when u[j] = v[j] - c * a_ji >= 0 for
+    every simple j < i; this is tested on v before u is built.  Each point
+    thus has exactly one parent, the parents climb to ``w`` (the
+    ``dominant_representative`` path), and every point is emitted once.
     """
     rd.check_weight(w)
     w = tuple(w)
-    simple = rd._simple
-    if any(w[i] < 0 for i in simple):
+    if any(w[i] < 0 for i in rd._simple):
         raise NotDominant(f"{w} is not dominant")
-    columns = rd._columns
-    seen = {w}
-    stack = [w]
-    while stack:
-        v = stack.pop()
-        for i in simple:
+    out = [w]
+    emit = out.append
+    for v in out:  # the list grows while it is walked
+        for i, moved, lower_unmoved, lower_moved in rd._orbit_plans:
             c = v[i]
             if c > 0:
-                u = tuple([x - c * a for x, a in zip(v, columns[i])])
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return tuple(sorted(seen))
+                for j in lower_unmoved:
+                    if v[j] < 0:
+                        break
+                else:
+                    for j, a in lower_moved:
+                        if v[j] < c * a:
+                            break
+                    else:
+                        u = list(v)
+                        u[i] = -c
+                        for j, a in moved:
+                            u[j] -= c * a
+                        emit(tuple(u))
+    out.sort()
+    return tuple(out)
 
 
 def weyl_dim(rd: RootDatum, lam: Weight) -> int:

@@ -1,10 +1,16 @@
+import hashlib
 import importlib.resources as ir
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from donkin.characters import dual_weyl_character
 from donkin.cli import main
+from donkin.rootsystem import build_root_datum, weyl_dim
+
+REFERENCE_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "reference_digests.json"
 
 
 @pytest.fixture(autouse=True)
@@ -156,3 +162,37 @@ def test_cache_dir_env(runner, tmp_path, monkeypatch):
     # a second run picks the cache up and agrees
     again = runner.invoke(main, ["char", "A2", "2,2"])
     assert again.output == result.output
+
+
+@pytest.mark.parametrize("name,lam", [("A1", (4,)), ("G2", (2, 1)), ("B2.T1", (1, 0, -5))])
+def test_char_output_matches_independent_rendering(runner, name, lam):
+    """Weights by descending height, ties by weight, each printed as 'c1,c2,...'."""
+    rd = build_root_datum(name)
+    chi = dual_weyl_character(rd, lam)
+    ordered = sorted(chi.support, key=lambda w: (-rd.height(w), w))
+    weights = {",".join(map(str, w)): chi.support[w] for w in ordered}
+    text = ",".join(map(str, lam))
+    lines = [f"type {rd.gtype}, highest weight {text}",
+             f"dimension: {chi.dim()} (Weyl formula: {weyl_dim(rd, lam)})"]
+    lines += [f"  {k}: {m}" for k, m in weights.items()]
+    result = runner.invoke(main, ["char", name, text])
+    assert result.exit_code == 0
+    assert result.stdout == "\n".join(lines) + "\n"
+    payload = {"schema": 1, "kind": "char", "type": str(rd.gtype),
+               "highest_weight": list(lam), "dimension": chi.dim(), "weights": weights}
+    result = runner.invoke(main, ["--format", "jsonl", "char", name, text])
+    assert result.exit_code == 0
+    assert result.stdout == json.dumps(payload, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("job", [
+    "char G2 15,15", "char C3 5,5,5", "char F4 1,1,1,1",
+    "exterior A2 2,2", "exterior B2 1,1", "exterior B2 2,0", "exterior B4 0,0,0,1",
+    "exterior G2 0,1", "exterior G2 1,0",
+])
+def test_output_matches_reference_digest(runner, job):
+    """stdout is byte-identical to the benchmark's recorded reference output."""
+    digests = json.loads(REFERENCE_DIGESTS.read_text())
+    result = runner.invoke(main, job.split())
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digests[job]

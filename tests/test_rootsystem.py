@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,3 +220,38 @@ def test_dominant_representative_properties(name, w):
     assert is_dominant(rd, rep)
     assert dominant_representative(rd, rep) == rep
     assert w in weyl_orbit(rd, rep)
+
+
+WEYL_ORDER = {"A": lambda n: math.factorial(n + 1),
+              "B": lambda n: 2 ** n * math.factorial(n),
+              "C": lambda n: 2 ** n * math.factorial(n),
+              "D": lambda n: 2 ** (n - 1) * math.factorial(n),
+              "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
+              "F": lambda n: 1152, "G": lambda n: 12, "T": lambda n: 1}
+
+
+def weyl_group_order(gtype):
+    """|W| of a group type, from the textbook order of each factor."""
+    return math.prod(WEYL_ORDER[f.letter](f.rank) for f in gtype.factors)
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("T1", (-2,)), ("A1", (3,)), ("G2", (1, 1)), ("G2", (0, 3)), ("A2", (1, 1)),
+    ("A1.B3.T2", (2, 0, 1, 0, -3, 4)), ("B2", (1, 1)), ("A3", (1, 1, 1)),
+    ("B3", (1, 1, 1)), ("C3", (2, 0, 1)), ("A5", (1, 0, 1, 0, 0)),
+    ("B4", (0, 1, 0, 1)), ("C4", (1, 1, 1, 1)), ("D4", (1, 1, 1, 1)),
+    ("D5", (0, 1, 0, 1, 1)), ("F4", (0, 1, 0, 1)), ("F4", (1, 1, 1, 1)),
+    ("E6", (1, 0, 0, 0, 0, 1)), ("E6", (0, 1, 1, 0, 0, 0)),
+    ("E7", (1, 0, 0, 0, 0, 0, 1)), ("E7", (0, 0, 1, 0, 0, 0, 1)),
+    ("E8", (0,) * 8), ("E8", (0,) * 7 + (1,)), ("E8", (0,) * 6 + (1, 1)),
+    ("E8", (1,) + (0,) * 6 + (1,)),
+])
+def test_weyl_orbit_emits_each_point_once(name, lam):
+    """|orbit| = |W| / |W_lam|, where W_lam is the parabolic subgroup of the
+    zero nodes of lam, with no point emitted twice."""
+    rd = build_root_datum(name)
+    orbit = weyl_orbit(rd, lam)
+    assert len(orbit) == len(set(orbit))
+    zero_nodes = [i + 1 for i in rd.simple_indices() if lam[i] == 0]
+    stabiliser = subdiagram_type(rd, zero_nodes)
+    assert len(orbit) == weyl_group_order(rd.gtype) // weyl_group_order(stabiliser)
