@@ -280,30 +280,68 @@ class DualWeylDecomposition:
         return _by_height(self.ambient, self.terms)
 
 
+def _check_symmetric(rd: RootDatum, support: dict[Weight, int]) -> None:
+    """Raise NotSymmetric unless ``support`` is invariant under every simple
+    reflection s_i, hence under W.
+
+    s_i pairs the weights with u[i] > 0 one to one with those with u[i] < 0.
+    So it is enough that each u with u[i] > 0 has its multiplicity at s_i u
+    too, and that both sides of the support have the same size.
+    """
+    for i, moved, _, _ in rd._orbit_plans:
+        above = below = 0
+        for u, m in support.items():
+            c = u[i]
+            if c > 0:
+                above += 1
+                v = list(u)
+                v[i] = -c
+                for j, a in moved:
+                    v[j] -= c * a
+                if support.get(tuple(v), 0) != m:
+                    _not_symmetric(rd, support, u, i)
+            elif c < 0:
+                below += 1
+        if above != below:
+            # some u with u[i] < 0 has no partner at s_i u
+            _not_symmetric(rd, support, next(
+                u for u in support if u[i] < 0 and rd.reflect(u, i) not in support), i)
+
+
+def _not_symmetric(rd: RootDatum, support: dict[Weight, int], u: Weight, i: int):
+    v = rd.reflect(u, i)
+    raise NotSymmetric(f"not Weyl-invariant: {u} has multiplicity {support[u]} "
+                       f"but its reflection s{i + 1}{u} = {v} has {support.get(v, 0)}")
+
+
 def decompose_dual_weyl(rd: RootDatum, chi: FormalCharacter) -> DualWeylDecomposition:
     """Peel-off decomposition of a Weyl-symmetric character.
 
-    Repeatedly strips mult * character(dual Weyl) at the surviving weight of
-    maximal height (ties broken lexicographically).  A maximal surviving
-    weight that is not dominant means the input was not Weyl-invariant.
+    The input is first checked to be invariant under every simple reflection
+    (NotSymmetric names a weight and its reflection whose multiplicities
+    differ).  A W-invariant character is fixed by its dominant part, so the
+    peel-off runs on dominant weights alone: it repeatedly strips
+    m * (the dominant multiplicities of the dual Weyl module) at the
+    surviving dominant weight of maximal height (ties broken
+    lexicographically), and never expands a Weyl orbit.
     """
     if normalize_type(chi.ambient) != rd.gtype:
         raise AmbientMismatch(f"{chi.ambient} vs {rd.gtype}")
-    residual = dict(chi.support)
+    _check_symmetric(rd, chi.support)
+    simple = rd._simple
+    residual = {w: m for w, m in chi.support.items()
+                if all(w[i] >= 0 for i in simple)}
     terms: dict[Weight, int] = {}
     while residual:
         w = max(residual, key=lambda v: (rd.height(v), v))
-        if not is_dominant(rd, w):
-            raise NotSymmetric(f"maximal surviving weight {w} is not dominant")
-        m = residual[w]
-        terms[w] = terms.get(w, 0) + m
+        # w is maximal in the residual, so no later step reaches it again
+        m = terms[w] = residual[w]
         for v, mv in _freudenthal(rd, w).items():
-            for u in weyl_orbit(rd, v):
-                new = residual.get(u, 0) - m * mv
-                if new:
-                    residual[u] = new
-                else:
-                    residual.pop(u, None)
+            new = residual.get(v, 0) - m * mv
+            if new:
+                residual[v] = new
+            else:
+                residual.pop(v, None)
     exact = all(m >= 0 for m in terms.values())
     return DualWeylDecomposition(rd.gtype, terms, exact)
 

@@ -157,22 +157,35 @@ def char(ctx, gtype, lam):
           + [f"  {k}: {m}" for k, m in support])
 
 
+def _read_text(path):
+    """The UTF-8 text of an input file; one error line and exit 2 if it
+    cannot be read or decoded."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
+    except UnicodeDecodeError as exc:
+        click.echo(f"error: {path}: {exc}", err=True)
+    sys.exit(2)
+
+
 def _read_character(rd, path):
     support = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                mult_text, coords_text = line.split(None, 1)
-                mult = int(mult_text)
-                w = tuple(int(c) for c in coords_text.split(","))
-            except ValueError:
-                raise click.UsageError(f"{path}:{lineno}: expected 'MULT c1,c2,...'")
-            if len(w) != rd.rank:
-                raise click.UsageError(f"{path}:{lineno}: weight has wrong length")
-            support[w] = support.get(w, 0) + mult
+    # text-mode reads turn every line ending into "\n"
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            mult_text, coords_text = line.split(None, 1)
+            mult = int(mult_text)
+            w = tuple(int(c) for c in coords_text.split(","))
+        except ValueError:
+            raise click.UsageError(f"{path}:{lineno}: expected 'MULT c1,c2,...'")
+        if len(w) != rd.rank:
+            raise click.UsageError(f"{path}:{lineno}: weight has wrong length")
+        support[w] = support.get(w, 0) + mult
     return ch.FormalCharacter(rd.gtype, support)
 
 
@@ -328,12 +341,7 @@ def orbit_classical(ctx, kind, partition):
 def _read_tables(paths):
     out = []
     for path in paths:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+        text = _read_text(path)
         try:
             out.append((path, parse_orbit_tables(text)))
         except TableSyntaxError as exc:

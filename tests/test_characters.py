@@ -21,6 +21,7 @@ from donkin.rootsystem import (
     GroupType,
     build_root_datum,
     dominant_representative,
+    is_dominant,
     weyl_dim,
     weyl_orbit,
 )
@@ -296,6 +297,109 @@ def test_virtual_decomposition_flagged():
     dec = decompose_dual_weyl(a1, FormalCharacter(GroupType.parse("A1"), support))
     assert not dec.exact
     assert dec.terms == {(2,): 1, (0,): -2}
+
+
+def full_orbit_peel(rd, chi):
+    """Oracle: the peel-off over the whole support.
+
+    Strips m * (the full character of the dual Weyl module, every Weyl-orbit
+    point included) at the surviving weight of maximal height, and raises
+    NotSymmetric when that weight is not dominant.  Returns (terms, exact).
+    """
+    residual = dict(chi.support)
+    terms = {}
+    while residual:
+        w = max(residual, key=lambda v: (rd.height(v), v))
+        if not is_dominant(rd, w):
+            raise NotSymmetric(f"maximal surviving weight {w} is not dominant")
+        m = residual[w]
+        terms[w] = terms.get(w, 0) + m
+        for v, mv in dual_weyl_character(rd, w).support.items():
+            new = residual.get(v, 0) - m * mv
+            if new:
+                residual[v] = new
+            else:
+                residual.pop(v, None)
+    return terms, all(m >= 0 for m in terms.values())
+
+
+def random_dominant(rd, rng):
+    return tuple(rng.randint(0, 3) if i in rd.simple_indices() else rng.randint(-2, 2)
+                 for i in range(rd.rank))
+
+
+def random_genuine(rd, rng):
+    """A nonnegative sum of dual Weyl characters."""
+    support = {}
+    for _ in range(3):
+        c = rng.randint(1, 3)
+        for w, m in dual_weyl_character(rd, random_dominant(rd, rng)).support.items():
+            support[w] = support.get(w, 0) + c * m
+    return FormalCharacter(rd.gtype, support)
+
+
+def random_virtual(rd, rng):
+    """A signed sum of Weyl-orbit sums, built by reflection closure."""
+    support = {}
+    for _ in range(4):
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        for w in reflection_bfs_orbit(rd, random_dominant(rd, rng)):
+            support[w] = support.get(w, 0) + c
+    return FormalCharacter(rd.gtype, support)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "B2.T1"])
+def test_decompose_matches_full_orbit_oracle(name):
+    rd = build_root_datum(name)
+    rng = random.Random(name)
+    virtual_seen = False
+    for make in (random_genuine, random_virtual) * 6:
+        chi = make(rd, rng)
+        dec = decompose_dual_weyl(rd, chi)
+        assert (dec.terms, dec.exact) == full_orbit_peel(rd, chi)
+        assert dec.character(rd) == chi
+        if make is random_genuine:
+            assert dec.exact
+        virtual_seen |= not dec.exact
+    assert virtual_seen
+
+
+@pytest.mark.parametrize("name,lam", [("A2", (1, 1)), ("G2", (1, 0))])
+def test_decompose_exterior_algebra_matches_full_orbit_oracle(name, lam):
+    rd = build_root_datum(name)
+    ea = exterior_algebra(dual_weyl_character(rd, lam))
+    dec = decompose_dual_weyl(rd, ea)
+    assert (dec.terms, dec.exact) == full_orbit_peel(rd, ea)
+
+
+def non_invariant_inputs():
+    """(root datum, support, the start of NotSymmetric's text) per case."""
+    a2, g2, a1 = (build_root_datum(n) for n in ("A2", "G2", "A1"))
+    # A2 (2,0): the orbits of (2,0) and (0,1); the top weight and the dominant
+    # part are intact, the lowest weight (0,-2) is missing
+    lacking = dict(dual_weyl_character(a2, (2, 0)).support)
+    del lacking[(0, -2)]
+    # G2 (1,0): two short roots of one orbit with different multiplicities
+    uneven = dict(dual_weyl_character(g2, (1, 0)).support)
+    uneven[(-1, 1)] = 2
+    # A1: an extra antidominant point (-4,).  No weight with a positive
+    # coordinate reflects onto it, so only the count of the two sides sees it.
+    extra = {(2,): 1, (0,): 1, (-2,): 1, (-4,): 1}
+    return [
+        (a2, lacking, "(-2, 2) has multiplicity 1 but its reflection s2(-2, 2) = (0, -2) has 0"),
+        (g2, uneven, "(1, 0) has multiplicity 1 but its reflection s1(1, 0) = (-1, 1) has 2"),
+        (a1, extra, "(-4,) has multiplicity 1 but its reflection s1(-4,) = (4,) has 0"),
+    ]
+
+
+def test_decompose_rejects_non_invariant_inputs():
+    for rd, support, text in non_invariant_inputs():
+        chi = FormalCharacter(rd.gtype, support)
+        with pytest.raises(NotSymmetric) as exc:
+            decompose_dual_weyl(rd, chi)
+        assert str(exc.value) == "not Weyl-invariant: " + text
+        with pytest.raises(NotSymmetric):
+            full_orbit_peel(rd, chi)
 
 
 def test_is_restricted():

@@ -77,6 +77,36 @@ def test_decompose_from_file(runner, tmp_path):
     assert "nabla(0): 1" in result.output
 
 
+def test_decompose_non_invariant_file_names_the_weights(runner, tmp_path):
+    src = tmp_path / "char.txt"
+    src.write_text("1 2\n2 0\n")
+    result = runner.invoke(main, ["decompose", "A1", f"@{src}"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: not Weyl-invariant: (2,) has multiplicity 1 "
+                             "but its reflection s1(2,) = (-2,) has 0\n")
+
+
+@pytest.mark.parametrize("case", [
+    "decompose missing", "decompose directory", "decompose non-utf8",
+    "verify-tables non-utf8", "spot-check non-utf8",
+])
+def test_unreadable_input_is_a_usage_error(runner, tmp_path, case):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"# caf\xe9\n1 2\n")
+    args = {
+        "decompose missing": ["decompose", "A1", f"@{tmp_path / 'missing.txt'}"],
+        "decompose directory": ["decompose", "A1", f"@{tmp_path}"],
+        "decompose non-utf8": ["decompose", "A1", f"@{latin1}"],
+        "verify-tables non-utf8": ["verify-tables", str(latin1)],
+        "spot-check non-utf8": ["spot-check", str(latin1), "--lambda", "1,0"],
+    }[case]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 def test_restrict(runner):
     result = runner.invoke(main, ["restrict", "B2 -[auto]-> A3", "0,1,0"])
     assert result.exit_code == 0
