@@ -1,5 +1,5 @@
-"""Formal character ring: dual Weyl characters, tensor/exterior operations,
-decomposition into the dual-Weyl basis, and restrictedness tests.
+"""Formal characters: dual Weyl characters, exterior powers, decomposition
+into the dual-Weyl basis, and restrictedness tests.
 
 A formal character is a finite map from weights (fundamental-weight
 coordinates) to arbitrary-precision integer multiplicities.  Dominant
@@ -9,7 +9,6 @@ persisted to a small versioned binary cache file.
 """
 from __future__ import annotations
 
-import math
 import os
 import struct
 import tempfile
@@ -71,15 +70,6 @@ def _by_height(ambient: GroupType, mults: dict[Weight, int]) -> list[tuple[Weigh
     # decorated once and sorted without a key; weights are distinct, so m never decides
     deco = sorted([(-sum(map(mul, hf, w)), w, m) for w, m in mults.items()])
     return [(w, m) for _, w, m in deco]
-
-
-def trivial_character(ambient) -> FormalCharacter:
-    gt = normalize_type(ambient if isinstance(ambient, GroupType) else GroupType.parse(ambient))
-    return FormalCharacter(gt, {(0,) * gt.rank: 1})
-
-
-def dim(chi: FormalCharacter) -> int:
-    return chi.dim()
 
 
 # ---------------------------------------------------------------------------
@@ -173,45 +163,7 @@ def dual_weyl_character(rd: RootDatum, lam: Weight) -> FormalCharacter:
 
 
 # ---------------------------------------------------------------------------
-# Ring operations
-
-def _check_same_ambient(c1: FormalCharacter, c2: FormalCharacter):
-    if c1.ambient != c2.ambient:
-        raise AmbientMismatch(f"{c1.ambient} vs {c2.ambient}")
-
-
-def add(c1: FormalCharacter, c2: FormalCharacter) -> FormalCharacter:
-    _check_same_ambient(c1, c2)
-    out = dict(c1.support)
-    for w, m in c2.support.items():
-        out[w] = out.get(w, 0) + m
-    return FormalCharacter(c1.ambient, out)
-
-
-def scale(chi: FormalCharacter, c: int) -> FormalCharacter:
-    return FormalCharacter(chi.ambient, {w: c * m for w, m in chi.support.items()})
-
-
-def tensor(c1: FormalCharacter, c2: FormalCharacter) -> FormalCharacter:
-    """Convolution of supports; the character of a tensor product."""
-    _check_same_ambient(c1, c2)
-    out: dict[Weight, int] = {}
-    for w1, m1 in c1.support.items():
-        for w2, m2 in c2.support.items():
-            w = tuple(a + b for a, b in zip(w1, w2))
-            out[w] = out.get(w, 0) + m1 * m2
-    return FormalCharacter(c1.ambient, out)
-
-
-def external_product(c1: FormalCharacter, c2: FormalCharacter) -> FormalCharacter:
-    """Character of an external tensor product over the product group."""
-    gt = normalize_type(GroupType(c1.ambient.factors + c2.ambient.factors))
-    out: dict[Weight, int] = {}
-    for w1, m1 in c1.support.items():
-        for w2, m2 in c2.support.items():
-            out[w1 + w2] = out.get(w1 + w2, 0) + m1 * m2
-    return FormalCharacter(gt, out)
-
+# Exterior powers
 
 def _check_genuine(chi: FormalCharacter):
     if any(m < 0 for m in chi.support.values()):
@@ -267,14 +219,6 @@ class DualWeylDecomposition:
     ambient: GroupType
     terms: dict[Weight, int]
     exact: bool
-
-    def character(self, rd: RootDatum | None = None) -> FormalCharacter:
-        rd = rd or build_root_datum(self.ambient)
-        out: dict[Weight, int] = {}
-        for lam, m in self.terms.items():
-            for w, mw in dual_weyl_character(rd, lam).support.items():
-                out[w] = out.get(w, 0) + m * mw
-        return FormalCharacter(self.ambient, out)
 
     def items_sorted(self):
         return _by_height(self.ambient, self.terms)
@@ -458,12 +402,3 @@ def load_cache_file(path: str | None = None) -> int:
     except (struct.error, UnicodeDecodeError):
         return loaded
     return loaded
-
-
-def clear_memo() -> None:
-    with _LOCK:
-        _DOMINANT_MULTS.clear()
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k) if 0 <= k <= n else 0

@@ -8,36 +8,40 @@ classical clauses are constructed in epsilon coordinates and converted, so the
 tables' nonstandard spellings (B1 for SO3, C1 for Sp2, D1 for SO2, ...) pick
 the intended classical group.
 
-Tags: ``diag`` (diagonal into a power), ``levi`` (Levi subgroup up to central
-torus), ``auto`` (diagram-folding fixed points), ``class`` (same-form block
-splits and SL/SO, SL/Sp), ``max`` (maximal-rank subgroups of exceptional
-groups; type-level only, no weight map), ``resirr`` (restricted irreducible
+The catalog is one clause table, ``_CLAUSES``, from each chain tag to a
+cached matcher (legality verdict and minimal prime, :func:`match_step`) and a
+builder (weight map, :func:`step_map`).  Tags: ``diag`` (diagonal into a
+power), ``levi`` (Levi subgroup up to central torus), ``auto``
+(diagram-folding fixed points), ``class`` (same-form block splits and SL/SO,
+SL/Sp), ``max`` (maximal-rank subgroups of exceptional groups; type-level
+only, so its builder is None), ``resirr`` (restricted irreducible
 representations), ``tensor`` (tensor-product embeddings), ``alias``
-(respelling).
+(respelling).  The clauses over product groups share one factor search,
+:func:`_grouped_assignments`, and one block assembler, :func:`_assemble`.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .errors import (
     AmbientMismatch,
     BadIndex,
     NotAClassicalSplit,
-    NotAMaxRankSubgroup,
     NotARestrictedEmbedding,
     NotATensorEmbedding,
     TypeMismatch,
     UnknownPair,
+    UnknownType,
 )
 from .characters import FormalCharacter, dual_weyl_character
 from .rootsystem import (
     GroupType,
-    RootDatum,
     SimpleType,
     Weight,
     _classify_nodes,
@@ -71,10 +75,6 @@ class WeightMap:
         return tuple([sum(map(mul, row, w)) for row in self.matrix])
 
 
-def identity_map(gtype: GroupType) -> WeightMap:
-    return WeightMap(gtype, gtype, linalg.identity(normalize_type(gtype).rank))
-
-
 def compose(m1: WeightMap, m2: WeightMap) -> WeightMap:
     """First restrict along ``m1``, then along ``m2``."""
     if normalize_type(m1.target) != normalize_type(m2.source):
@@ -95,15 +95,6 @@ def restrict_character(chi: FormalCharacter, wmap: WeightMap) -> FormalCharacter
 
 
 @dataclass(frozen=True)
-class Clause:
-    """A clause-catalog membership: tag, instance parameters, prime bound."""
-
-    tag: str
-    params: tuple
-    p_min: int = 1
-
-
-@dataclass(frozen=True)
 class EmbeddingStep:
     """One arrow of a table chain, with its optional transcription p-bound."""
 
@@ -115,6 +106,14 @@ class EmbeddingStep:
     def __str__(self):
         ann = f",p>{self.p_bound}" if self.p_bound is not None else ""
         return f"{self.sub} -[{self.tag}{ann}]-> {self.amb}"
+
+
+@dataclass
+class StepMatch:
+    legal: bool
+    reason: str
+    p_min: int = 1
+    payload: object = None
 
 
 def min_prime_greater(n: int) -> int:
@@ -165,6 +164,12 @@ def _fw_to_eps(letter: str, n: int) -> list[list[Fraction]]:
     return [list(row) for row in linalg.rational_inverse(square)]
 
 
+def _eps_block(f: SimpleType, axes) -> tuple[tuple[Fraction, ...], ...]:
+    """Block of a classical sub factor whose k-th epsilon coordinate restricts
+    from ``axes[k]``, a row of ambient fundamental-weight coordinates."""
+    return linalg.mat_mul(_eps_to_fw(f.letter, f.rank), axes)
+
+
 def _so_dim(f: SimpleType) -> int | None:
     """Dimension of the orthogonal space a factor names, or None."""
     if f.letter == "B":
@@ -172,10 +177,6 @@ def _so_dim(f: SimpleType) -> int | None:
     if f.letter == "D":
         return 2 * f.rank
     return None
-
-
-def _eps_rank(f: SimpleType) -> int:
-    return f.rank
 
 
 # ---------------------------------------------------------------------------
@@ -236,52 +237,223 @@ def _export(sub: GroupType, amb: GroupType, core_rows) -> WeightMap:
     return WeightMap(amb, sub, mat)
 
 
+def _export_fraction(sub: GroupType, amb: GroupType, core) -> WeightMap:
+    """:func:`_export` for a core with Fraction entries, which must be integers."""
+    if any(Fraction(x).denominator != 1 for row in core for x in row):
+        raise AssertionError("non-integral restriction matrix")
+    return _export(sub, amb, [[int(x) for x in row] for row in core])
+
+
+# ---------------------------------------------------------------------------
+# the factor search and the block assembler of the product clauses
+
+def _grouped_assignments(sub_factors, amb_factors, group_ok):
+    """First grouping of sub factors among amb factors accepted by group_ok.
+
+    Yields a list aligned with amb_factors: (sub-index tuple, kind, p_min).
+    Deterministic: sub subsets are explored in increasing bitmask order.
+    """
+    m = len(sub_factors)
+
+    def rec(ai, remaining):
+        if ai == len(amb_factors):
+            if not remaining:
+                return []
+            return None
+        rem = sorted(remaining)
+        for size in range(1, len(rem) + 1):
+            for combo in itertools.combinations(rem, size):
+                ok = group_ok([sub_factors[i] for i in combo], amb_factors[ai])
+                if ok is None:
+                    continue
+                rest = rec(ai + 1, remaining - set(combo))
+                if rest is not None:
+                    return [(combo, ok[0], ok[1])] + rest
+        return None
+
+    return rec(0, frozenset(range(m)))
+
+
+def _product_verdict(sub: GroupType, amb: GroupType, group_ok, reasons) -> StepMatch:
+    """Verdict of a product clause from its first accepted factor grouping.
+
+    ``reasons`` are the texts for no grouping, for spectators only, and for a
+    legal step; the step's prime bound is the largest of its groups'.
+    """
+    no_match, idle, legal = reasons
+    assign = _grouped_assignments(sub.factors, amb.factors, group_ok)
+    if assign is None:
+        return StepMatch(False, no_match)
+    if all(kind == "spectator" for _, kind, _ in assign):
+        return StepMatch(False, idle)
+    return StepMatch(True, legal, max(p for _, _, p in assign), tuple(assign))
+
+
+def _paired_verdict(sub: GroupType, amb: GroupType, pair_ok, reasons) -> StepMatch:
+    """:func:`_product_verdict` with every amb factor given one sub factor."""
+    if len(sub.factors) != len(amb.factors):
+        return StepMatch(False, "factor counts differ")
+    return _product_verdict(
+        sub, amb, lambda subs, a: pair_ok(subs[0], a) if len(subs) == 1 else None,
+        reasons)
+
+
+def _offsets(gtype: GroupType) -> list[int]:
+    return list(itertools.accumulate((f.rank for f in gtype.factors[:-1]), initial=0))
+
+
+def _assemble(sub: GroupType, amb: GroupType, blocks) -> list[list]:
+    """The ``sub.rank x amb.rank`` core matrix made of per-factor blocks.
+
+    ``blocks`` yields (sub factor index, amb factor index, block); the block's
+    rows belong to the sub factor and its columns to the amb factor, and None
+    is the identity block of a spectator.  Entries outside the blocks are zero.
+    """
+    sub_off, amb_off = _offsets(sub), _offsets(amb)
+    core = [[0] * amb.rank for _ in range(sub.rank)]
+    for si, ai, block in blocks:
+        if block is None:
+            block = linalg.identity(amb.factors[ai].rank)
+        for i, row in enumerate(block):
+            core[sub_off[si] + i][amb_off[ai]:amb_off[ai] + len(row)] = row
+    return core
+
+
+def _legal_payload(match, error, sub: GroupType, amb: GroupType):
+    """The matcher's payload for a legal pair; ``error`` names the reason if not."""
+    m = match(sub, amb)
+    if not m.legal:
+        raise error(f"({sub}, {amb}): {m.reason}")
+    return m.payload
+
+
+# ---------------------------------------------------------------------------
+# clause: respelling
+
+def _match_alias(sub: GroupType, amb: GroupType) -> StepMatch:
+    ok = normalize_type(sub) == normalize_type(amb)
+    return StepMatch(ok, "respelling" if ok else "normal forms differ", 1)
+
+
+def _alias_map(sub: GroupType, amb: GroupType) -> WeightMap:
+    """Coordinate map for a respelling step, through the common normal form."""
+    if not _match_alias(sub, amb).legal:
+        raise TypeMismatch(
+            f"alias step {EmbeddingStep('alias', sub, amb)} does not normalize equal")
+    return WeightMap(amb, sub, linalg.mat_mul(_denormalization_rows(sub),
+                                              normalization_map(amb).matrix))
+
+
 # ---------------------------------------------------------------------------
 # clause: diagonal embeddings
 
-def diag_map(h: GroupType, s: int) -> WeightMap:
-    """Restriction along the diagonal H -> H^s: sums coordinates blockwise."""
-    if s < 1:
-        raise BadIndex("need at least one copy")
-    r = h.rank
-    core = [[0] * (r * s) for _ in range(r)]
-    for c in range(s):
-        for i in range(r):
-            core[i][c * r + i] = 1
-    source = GroupType(h.factors * s)
-    return _export(h, source, core)
+@functools.lru_cache(maxsize=None)
+def _match_diag(sub: GroupType, amb: GroupType) -> StepMatch:
+    # sides swapped: each sub factor takes a group of ambient copies of itself
+    assign = _grouped_assignments(
+        amb.factors, sub.factors,
+        lambda copies, f: ("copies", 1) if all(g == f for g in copies) else None)
+    if assign is None:
+        return StepMatch(False, "ambient is not a power of the subgroup")
+    return StepMatch(True, "diagonal embedding", 1, tuple(assign))
+
+
+def _diag_map(sub: GroupType, amb: GroupType) -> WeightMap:
+    """Restriction along the diagonal: sums each sub factor's ambient copies."""
+    assign = _legal_payload(_match_diag, TypeMismatch, sub, amb)
+    return _export(sub, amb, _assemble(
+        sub, amb, [(si, ai, None) for si, (copies, _, _) in enumerate(assign)
+                   for ai in copies]))
 
 
 # ---------------------------------------------------------------------------
 # clause: Levi subgroups
+#
+# The written sub type's semisimple part (alias-expanded) must appear as the
+# components of an induced subdiagram of the normalized ambient, and the
+# corank plus ambient torus must cover the sub's central torus.  The search
+# runs over node subsets of the normalized ambient diagram, so everything
+# below works in normalized coordinates on both sides.
 
-def levi_map(rd: RootDatum, nodes) -> tuple[WeightMap, GroupType]:
-    """Restriction X(T_G) -> X(T_L) for the Levi on a set of diagram nodes.
+def _expanded_parts(gtype: GroupType):
+    """Alias-expanded factors of a written type in normalized coordinate
+    order, as (part, written position, normalized offset) triples."""
+    from .rootsystem import _ALIASES
+    parts = []
+    for pos, f in enumerate(gtype.factors):
+        for letter, rank in _ALIASES.get((f.letter, f.rank), ((f.letter, f.rank),)):
+            parts.append((SimpleType(letter, rank), pos))
+    semis = sorted(((p, pos) for p, pos in parts if not p.is_torus),
+                   key=lambda t: (t[0].letter, -t[0].rank))
+    tori = [(p, pos) for p, pos in parts if p.is_torus]
+    out = []
+    off = 0
+    for p, pos in semis + tori:
+        out.append((p, pos, off))
+        off += p.rank
+    return out
 
-    Rows select the chosen fundamental-weight coordinates (reordered to the
-    subdiagram's Bourbaki numbering); the central-torus rows are an integral
-    basis of the functionals vanishing on the Levi's root lattice.
+
+@functools.lru_cache(maxsize=None)
+def _match_levi(sub: GroupType, amb: GroupType) -> StepMatch:
+    rd = build_root_datum(amb)
+    want = sorted(
+        ((p.letter, p.rank) for p, _, _ in _expanded_parts(sub) if not p.is_torus))
+    total = sum(r for _, r in want)
+    candidates = [i + 1 for i in range(rd.rank) if not rd.torus[i]]
+    if total > len(candidates):
+        return StepMatch(False, "subgroup rank exceeds the ambient diagram")
+    hit = None
+    for nodes in itertools.combinations(candidates, total):
+        try:
+            comps = _classify_nodes(rd, nodes)
+        except UnknownType:
+            continue
+        if sorted((st.letter, st.rank) for st, _ in comps) == want:
+            hit = comps
+            break
+    if hit is None and total > 0:
+        return StepMatch(False, "no Levi subdiagram matches")
+    if sub.torus_rank() > rd.rank - total:
+        return StepMatch(False, "not enough central torus for the sub type")
+    # components come sorted by (letter, -rank, first node), as the sub's parts
+    return StepMatch(True, "Levi subgroup", 1,
+                     tuple((st, tuple(order)) for st, order in hit or []))
+
+
+def _levi_map(sub: GroupType, amb: GroupType) -> WeightMap:
+    """Restriction to a Levi subgroup up to central torus.
+
+    Rows select the subdiagram's fundamental-weight coordinates in its
+    Bourbaki numbering; the central-torus rows are an integral basis of the
+    functionals vanishing on the Levi's root lattice.
     """
-    comps = _classify_nodes(rd, nodes)
+    comps = _legal_payload(_match_levi, BadIndex, sub, amb)
+    rd = build_root_datum(amb)
     n = rd.rank
-    rows: list[tuple[int, ...]] = []
-    for _, order in comps:
-        for node in order:
-            rows.append(tuple(int(j == node) for j in range(n)))
-    selected_cols = tuple(
-        tuple(rd.cartan[i][j] for j in sorted({nd for _, o in comps for nd in o}))
-        for i in range(n))
-    kernel = linalg.left_integer_kernel(selected_cols) if selected_cols and selected_cols[0] else \
-        [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    if not any(True for _, o in comps for _ in o):
-        kernel = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    rows.extend(kernel)
-    facs = [st for st, _ in comps]
-    corank = n - sum(st.rank for st in facs)
-    if corank:
-        facs.append(SimpleType("T", corank))
-    target = normalize_type(GroupType(tuple(facs)))
-    return WeightMap(rd.gtype, target, tuple(rows)), target
+    unit = linalg.identity(n)
+    parts = _expanded_parts(sub)
+    rows: list[tuple[int, ...]] = [None] * normalize_type(sub).rank
+    semis = [(p, off) for p, _, off in parts if not p.is_torus]
+    used: list[int] = []
+    for (p, off), (st, order) in zip(semis, comps):
+        if (st.letter, st.rank) != (p.letter, p.rank):
+            raise AssertionError("component alignment failed")
+        for i, node in enumerate(order):
+            rows[off + i] = unit[node]
+        used.extend(order)
+    if used:
+        kernel = linalg.left_integer_kernel(
+            tuple(tuple(rd.cartan[i][j] for j in sorted(used)) for i in range(n)))
+    else:
+        kernel = unit
+    kpos = 0
+    for p, _, off in parts:
+        if p.is_torus:
+            for i in range(p.rank):
+                rows[off + i] = kernel[kpos]
+                kpos += 1
+    return WeightMap(amb, sub, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +494,38 @@ def folding_map(amb: GroupType, sub: GroupType) -> WeightMap:
     raise UnknownPair(f"({amb}, {sub}) is not a diagram folding")
 
 
+def _fold_pair_ok(s: SimpleType, a: SimpleType):
+    if s == a:
+        return ("spectator", 1)
+    sn = normalize_type(GroupType((s,)))
+    for vocab, _ in _folding_entry(a):
+        if normalize_type(GroupType.parse(vocab)) == sn:
+            return ("fold", 1)
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _match_auto(sub: GroupType, amb: GroupType) -> StepMatch:
+    return _paired_verdict(sub, amb, _fold_pair_ok, (
+        "no diagram-folding matching", "no factor is actually folded",
+        "diagram folding"))
+
+
+def _auto_map(sub: GroupType, amb: GroupType) -> WeightMap:
+    """Factorwise folding; each normalized folding map is sandwiched back
+    into the written vocabularies of its two factors."""
+    blocks = []
+    for ai, ((si,), kind, _) in enumerate(_legal_payload(_match_auto, UnknownPair, sub, amb)):
+        f, af = GroupType((sub.factors[si],)), GroupType((amb.factors[ai],))
+        if kind == "spectator":
+            blocks.append((si, ai, None))
+            continue
+        fold = folding_map(af, f).matrix
+        blocks.append((si, ai, linalg.mat_mul(
+            _denormalization_rows(f), linalg.mat_mul(fold, normalization_map(af).matrix))))
+    return _export(sub, amb, _assemble(sub, amb, blocks))
+
+
 # ---------------------------------------------------------------------------
 # clause: classical block embeddings (same-form splits and SL/SO, SL/Sp)
 
@@ -354,121 +558,36 @@ def _class_group_ok(subs: list[SimpleType], amb: SimpleType):
     return None
 
 
-def _grouped_assignments(sub_factors, amb_factors, group_ok):
-    """First grouping of sub factors among amb factors accepted by group_ok.
-
-    Yields a list aligned with amb_factors: (sub-index tuple, kind, p_min).
-    Deterministic: sub subsets are explored in increasing bitmask order.
-    """
-    m = len(sub_factors)
-
-    def rec(ai, remaining):
-        if ai == len(amb_factors):
-            if not remaining:
-                return []
-            return None
-        rem = sorted(remaining)
-        for size in range(1, len(rem) + 1):
-            for combo in itertools.combinations(rem, size):
-                ok = group_ok([sub_factors[i] for i in combo], amb_factors[ai])
-                if ok is None:
-                    continue
-                rest = rec(ai + 1, remaining - set(combo))
-                if rest is not None:
-                    return [(combo, ok[0], ok[1])] + rest
-        return None
-
-    return rec(0, frozenset(range(m)))
-
-
-@dataclass
-class StepMatch:
-    legal: bool
-    reason: str
-    p_min: int = 1
-    payload: object = None
-
-
 @functools.lru_cache(maxsize=None)
-def _match_class(sub_key: str, amb_key: str) -> StepMatch:
-    sub, amb = GroupType.parse(sub_key), GroupType.parse(amb_key)
-    assign = _grouped_assignments(list(sub.factors), list(amb.factors), _class_group_ok)
-    if assign is None:
-        return StepMatch(False, "no classical block split matches")
-    if all(kind == "spectator" for _, kind, _ in assign):
-        return StepMatch(False, "no factor is actually split")
-    p = max(p for _, _, p in assign)
-    return StepMatch(True, "classical split", p, tuple(assign))
-
-
-def _class_core(sub: GroupType, amb: GroupType, assign) -> list[list[Fraction]]:
-    sub_offsets = []
-    off = 0
-    for f in sub.factors:
-        sub_offsets.append(off)
-        off += f.rank
-    core = [[Fraction(0)] * amb.rank for _ in range(sub.rank)]
-    amb_off = 0
-    for (combo, kind, _), af in zip(assign, amb.factors):
-        if kind == "spectator":
-            so = sub_offsets[combo[0]]
-            for i in range(af.rank):
-                core[so + i][amb_off + i] = Fraction(1)
-        elif kind in ("so_split", "sp_split"):
-            amb_f2e = _fw_to_eps(af.letter, af.rank)
-            axis = 0
-            for si in combo:
-                f = sub.factors[si]
-                e2f = _eps_to_fw(f.letter, f.rank)
-                for i in range(f.rank):  # sub fw row i of this factor
-                    row = [Fraction(0)] * af.rank
-                    for k in range(f.rank):  # sub eps coordinate k <- amb axis
-                        if e2f[i][k]:
-                            for j in range(af.rank):
-                                row[j] += e2f[i][k] * amb_f2e[axis + k][j]
-                    for j in range(af.rank):
-                        core[sub_offsets[si] + i][amb_off + j] = row[j]
-                axis += f.rank
-            # remaining axes restrict to zero
-        else:  # sl_so / sl_sp
-            si = combo[0]
-            f = sub.factors[si]
-            r = af.rank + 1
-            amb_f2e = _fw_to_eps("A", af.rank)  # r rows (gl lift)
-            e2f = _eps_to_fw(f.letter, f.rank)
-            # ambient eps_k restricts to +eps_k, eps_{r+1-k} to -eps_k
-            for i in range(f.rank):
-                row = [Fraction(0)] * af.rank
-                for k in range(f.rank):
-                    if e2f[i][k]:
-                        for j in range(af.rank):
-                            row[j] += e2f[i][k] * (amb_f2e[k][j] - amb_f2e[r - 1 - k][j])
-                for j in range(af.rank):
-                    core[sub_offsets[si] + i][amb_off + j] = row[j]
-        amb_off += af.rank
-    return core
+def _match_class(sub: GroupType, amb: GroupType) -> StepMatch:
+    return _product_verdict(sub, amb, _class_group_ok, (
+        "no classical block split matches", "no factor is actually split",
+        "classical split"))
 
 
 def classical_map(sub: GroupType, amb: GroupType) -> WeightMap:
     """Weight map for a classical block embedding, spectator factors allowed."""
-    m = _match_class(str(sub), str(amb))
-    if not m.legal:
-        raise NotAClassicalSplit(f"({sub}, {amb}): {m.reason}")
-    core = _class_core(sub, amb, m.payload)
-    return _export_fraction(sub, amb, core)
-
-
-def _export_fraction(sub, amb, core) -> WeightMap:
-    rows = []
-    for row in core:
-        out = []
-        for x in row:
-            fx = Fraction(x)
-            if fx.denominator != 1:
-                raise AssertionError("non-integral restriction matrix")
-            out.append(int(fx))
-        rows.append(tuple(out))
-    return _export(sub, amb, rows)
+    blocks = []
+    for ai, (combo, kind, _) in enumerate(_legal_payload(_match_class, NotAClassicalSplit, sub, amb)):
+        af = amb.factors[ai]
+        if kind == "spectator":
+            blocks.append((combo[0], ai, None))
+        elif kind in ("so_split", "sp_split"):
+            # the sub factors take consecutive ambient epsilon axes; the
+            # remaining axes restrict to zero
+            amb_f2e = _fw_to_eps(af.letter, af.rank)
+            axis = 0
+            for si in combo:
+                f = sub.factors[si]
+                blocks.append((si, ai, _eps_block(f, amb_f2e[axis:axis + f.rank])))
+                axis += f.rank
+        else:  # sl_so / sl_sp: ambient eps_k restricts to +eps_k, eps_{r+1-k} to -eps_k
+            f = sub.factors[combo[0]]
+            amb_f2e = _fw_to_eps("A", af.rank)  # af.rank + 1 rows (gl lift)
+            axes = [[x - y for x, y in zip(amb_f2e[k], amb_f2e[af.rank - k])]
+                    for k in range(f.rank)]
+            blocks.append((combo[0], ai, _eps_block(f, axes)))
+    return _export_fraction(sub, amb, _assemble(sub, amb, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +607,12 @@ _MAX_RANK: dict[tuple[str, str], int] = {
 }
 
 
-def max_rank_step(sub: GroupType, amb: GroupType) -> Clause:
+@functools.lru_cache(maxsize=None)
+def _match_max(sub: GroupType, amb: GroupType) -> StepMatch:
     key = (str(normalize_type(sub)), str(normalize_type(amb)))
-    if key not in _MAX_RANK:
-        raise NotAMaxRankSubgroup(f"({sub}, {amb}) is not a listed maximal-rank pair")
-    return Clause("max", key, _MAX_RANK[key])
+    if key in _MAX_RANK:
+        return StepMatch(True, "maximal-rank subgroup", _MAX_RANK[key])
+    return StepMatch(False, "not a listed maximal-rank pair")
 
 
 # ---------------------------------------------------------------------------
@@ -526,172 +646,73 @@ def _resirr_weights(sub: SimpleType, amb_rank_plus_1: int):
     return weights, p
 
 
+def _resirr_pair_ok(s: SimpleType, a: SimpleType):
+    # A1 -> A1 is the n=1 member of the (A_n, A1) family, not a spectator
+    if s == a and (s.letter, s.rank) != ("A", 1):
+        return ("spectator", 1)
+    got = _resirr_weights(s, a.rank + 1) if a.letter == "A" else None
+    if got is None:
+        return ("spectator", 1) if s == a else None
+    return ("resirr", got[1])
+
+
 @functools.lru_cache(maxsize=None)
-def _match_resirr(sub_key: str, amb_key: str) -> StepMatch:
-    sub, amb = GroupType.parse(sub_key), GroupType.parse(amb_key)
-    if len(sub.factors) != len(amb.factors):
-        return StepMatch(False, "factor counts differ")
-
-    def pair_ok(s: SimpleType, a: SimpleType):
-        # A1 -> A1 is the n=1 member of the (A_n, A1) family, not a spectator
-        if s == a and (s.letter, s.rank) != ("A", 1):
-            return ("spectator", 1)
-        if a.letter != "A":
-            return ("spectator", 1) if s == a else None
-        got = _resirr_weights(s, a.rank + 1)
-        if got is None:
-            return ("spectator", 1) if s == a else None
-        return ("resirr", got[1])
-
-    assignment = _bijective_assignment(sub.factors, amb.factors, pair_ok)
-    if assignment is None:
-        return StepMatch(False, "no restricted-irreducible matching")
-    if all(kind == "spectator" for _, kind, _ in assignment):
-        return StepMatch(False, "no factor is actually embedded")
-    p = max(p for _, _, p in assignment)
-    return StepMatch(True, "restricted irreducible", p, tuple(assignment))
-
-
-def _bijective_assignment(sub_factors, amb_factors, pair_ok):
-    """Assign each amb factor its own sub factor; returns per-amb
-    (sub_index, kind, p) tuples or None.  Deterministic backtracking."""
-    n = len(amb_factors)
-    if len(sub_factors) != n:
-        return None
-
-    def rec(ai, used):
-        if ai == n:
-            return []
-        for si in range(n):
-            if si in used:
-                continue
-            ok = pair_ok(sub_factors[si], amb_factors[ai])
-            if ok is None:
-                continue
-            rest = rec(ai + 1, used | {si})
-            if rest is not None:
-                return [(si, ok[0], ok[1])] + rest
-        return None
-
-    return rec(0, frozenset())
-
-
-def _resirr_core(sub: GroupType, amb: GroupType, assignment):
-    sub_offsets = []
-    off = 0
-    for f in sub.factors:
-        sub_offsets.append(off)
-        off += f.rank
-    core = [[0] * amb.rank for _ in range(sub.rank)]
-    amb_off = 0
-    for (si, kind, _), af in zip(assignment, amb.factors):
-        so = sub_offsets[si]
-        f = sub.factors[si]
-        if kind == "spectator":
-            for i in range(af.rank):
-                core[so + i][amb_off + i] = 1
-        else:
-            weights, _ = _resirr_weights(f, af.rank + 1)
-            # columns: image of the j-th ambient fundamental weight is the
-            # partial sum of the first j module weights (gl lift kills (1..1))
-            partial = [tuple(0 for _ in range(f.rank))]
-            for w in weights:
-                partial.append(tuple(a + b for a, b in zip(partial[-1], w)))
-            if any(partial[-1]):
-                raise AssertionError("module weights do not sum to zero")
-            inv = _denormalization_rows(GroupType((f,)))
-            for j in range(af.rank):
-                col = linalg.mat_vec(inv, partial[j + 1])
-                for i in range(f.rank):
-                    core[so + i][amb_off + j] = col[i]
-        amb_off += af.rank
-    return core
+def _match_resirr(sub: GroupType, amb: GroupType) -> StepMatch:
+    return _paired_verdict(sub, amb, _resirr_pair_ok, (
+        "no restricted-irreducible matching", "no factor is actually embedded",
+        "restricted irreducible"))
 
 
 def resirr_map(sub: GroupType, amb: GroupType) -> WeightMap:
     """Weight map determined by the ordered weight list of the defining module."""
-    m = _match_resirr(str(sub), str(amb))
-    if not m.legal:
-        raise NotARestrictedEmbedding(f"({sub}, {amb}): {m.reason}")
-    return _export(sub, amb, _resirr_core(sub, amb, m.payload))
+    blocks = []
+    for ai, ((si,), kind, _) in enumerate(
+            _legal_payload(_match_resirr, NotARestrictedEmbedding, sub, amb)):
+        if kind == "spectator":
+            blocks.append((si, ai, None))
+            continue
+        f, af = sub.factors[si], amb.factors[ai]
+        weights, _ = _resirr_weights(f, af.rank + 1)
+        # the j-th ambient fundamental weight restricts to the sum of the
+        # first j module weights (the gl lift kills (1..1))
+        partial = list(itertools.accumulate(weights, lambda u, v: tuple(map(add, u, v))))
+        if any(partial[-1]):
+            raise AssertionError("module weights do not sum to zero")
+        inv = _denormalization_rows(GroupType((f,)))
+        cols = [linalg.mat_vec(inv, w) for w in partial[:af.rank]]
+        blocks.append((si, ai, list(zip(*cols))))
+    return _export(sub, amb, _assemble(sub, amb, blocks))
 
 
 # ---------------------------------------------------------------------------
 # clause: tensor-product embeddings (p > 2)
 
 def _tensor_pair_ok(s: SimpleType, a: SimpleType):
+    """("spectator", 1), or (copies, 3) with ``copies`` the number of ambient
+    epsilon axes that each epsilon coordinate of ``s`` absorbs, or None."""
     if s == a:
-        return ("spectator", 1, None)
-    r = _so_dim(s) if s.letter in ("B", "D") else (2 * s.rank if s.letter == "C" else None)
-    if r is None:
-        return None
+        return ("spectator", 1)
     if s.letter in ("B", "D"):
-        amb_so = _so_dim(a) if a.letter in ("B", "D") else None
+        r = _so_dim(s)
+        amb_so = _so_dim(a)
         if amb_so is not None and amb_so % r == 0 and amb_so // r >= 2:
-            return ("tensor", 3, ("sym", amb_so // r))  # V2 symmetric, dim s
-        if a.letter == "C" and (2 * a.rank) % (2 * r) == 0 and (2 * a.rank) // (2 * r) >= 1:
-            return ("tensor", 3, ("alt", (2 * a.rank) // r))  # V2 symplectic
+            return (amb_so // r, 3)  # V2 symmetric
+        if a.letter == "C" and (2 * a.rank) % (2 * r) == 0:
+            return ((2 * a.rank) // r, 3)  # V2 symplectic
     if s.letter == "C":
-        if a.letter == "D" and (2 * a.rank) % (2 * r) == 0 and (2 * a.rank) // (2 * r) >= 1:
-            return ("tensor", 3, ("alt", (2 * a.rank) // r))
+        r = 2 * s.rank
+        if a.letter == "D" and (2 * a.rank) % (2 * r) == 0:
+            return ((2 * a.rank) // r, 3)
         if a.letter == "C" and a.rank % s.rank == 0 and a.rank // s.rank >= 2:
-            return ("tensor", 3, ("sym", a.rank // s.rank))
+            return (a.rank // s.rank, 3)
     return None
 
 
 @functools.lru_cache(maxsize=None)
-def _match_tensor(sub_key: str, amb_key: str) -> StepMatch:
-    sub, amb = GroupType.parse(sub_key), GroupType.parse(amb_key)
-    if len(sub.factors) != len(amb.factors):
-        return StepMatch(False, "factor counts differ")
-
-    def pair_ok(s, a):
-        got = _tensor_pair_ok(s, a)
-        if got is None:
-            return None
-        return ((got[0], got[2]), got[1])
-
-    assignment = _bijective_assignment(sub.factors, amb.factors, pair_ok)
-    if assignment is None:
-        return StepMatch(False, "no tensor-embedding matching")
-    if all(kind == "spectator" for _, (kind, _), _ in assignment):
-        return StepMatch(False, "no factor is actually tensored")
-    p = max(p for _, _, p in assignment)
-    return StepMatch(True, "tensor embedding", p, tuple(assignment))
-
-
-def _tensor_core(sub: GroupType, amb: GroupType, assignment):
-    sub_offsets = []
-    off = 0
-    for f in sub.factors:
-        sub_offsets.append(off)
-        off += f.rank
-    core = [[Fraction(0)] * amb.rank for _ in range(sub.rank)]
-    amb_off = 0
-    for (si, (kind, info), _), af in zip(assignment, amb.factors):
-        so = sub_offsets[si]
-        f = sub.factors[si]
-        if kind == "spectator":
-            for i in range(af.rank):
-                core[so + i][amb_off + i] = Fraction(1)
-        else:
-            s = info[1]
-            amb_f2e = _fw_to_eps(af.letter, af.rank)
-            e2f = _eps_to_fw(f.letter, f.rank)
-            # each sub epsilon coordinate is the sum of its s ambient axes
-            for i in range(f.rank):
-                row = [Fraction(0)] * af.rank
-                for k in range(f.rank):
-                    if not e2f[i][k]:
-                        continue
-                    for copy in range(s):
-                        axis = k * s + copy
-                        for j in range(af.rank):
-                            row[j] += e2f[i][k] * amb_f2e[axis][j]
-                for j in range(af.rank):
-                    core[so + i][amb_off + j] = row[j]
-        amb_off += af.rank
-    return core
+def _match_tensor(sub: GroupType, amb: GroupType) -> StepMatch:
+    return _paired_verdict(sub, amb, _tensor_pair_ok, (
+        "no tensor-embedding matching", "no factor is actually tensored",
+        "tensor embedding"))
 
 
 def tensor_map(sub: GroupType, amb: GroupType) -> WeightMap:
@@ -702,304 +723,62 @@ def tensor_map(sub: GroupType, amb: GroupType) -> WeightMap:
     double-cover torus, so its row is rescaled to the primitive character of
     that cover; this only relabels central characters.
     """
-    m = _match_tensor(str(sub), str(amb))
-    if not m.legal:
-        raise NotATensorEmbedding(f"({sub}, {amb}): {m.reason}")
-    core = _tensor_core(sub, amb, m.payload)
-    off = 0
-    for f in sub.factors:
+    blocks = []
+    for ai, ((si,), copies, _) in enumerate(
+            _legal_payload(_match_tensor, NotATensorEmbedding, sub, amb)):
+        if copies == "spectator":
+            blocks.append((si, ai, None))
+            continue
+        f, af = sub.factors[si], amb.factors[ai]
+        amb_f2e = _fw_to_eps(af.letter, af.rank)
+        axes = [[sum(col) for col in zip(*amb_f2e[k * copies:(k + 1) * copies])]
+                for k in range(f.rank)]
+        blocks.append((si, ai, _eps_block(f, axes)))
+    core = _assemble(sub, amb, blocks)
+    for off, f in zip(_offsets(sub), sub.factors):
         if (f.letter, f.rank) == ("D", 1):
             core[off] = _primitive_row(core[off])
-        off += f.rank
     return _export_fraction(sub, amb, core)
 
 
 def _primitive_row(row):
-    import math
-    scale = 1
-    for x in row:
-        d = Fraction(x).denominator
-        scale = scale * d // math.gcd(scale, d)
+    """The primitive integral row on the ray of a rational row."""
+    scale = math.lcm(*(Fraction(x).denominator for x in row))
     scaled = [Fraction(x) * scale for x in row]
-    g = 0
-    for x in scaled:
-        g = math.gcd(g, int(x))
-    if g > 1:
-        scaled = [x / g for x in scaled]
-    return scaled
+    g = math.gcd(*(int(x) for x in scaled))
+    return [x / g for x in scaled] if g > 1 else scaled
 
 
 # ---------------------------------------------------------------------------
-# alias and auto steps, generic matching
+# the clause table
 
-@functools.lru_cache(maxsize=None)
-def _match_auto(sub_key: str, amb_key: str) -> StepMatch:
-    sub, amb = GroupType.parse(sub_key), GroupType.parse(amb_key)
-    if len(sub.factors) != len(amb.factors):
-        return StepMatch(False, "factor counts differ")
+_CLAUSES = {
+    "alias": (_match_alias, _alias_map),
+    "levi": (_match_levi, _levi_map),
+    "diag": (_match_diag, _diag_map),
+    "auto": (_match_auto, _auto_map),
+    "class": (_match_class, classical_map),
+    "max": (_match_max, None),
+    "resirr": (_match_resirr, resirr_map),
+    "tensor": (_match_tensor, tensor_map),
+}
 
-    def pair_ok(s: SimpleType, a: SimpleType):
-        if s == a:
-            return ("spectator", 1)
-        sn = normalize_type(GroupType((s,)))
-        for vocab, _ in _folding_entry(a):
-            if normalize_type(GroupType.parse(vocab)) == sn:
-                return ("fold", 1)
-        return None
-
-    assignment = _bijective_assignment(sub.factors, amb.factors, pair_ok)
-    if assignment is None:
-        return StepMatch(False, "no diagram-folding matching")
-    if all(kind == "spectator" for _, kind, _ in assignment):
-        return StepMatch(False, "no factor is actually folded")
-    return StepMatch(True, "diagram folding", 1, tuple(assignment))
-
-
-def _auto_map(sub: GroupType, amb: GroupType) -> WeightMap:
-    m = _match_auto(str(sub), str(amb))
-    if not m.legal:
-        raise UnknownPair(f"({sub}, {amb}): {m.reason}")
-    maps = []
-    for (si, kind, _), af in zip(m.payload, amb.factors):
-        f = sub.factors[si]
-        if kind == "spectator":
-            maps.append((si, identity_map(GroupType((f,)))))
-        else:
-            maps.append((si, folding_map(GroupType((af,)), GroupType((f,)))))
-    return _product_map(sub, amb, maps)
-
-
-def _product_map(sub: GroupType, amb: GroupType, factor_maps) -> WeightMap:
-    """Assemble per-factor normalized maps into one map over the products.
-
-    Factor maps are already normalized-vocabulary per factor, so each block
-    is sandwiched back into the written vocabularies before the final export.
-    """
-    sub_offsets = []
-    off = 0
-    for f in sub.factors:
-        sub_offsets.append(off)
-        off += f.rank
-    core = [[0] * amb.rank for _ in range(sub.rank)]
-    amb_off = 0
-    for (si, fmap), af in zip(factor_maps, amb.factors):
-        f = sub.factors[si]
-        p_sub_inv = _denormalization_rows(GroupType((f,)))
-        p_amb = normalization_map(GroupType((af,))).matrix
-        block = linalg.mat_mul(p_sub_inv, linalg.mat_mul(fmap.matrix, p_amb))
-        for i in range(f.rank):
-            for j in range(af.rank):
-                core[sub_offsets[si] + i][amb_off + j] = block[i][j]
-        amb_off += af.rank
-    return _export(sub, amb, core)
-
-
-def _alias_squeeze(sub: GroupType, amb: GroupType) -> WeightMap | None:
-    """Coordinate map for a respelling step (normalized forms must agree)."""
-    if normalize_type(sub) != normalize_type(amb):
-        return None
-    # both normalize to the same thing, so route through the normal form
-    p_amb = normalization_map(amb).matrix
-    p_sub_inv = _denormalization_rows(sub)
-    return WeightMap(amb, sub, linalg.mat_mul(p_sub_inv, p_amb))
-
-
-# ---------------------------------------------------------------------------
-# Levi steps by type matching (for table chains)
-#
-# The written sub type's semisimple part (alias-expanded) must appear as the
-# components of an induced subdiagram of the normalized ambient, and the
-# corank plus ambient torus must cover the sub's central torus.  The search
-# runs over node subsets of the normalized ambient diagram, so everything
-# below works in normalized coordinates on both sides.
-
-def _expanded_parts(gtype: GroupType):
-    """Alias-expanded factors of a written type in normalized coordinate
-    order, as (part, written position, normalized offset) triples."""
-    from .rootsystem import _ALIASES
-    parts = []
-    for pos, f in enumerate(gtype.factors):
-        for letter, rank in _ALIASES.get((f.letter, f.rank), ((f.letter, f.rank),)):
-            parts.append((SimpleType(letter, rank), pos))
-    semis = sorted(((p, pos) for p, pos in parts if not p.is_torus),
-                   key=lambda t: (t[0].letter, -t[0].rank))
-    tori = [(p, pos) for p, pos in parts if p.is_torus]
-    out = []
-    off = 0
-    for p, pos in semis + tori:
-        out.append((p, pos, off))
-        off += p.rank
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _match_levi(sub_key: str, amb_key: str) -> StepMatch:
-    sub, amb = GroupType.parse(sub_key), GroupType.parse(amb_key)
-    rd = build_root_datum(amb)
-    want = sorted(
-        ((p.letter, p.rank) for p, _, _ in _expanded_parts(sub) if not p.is_torus))
-    total = sum(r for _, r in want)
-    candidates = [i + 1 for i in range(rd.rank) if not rd.torus[i]]
-    if total > len(candidates):
-        return StepMatch(False, "subgroup rank exceeds the ambient diagram")
-    hit = None
-    for nodes in itertools.combinations(candidates, total):
-        try:
-            comps = _classify_nodes(rd, nodes)
-        except Exception:
-            continue
-        if sorted((st.letter, st.rank) for st, _ in comps) == want:
-            hit = comps
-            break
-    if hit is None and total > 0:
-        return StepMatch(False, "no Levi subdiagram matches")
-    comps = hit or []
-    if sub.torus_rank() > rd.rank - total:
-        return StepMatch(False, "not enough central torus for the sub type")
-    return StepMatch(True, "Levi subgroup", 1,
-                     tuple((str(st), tuple(order)) for st, order in comps))
-
-
-def _levi_step_map(sub: GroupType, amb: GroupType) -> WeightMap:
-    m = _match_levi(str(sub), str(amb))
-    if not m.legal:
-        raise BadIndex(f"({sub}, {amb}): {m.reason}")
-    rd = build_root_datum(amb)
-    n = rd.rank
-    # align sorted subdiagram components with the sub's alias-expanded parts
-    comps = sorted(((SimpleType.parse(st), list(order)) for st, order in m.payload),
-                   key=lambda t: (t[0].letter, -t[0].rank, t[1][0] if t[1] else 0))
-    parts = _expanded_parts(sub)
-    rows: list[tuple[int, ...]] = [None] * normalize_type(sub).rank
-    ci = 0
-    used: list[int] = []
-    for p, _, off in parts:
-        if p.is_torus:
-            continue
-        st, order = comps[ci]
-        if (st.letter, st.rank) != (p.letter, p.rank):
-            raise AssertionError("component alignment failed")
-        for i, node in enumerate(order):
-            rows[off + i] = tuple(int(j == node) for j in range(n))
-        used.extend(order)
-        ci += 1
-    if used:
-        sel_cols = tuple(tuple(rd.cartan[i][j] for j in sorted(used))
-                         for i in range(n))
-        kernel = linalg.left_integer_kernel(sel_cols)
-    else:
-        kernel = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    kpos = 0
-    for p, _, off in parts:
-        if p.is_torus:
-            for i in range(p.rank):
-                rows[off + i] = kernel[kpos]
-                kpos += 1
-    return WeightMap(amb, sub, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# diag steps by type matching
-
-@functools.lru_cache(maxsize=None)
-def _match_diag(sub_key: str, amb_key: str) -> StepMatch:
-    sub, amb = GroupType.parse(sub_key), GroupType.parse(amb_key)
-
-    def group_ok(subs, af):
-        return ("copies", 1) if len(subs) == 1 and subs[0] == af else None
-
-    # reversed roles: every ambient factor must equal its sub factor, each sub
-    # factor may own several ambient copies
-    m = len(amb.factors)
-
-    def rec(si, remaining):
-        if si == len(sub.factors):
-            return [] if not remaining else None
-        f = sub.factors[si]
-        rem = sorted(remaining)
-        candidates = [i for i in rem if amb.factors[i] == f]
-        for size in range(1, len(candidates) + 1):
-            for combo in itertools.combinations(candidates, size):
-                rest = rec(si + 1, remaining - set(combo))
-                if rest is not None:
-                    return [combo] + rest
-        return None
-
-    assignment = rec(0, frozenset(range(m)))
-    if assignment is None:
-        return StepMatch(False, "ambient is not a power of the subgroup")
-    return StepMatch(True, "diagonal embedding", 1, tuple(assignment))
-
-
-def _diag_step_map(sub: GroupType, amb: GroupType) -> WeightMap:
-    m = _match_diag(str(sub), str(amb))
-    if not m.legal:
-        raise TypeMismatch(f"({sub}, {amb}): {m.reason}")
-    amb_offsets = []
-    off = 0
-    for f in amb.factors:
-        amb_offsets.append(off)
-        off += f.rank
-    core = [[0] * amb.rank for _ in range(sub.rank)]
-    so = 0
-    for f, combo in zip(sub.factors, m.payload):
-        for ai in combo:
-            for i in range(f.rank):
-                core[so + i][amb_offsets[ai] + i] = 1
-        so += f.rank
-    return _export(sub, amb, core)
-
-
-# ---------------------------------------------------------------------------
-# step dispatch
 
 def match_step(sub: GroupType, amb: GroupType, tag: str) -> StepMatch:
     """Legality verdict for one chain step, with its minimal allowed prime."""
-    if tag == "alias":
-        ok = normalize_type(sub) == normalize_type(amb)
-        return StepMatch(ok, "respelling" if ok else "normal forms differ", 1)
-    if tag == "levi":
-        return _match_levi(str(sub), str(amb))
-    if tag == "diag":
-        return _match_diag(str(sub), str(amb))
-    if tag == "auto":
-        return _match_auto(str(sub), str(amb))
-    if tag == "class":
-        return _match_class(str(sub), str(amb))
-    if tag == "resirr":
-        return _match_resirr(str(sub), str(amb))
-    if tag == "tensor":
-        return _match_tensor(str(sub), str(amb))
-    if tag == "max":
-        key = (str(normalize_type(sub)), str(normalize_type(amb)))
-        if key in _MAX_RANK:
-            return StepMatch(True, "maximal-rank subgroup", _MAX_RANK[key])
-        return StepMatch(False, "not a listed maximal-rank pair")
-    return StepMatch(False, f"unknown tag {tag!r}")
+    clause = _CLAUSES.get(tag)
+    if clause is None:
+        return StepMatch(False, f"unknown tag {tag!r}")
+    return clause[0](sub, amb)
 
 
 def step_map(step: EmbeddingStep) -> WeightMap | None:
     """Weight map realizing one chain step, or None for map-less max steps."""
-    if step.tag == "max":
-        return None
-    if step.tag == "alias":
-        m = _alias_squeeze(step.sub, step.amb)
-        if m is None:
-            raise TypeMismatch(f"alias step {step} does not normalize equal")
-        return m
-    if step.tag == "levi":
-        return _levi_step_map(step.sub, step.amb)
-    if step.tag == "diag":
-        return _diag_step_map(step.sub, step.amb)
-    if step.tag == "auto":
-        return _auto_map(step.sub, step.amb)
-    if step.tag == "class":
-        return classical_map(step.sub, step.amb)
-    if step.tag == "resirr":
-        return resirr_map(step.sub, step.amb)
-    if step.tag == "tensor":
-        return tensor_map(step.sub, step.amb)
-    raise TypeMismatch(f"unknown tag {step.tag!r}")
+    clause = _CLAUSES.get(step.tag)
+    if clause is None:
+        raise TypeMismatch(f"unknown tag {step.tag!r}")
+    build = clause[1]
+    return None if build is None else build(step.sub, step.amb)
 
 
 def chain_restriction_map(steps) -> WeightMap | None:

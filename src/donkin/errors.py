@@ -41,10 +41,6 @@ class NotAClassicalSplit(DonkinError):
     """A pair outside the classical block-embedding catalog."""
 
 
-class NotAMaxRankSubgroup(DonkinError):
-    """A pair outside the maximal-rank subgroup catalog."""
-
-
 class NotARestrictedEmbedding(DonkinError):
     """A pair outside the restricted-irreducible-representation catalog."""
 

@@ -78,24 +78,3 @@ def left_integer_kernel(mat: IntMatrix) -> list[tuple[int, ...]]:
             row += 1
     return [tuple(aug[r][k:]) for r in range(row, n)]
 
-
-def exact_rational_rank(rows) -> int:
-    """Rank of a matrix with int/Fraction entries, by exact elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank

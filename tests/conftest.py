@@ -1,8 +1,9 @@
-"""Shared test helpers: exact matrix oracles for classical nilpotents.
+"""Shared test helpers: exact matrix oracles for classical nilpotents, and
+small character-ring operations that only the tests need.
 
-Everything here is deliberately independent of the package's formulas: Jordan
-types are read off from rank sequences, Lie algebras are parametrized from
-explicit Gram matrices, and centralizer dimensions come from kernels of
+The matrix oracles are deliberately independent of the package's formulas:
+Jordan types are read off from rank sequences, Lie algebras are parametrized
+from explicit Gram matrices, and centralizer dimensions come from kernels of
 ad-x computed by exact rational elimination.
 """
 from __future__ import annotations
@@ -12,8 +13,11 @@ from fractions import Fraction
 
 import pytest
 
-from donkin.linalg import exact_rational_rank
+import donkin.characters as ch
+from donkin.characters import FormalCharacter, dual_weyl_character
+from donkin.errors import AmbientMismatch
 from donkin.nilpotent import JordanType, parse_orbit_tables
+from donkin.rootsystem import GroupType, normalize_type
 
 
 def load_table(name):
@@ -24,6 +28,51 @@ def load_table(name):
 @pytest.fixture(scope="session")
 def shipped_tables():
     return {name: load_table(name) for name in ("e8", "e7", "e6", "f4", "g2")}
+
+
+# ---------------------------------------------------------------------------
+# character-ring helpers
+
+def trivial_character(ambient) -> FormalCharacter:
+    gt = normalize_type(ambient if isinstance(ambient, GroupType) else GroupType.parse(ambient))
+    return FormalCharacter(gt, {(0,) * gt.rank: 1})
+
+
+def tensor(c1: FormalCharacter, c2: FormalCharacter) -> FormalCharacter:
+    """Convolution of supports; the character of a tensor product."""
+    if c1.ambient != c2.ambient:
+        raise AmbientMismatch(f"{c1.ambient} vs {c2.ambient}")
+    out = {}
+    for w1, m1 in c1.support.items():
+        for w2, m2 in c2.support.items():
+            w = tuple(a + b for a, b in zip(w1, w2))
+            out[w] = out.get(w, 0) + m1 * m2
+    return FormalCharacter(c1.ambient, out)
+
+
+def external_product(c1: FormalCharacter, c2: FormalCharacter) -> FormalCharacter:
+    """Character of an external tensor product over the product group."""
+    gt = normalize_type(GroupType(c1.ambient.factors + c2.ambient.factors))
+    out = {}
+    for w1, m1 in c1.support.items():
+        for w2, m2 in c2.support.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + m1 * m2
+    return FormalCharacter(gt, out)
+
+
+def decomposition_character(rd, dec) -> FormalCharacter:
+    """The character sum of m * nabla(lambda) over a decomposition's terms."""
+    out = {}
+    for lam, m in dec.terms.items():
+        for w, mw in dual_weyl_character(rd, lam).support.items():
+            out[w] = out.get(w, 0) + m * mw
+    return FormalCharacter(dec.ambient, out)
+
+
+def clear_memo() -> None:
+    """Empty the in-memory table of dominant multiplicities."""
+    with ch._LOCK:
+        ch._DOMINANT_MULTS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +94,26 @@ def mat_mul(a, b):
 
 
 def mat_rank(a) -> int:
+    """Rank of a matrix with int/Fraction entries, by exact elimination."""
     if not a or not a[0]:
         return 0
-    return exact_rational_rank(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def jordan_type_of(x) -> list[int]:

@@ -25,13 +25,14 @@ from donkin.characters import (
     exterior_power,
     is_restricted,
 )
-from donkin.embeddings import levi_map
+from donkin.embeddings import EmbeddingStep, step_map
 from donkin.nilpotent import (
     centralizer_dimension,
     reductive_dimension,
     unipotent_dimension,
 )
 from donkin.rootsystem import (
+    GroupType,
     build_root_datum,
     is_dominant,
     weyl_dim,
@@ -111,10 +112,10 @@ def test_criterion_4_table_verification(shipped_tables):
 
 
 def test_criterion_5_levi_fundamental_weights():
-    e8 = build_root_datum("E8")
+    e8 = GroupType.parse("E8")
     for top, target_name in ((8, "E7.T1"), (7, "E6.T2")):
-        nodes = range(1, top)
-        m, target = levi_map(e8, nodes)
+        m = step_map(EmbeddingStep("levi", GroupType.parse(target_name), e8))
+        target = m.target
         assert str(target) == target_name
         sub_rank = top - 1
         images = []

@@ -1,0 +1,94 @@
+"""Golden digests of the embedding catalog.
+
+Three digests pin every answer the catalog gives: the jsonl ``verify-tables``
+output on the five shipped tables (each step's ``legal``, ``reason`` and
+``p_min``), the matrices of every chain restriction map of those tables, and
+``match_step`` / ``step_map`` on a fixed grid of (tag, sub, amb) that includes
+illegal pairs and an unknown tag.  A clause wired to the wrong matcher or
+builder changes at least one of them.
+"""
+import hashlib
+import itertools
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from donkin.cli import main
+from donkin.embeddings import EmbeddingStep, chain_restriction_map, match_step, step_map
+from donkin.rootsystem import GroupType
+
+REPO = Path(__file__).resolve().parents[1]
+TABLES = ("e8", "e7", "e6", "f4", "g2")
+
+VERIFY_JSONL_SHA256 = "7e5bb60d06605b0fa243f8470328181d486cbbd576e58459b69f871e1f28b163"
+CHAIN_MAPS_SHA256 = "7f36705e298fdc730e625bbe95e1577121bee0c24363026d0650d6cf9444334e"
+GRID_SHA256 = "d9cc55a17ac9f2ab463f54436692d998c278d2a52b5885c2bb055962d1efb7d9"
+
+GRID_TAGS = ("alias", "levi", "diag", "auto", "class", "max", "resirr", "tensor", "bogus")
+GRID_TYPES = (
+    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "B1", "B2", "B3", "B4", "C1", "C2",
+    "C3", "D1", "D2", "D3", "D4", "D8", "G2", "F4", "E6", "E7", "E8", "T1",
+    "A1.A1", "A1.A1.A1", "C1.C1", "B1.B6", "B2.D1", "B2.D3", "E7.T1", "A1.D6",
+    "A1.E7", "G2.G2",
+)
+# products with spectator factors, checked under every tag
+GRID_PAIRS = (
+    ("C2.A1", "A3.A1"), ("A1.G2", "A1.D4"), ("B3.F4", "D4.E6"), ("C1.B2", "D2.B2"),
+    ("B2.D1", "B2.D3"), ("C2.A1", "D8.A1"), ("A1.B2", "A4.B2"), ("A2.A1", "A7.A1"),
+    ("G2.A1", "A6.A2"), ("B4.A1.B1", "A1.D6"), ("B3.B4", "D8"), ("C1.C1.A2", "C2.A2"),
+    ("A1.B2", "A1.B2.B2"), ("B2.A1", "A1.B2.B2.A1"), ("B2.D3", "B2.D3.B2"),
+    ("A1.A2.A3", "E7"), ("D4", "E8"), ("B2.C3", "A4.A5"),
+)
+
+
+def _sha(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def grid_lines():
+    """One line per (tag, sub, amb): the verdict, then the matrix or error class."""
+    G = GroupType.parse
+    pairs = [*itertools.product(GRID_TYPES, GRID_TYPES), *GRID_PAIRS]
+    for tag, (sub, amb) in itertools.product(GRID_TAGS, pairs):
+        m = match_step(G(sub), G(amb), tag)
+        try:
+            wmap = step_map(EmbeddingStep(tag, G(sub), G(amb)))
+            built = "None" if wmap is None else repr(wmap.matrix)
+        except Exception as exc:  # the error class is part of the answer
+            built = type(exc).__name__
+        yield f"{tag} {sub} {amb} {m.legal} {m.reason!r} {m.p_min} {built}"
+
+
+def chain_map_lines(tables):
+    for name in TABLES:
+        for rec in tables[name]:
+            if rec.is_torus:
+                continue
+            m = chain_restriction_map(rec.chain)
+            if m is not None:
+                yield f"{name} {rec.label} {m.source} {m.target} {m.matrix!r}"
+
+
+def test_verify_tables_jsonl_digest(monkeypatch):
+    monkeypatch.setenv("DONKIN_NO_CACHE", "1")
+    monkeypatch.chdir(REPO)
+    files = [f"src/donkin/data/{name}.tbl" for name in TABLES]
+    result = CliRunner().invoke(main, ["--format", "jsonl", "verify-tables", *files])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == VERIFY_JSONL_SHA256
+
+
+def test_chain_restriction_maps_digest(shipped_tables):
+    assert _sha(chain_map_lines(shipped_tables)) == CHAIN_MAPS_SHA256
+
+
+def test_match_and_step_map_grid_digest():
+    assert _sha(grid_lines()) == GRID_SHA256
+
+
+@pytest.mark.parametrize("tag", ["bogus", "x"])
+def test_unknown_tag_verdict(tag):
+    A1 = GroupType.parse("A1")
+    m = match_step(A1, A1, tag)
+    assert (m.legal, m.reason) == (False, f"unknown tag {tag!r}")

@@ -2,23 +2,21 @@ import itertools
 
 import pytest
 
+import donkin.embeddings as emb
+from conftest import external_product
 from donkin.characters import (
     FormalCharacter,
     decompose_dual_weyl,
     dual_weyl_character,
-    external_product,
 )
 from donkin.embeddings import (
     EmbeddingStep,
+    WeightMap,
     chain_restriction_map,
     classical_map,
     compose,
-    diag_map,
     folding_map,
-    identity_map,
-    levi_map,
     match_step,
-    max_rank_step,
     min_prime_greater,
     normalization_map,
     resirr_map,
@@ -29,13 +27,13 @@ from donkin.embeddings import (
 from donkin.errors import (
     AmbientMismatch,
     NotAClassicalSplit,
-    NotAMaxRankSubgroup,
     NotARestrictedEmbedding,
     NotATensorEmbedding,
     TypeMismatch,
     UnknownPair,
+    UnknownType,
 )
-from donkin.linalg import mat_vec
+from donkin.linalg import identity, mat_vec
 from donkin.rootsystem import GroupType, build_root_datum, highest_root, normalize_type
 
 G = GroupType.parse
@@ -45,12 +43,25 @@ def fw(rank, i):
     return tuple(int(j == i) for j in range(rank))
 
 
+def identity_map(gtype):
+    return WeightMap(gtype, gtype, identity(normalize_type(gtype).rank))
+
+
+def levi(sub, amb):
+    """The map of the step ``sub -[levi]-> amb`` and its target type."""
+    m = step_map(EmbeddingStep("levi", G(sub), G(amb)))
+    return m, m.target
+
+
+def diag(sub, amb):
+    return step_map(EmbeddingStep("diag", G(sub), G(amb)))
+
+
 # ---------------------------------------------------------------------------
 # Levi maps
 
 def test_levi_e8_e7_fundamental_weights():
-    e8 = build_root_datum("E8")
-    m, target = levi_map(e8, range(1, 8))
+    m, target = levi("E7.T1", "E8")
     assert str(target) == "E7.T1"
     images = [m.apply(fw(8, i))[:7] for i in range(7)]
     assert images == [fw(7, i) for i in range(7)]
@@ -58,23 +69,21 @@ def test_levi_e8_e7_fundamental_weights():
 
 
 def test_levi_e8_e6_fundamental_weights():
-    e8 = build_root_datum("E8")
-    m, target = levi_map(e8, range(1, 7))
+    m, target = levi("E6.T2", "E8")
     assert str(target) == "E6.T2"
     images = [m.apply(fw(8, i))[:6] for i in range(6)]
     assert images == [fw(6, i) for i in range(6)]
 
 
 def test_levi_identity():
-    a2 = build_root_datum("A2")
-    m, target = levi_map(a2, [1, 2])
+    m, target = levi("A2", "A2")
     assert str(target) == "A2"
     assert m.matrix == ((1, 0), (0, 1))
 
 
 def test_levi_kernel_rows_kill_levi_roots():
     e8 = build_root_datum("E8")
-    m, _ = levi_map(e8, range(1, 8))
+    m, _ = levi("E7.T1", "E8")
     torus_row = m.matrix[7]
     for i in range(7):
         col = tuple(e8.cartan[r][i] for r in range(8))
@@ -85,14 +94,13 @@ def test_levi_kernel_rows_kill_levi_roots():
 # diagonal embeddings
 
 def test_diag_examples():
-    a1 = G("A1")
-    assert diag_map(a1, 1).matrix == ((1,),)
-    d = diag_map(a1, 2)
+    assert diag("A1", "A1").matrix == ((1,),)
+    d = diag("A1", "A1.A1")
     assert d.apply((3, 4)) == (7,)
     b2 = build_root_datum("B2")
     chi = dual_weyl_character(b2, (1, 0))
     ext = external_product(chi, chi)
-    r = restrict_character(ext, diag_map(G("B2"), 2))
+    r = restrict_character(ext, diag("B2", "B2.B2"))
     assert r.dim() == chi.dim() ** 2
 
 
@@ -316,8 +324,9 @@ MAX_PAIRS = {
 
 def test_max_rank_catalog_exact():
     for (sub, amb), p in MAX_PAIRS.items():
-        clause = max_rank_step(G(sub), G(amb))
-        assert clause.p_min == p
+        clause = match_step(G(sub), G(amb), "max")
+        assert clause.legal and clause.p_min == p
+        assert step_map(EmbeddingStep("max", G(sub), G(amb))) is None
     ambients = ["E8", "E7", "E6", "F4", "G2"]
     candidates = ["A2.E6", "D8", "A1.E7", "A1.A2.A5", "A3.D5", "A4.A4",
                   "A1.D6", "B4", "A1.A3", "A1.A1", "A2.A5", "D6", "A2.A2",
@@ -334,8 +343,8 @@ def test_max_rank_catalog_exact():
 
 
 def test_max_rank_rejects():
-    with pytest.raises(NotAMaxRankSubgroup):
-        max_rank_step(G("A2.A5"), G("E7"))
+    m = match_step(G("A2.A5"), G("E7"), "max")
+    assert (m.legal, m.reason) == (False, "not a listed maximal-rank pair")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +356,7 @@ def test_compose_identity_and_associativity():
     assert compose(f, identity_map(G("C2"))).matrix == f.matrix
     m1 = classical_map(G("D4"), G("B4"))  # SO8 in SO9
     m2 = folding_map(G("D4"), G("G2"))
-    m3 = diag_map(G("G2"), 1)
+    m3 = diag("G2", "G2")
     left = compose(compose(m1, m2), m3)
     right = compose(m1, compose(m2, m3))
     assert left.matrix == right.matrix
@@ -455,3 +464,45 @@ def test_three_step_sequential_equals_composed():
     total = compose(compose(steps[2], steps[1]), steps[0])
     assert restrict_character(chi, total) == seq
     assert seq.dim() == chi.dim()
+
+
+@pytest.fixture()
+def fresh_levi_cache():
+    emb._match_levi.cache_clear()
+    yield
+    emb._match_levi.cache_clear()
+
+
+def test_levi_classifier_bug_propagates(monkeypatch, fresh_levi_cache):
+    """A failed subdiagram classification is a bug, not a non-matching subset."""
+    def broken(rd, nodes):
+        raise AssertionError("subdiagram classification failed near nodes [0]")
+
+    monkeypatch.setattr(emb, "_classify_nodes", broken)
+    with pytest.raises(AssertionError, match="classification failed"):
+        match_step(G("A1"), G("A2"), "levi")
+
+
+def test_levi_skips_unknown_subdiagrams(monkeypatch, fresh_levi_cache):
+    def unknown(rd, nodes):
+        raise UnknownType("not a Dynkin diagram")
+
+    monkeypatch.setattr(emb, "_classify_nodes", unknown)
+    m = match_step(G("A1"), G("A2"), "levi")
+    assert (m.legal, m.reason) == (False, "no Levi subdiagram matches")
+
+
+@pytest.mark.parametrize("tag,sub,amb,error", [
+    ("levi", "G2", "E8", "BadIndex"),
+    ("diag", "A2", "A1.A1", "TypeMismatch"),
+    ("alias", "A2", "B2", "TypeMismatch"),
+    ("auto", "G2", "E8", "UnknownPair"),
+    ("class", "G2", "D4", "NotAClassicalSplit"),
+    ("resirr", "B2", "A4", "NotARestrictedEmbedding"),
+    ("tensor", "A1", "D4", "NotATensorEmbedding"),
+    ("bogus", "A1", "A1", "TypeMismatch"),
+])
+def test_step_map_error_class_per_tag(tag, sub, amb, error):
+    with pytest.raises(Exception) as exc:
+        step_map(EmbeddingStep(tag, G(sub), G(amb)))
+    assert type(exc.value).__name__ == error
