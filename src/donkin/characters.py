@@ -36,15 +36,21 @@ from .rootsystem import (
 
 @dataclass(frozen=True)
 class FormalCharacter:
-    """Finite weight -> multiplicity map over a fixed ambient group type."""
+    """Finite weight -> multiplicity map over a fixed ambient group type.
+
+    The character owns the dict it is given: it is kept as ``support``, not
+    copied, unless it holds a zero multiplicity, which is dropped in a copy.
+    Callers hand over a fresh dict and do not change it afterwards.
+    """
 
     ambient: GroupType
     support: dict[Weight, int] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "ambient", normalize_type(self.ambient))
-        object.__setattr__(
-            self, "support", {w: m for w, m in self.support.items() if m})
+        if 0 in self.support.values():
+            object.__setattr__(
+                self, "support", {w: m for w, m in self.support.items() if m})
 
     def dim(self) -> int:
         return sum(self.support.values())
@@ -65,11 +71,28 @@ class FormalCharacter:
 
 
 def _by_height(ambient: GroupType, mults: dict[Weight, int]) -> list[tuple[Weight, int]]:
-    """The (weight, multiplicity) pairs by descending height, ties by weight."""
+    """The (weight, multiplicity) pairs by descending height, ties by weight.
+
+    The weights go into one bucket per height, the heights are visited in
+    descending order, and each bucket is sorted on its own.  A dict filled
+    one sorted Weyl orbit at a time hands each bucket a few sorted runs,
+    which the sort merges cheaply.
+    """
     hf = build_root_datum(ambient).height_functional
-    # decorated once and sorted without a key; weights are distinct, so m never decides
-    deco = sorted([(-sum(map(mul, hf, w)), w, m) for w, m in mults.items()])
-    return [(w, m) for _, w, m in deco]
+    buckets: dict[int, list[Weight]] = {}
+    for w in mults:
+        h = sum(map(mul, hf, w))
+        bucket = buckets.get(h)
+        if bucket is None:
+            buckets[h] = [w]
+        else:
+            bucket.append(w)
+    out: list[tuple[Weight, int]] = []
+    for h in sorted(buckets, reverse=True):
+        bucket = buckets[h]
+        bucket.sort()
+        out += [(w, mults[w]) for w in bucket]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,19 @@ def _weight_format(rank: int) -> str:
     return ",".join(["%d"] * rank)
 
 
+def _item_lines(pattern: str, rank: int, items) -> list[str]:
+    """One line per (weight, multiplicity) pair, from one %-template: the
+    ``%s`` of ``pattern`` becomes the weight's fields, e.g. '  %s: %%d'."""
+    template = pattern % _weight_format(rank)
+    return [template % (*w, m) for w, m in items]
+
+
+def _keyed(rank: int, mults: dict) -> dict[str, int]:
+    """{'c1,c2,...': multiplicity}; any order will do, as jsonl sorts keys."""
+    template = _weight_format(rank)
+    return {template % w: m for w, m in mults.items()}
+
+
 def _parse_group(text: str) -> GroupType:
     try:
         return GroupType.parse(text)
@@ -60,11 +73,15 @@ def _parse_group(text: str) -> GroupType:
         raise click.UsageError(str(exc))
 
 
-def _emit(fmt, kind, payload, text_lines):
+def _emit(fmt, kind, payload, lines):
+    """Print one jsonl record or the text lines.  ``payload`` and ``lines``
+    are zero-argument callables and only the one ``fmt`` asks for is called,
+    so a command builds only the form it prints."""
     if fmt == "jsonl":
-        click.echo(json.dumps({"schema": SCHEMA, "kind": kind, **payload},
+        click.echo(json.dumps({"schema": SCHEMA, "kind": kind, **payload()},
                               sort_keys=True))
     else:
+        text_lines = lines()
         # a few large writes, not one per line; chunks keep the joined copy small
         for start in range(0, len(text_lines), 1024):
             click.echo("\n".join(text_lines[start:start + 1024]))
@@ -125,14 +142,14 @@ def roots(ctx, gtype):
     rd = build_root_datum(gt)
     hr = highest_root(rd) if rd.positive_roots else None
     _emit(ctx.obj["fmt"], "roots",
-          {"type": str(rd.gtype), "rank": rd.rank,
-           "positive_roots": len(rd.positive_roots),
-           "highest_root": list(hr) if hr else None,
-           "group_dimension": rd.group_dimension()},
-          [f"type {rd.gtype} (rank {rd.rank})",
-           f"positive roots: {len(rd.positive_roots)}",
-           f"highest root: {','.join(map(str, hr)) if hr else '(none)'}",
-           f"group dimension: {rd.group_dimension()}"])
+          lambda: {"type": str(rd.gtype), "rank": rd.rank,
+                   "positive_roots": len(rd.positive_roots),
+                   "highest_root": list(hr) if hr else None,
+                   "group_dimension": rd.group_dimension()},
+          lambda: [f"type {rd.gtype} (rank {rd.rank})",
+                   f"positive roots: {len(rd.positive_roots)}",
+                   f"highest root: {','.join(map(str, hr)) if hr else '(none)'}",
+                   f"group dimension: {rd.group_dimension()}"])
 
 
 @main.command()
@@ -147,14 +164,12 @@ def char(ctx, gtype, lam):
     _load_cache()
     chi = ch.dual_weyl_character(rd, w)
     _save_cache()
-    template = _weight_format(rd.rank)
-    support = [(template % k, m) for k, m in chi.items_sorted()]
     _emit(ctx.obj["fmt"], "char",
-          {"type": str(rd.gtype), "highest_weight": list(w),
-           "dimension": chi.dim(), "weights": dict(support)},
-          [f"type {rd.gtype}, highest weight {lam}",
-           f"dimension: {chi.dim()} (Weyl formula: {weyl_dim(rd, w)})"]
-          + [f"  {k}: {m}" for k, m in support])
+          lambda: {"type": str(rd.gtype), "highest_weight": list(w),
+                   "dimension": chi.dim(), "weights": _keyed(rd.rank, chi.support)},
+          lambda: [f"type {rd.gtype}, highest weight {lam}",
+                   f"dimension: {chi.dim()} (Weyl formula: {weyl_dim(rd, w)})"]
+          + _item_lines("  %s: %%d", rd.rank, chi.items_sorted()))
 
 
 def _read_text(path):
@@ -206,14 +221,12 @@ def decompose(ctx, gtype, source):
     chi = _read_character(rd, source[1:])
     dec = ch.decompose_dual_weyl(rd, chi)
     _save_cache()
-    template = _weight_format(rd.rank)
-    terms = [(template % k, m) for k, m in dec.items_sorted()]
     _emit(ctx.obj["fmt"], "decompose",
-          {"type": str(rd.gtype), "dimension": chi.dim(), "exact": dec.exact,
-           "terms": dict(terms)},
-          [f"type {rd.gtype}, dimension {chi.dim()}",
-           f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
-          + [f"  nabla({k}): {m}" for k, m in terms])
+          lambda: {"type": str(rd.gtype), "dimension": chi.dim(), "exact": dec.exact,
+                   "terms": _keyed(rd.rank, dec.terms)},
+          lambda: [f"type {rd.gtype}, dimension {chi.dim()}",
+                   f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
+          + _item_lines("  nabla(%s): %%d", rd.rank, dec.items_sorted()))
 
 
 @main.command()
@@ -234,25 +247,30 @@ def exterior(ctx, gtype, lam, prime):
     dec = ch.decompose_dual_weyl(rd, ea)
     _save_cache()
     items = dec.items_sorted()
-    template = _weight_format(rd.rank)
-    terms = [(template % k, m) for k, m in items]
-    lines = [f"type {rd.gtype}, module dimension {chi.dim()}, "
-             f"exterior algebra dimension {ea.dim()}",
-             f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
-    lines += [f"  nabla({k}): {m}" for k, m in terms]
-    payload = {"type": str(rd.gtype), "module_dim": chi.dim(),
-               "algebra_dim": ea.dim(), "exact": dec.exact, "terms": dict(terms)}
     ok = True
     if prime is not None:
         bad = [k for k, _ in items if not ch.is_restricted(rd, k, prime)]
         ok = dec.exact and not bad
-        payload["p"] = prime
-        payload["all_restricted"] = not bad
-        payload["verdict"] = "PASS" if ok else "FAIL"
-        lines.append(
-            f"all highest weights restricted at p={prime}: "
-            f"{'PASS' if ok else 'FAIL'}"
-            + (f" (unrestricted: {['|'.join(map(str, b)) for b in bad]})" if bad else ""))
+
+    def payload():
+        out = {"type": str(rd.gtype), "module_dim": chi.dim(), "algebra_dim": ea.dim(),
+               "exact": dec.exact, "terms": _keyed(rd.rank, dec.terms)}
+        if prime is not None:
+            out.update(p=prime, all_restricted=not bad, verdict="PASS" if ok else "FAIL")
+        return out
+
+    def lines():
+        out = [f"type {rd.gtype}, module dimension {chi.dim()}, "
+               f"exterior algebra dimension {ea.dim()}",
+               f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
+        out += _item_lines("  nabla(%s): %%d", rd.rank, items)
+        if prime is not None:
+            out.append(
+                f"all highest weights restricted at p={prime}: "
+                f"{'PASS' if ok else 'FAIL'}"
+                + (f" (unrestricted: {['|'.join(map(str, b)) for b in bad]})" if bad else ""))
+        return out
+
     _emit(ctx.obj["fmt"], "exterior", payload, lines)
     if not ok:
         sys.exit(1)
@@ -281,15 +299,14 @@ def restrict(ctx, chain, lam):
     sub_rd = build_root_datum(normalize_type(total.target))
     dec = ch.decompose_dual_weyl(sub_rd, restricted)
     _save_cache()
-    template = _weight_format(sub_rd.rank)
-    terms = [(template % k, m) for k, m in dec.items_sorted()]
     _emit(ctx.obj["fmt"], "restrict",
-          {"ambient": str(amb_rd.gtype), "subgroup": str(sub_rd.gtype),
-           "highest_weight": list(w), "dimension": chi.dim(),
-           "exact": dec.exact, "terms": dict(terms)},
-          [f"restrict {amb_rd.gtype} nabla({lam}) (dim {chi.dim()}) to {sub_rd.gtype}",
-           f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
-          + [f"  nabla({k}): {m}" for k, m in terms])
+          lambda: {"ambient": str(amb_rd.gtype), "subgroup": str(sub_rd.gtype),
+                   "highest_weight": list(w), "dimension": chi.dim(),
+                   "exact": dec.exact, "terms": _keyed(sub_rd.rank, dec.terms)},
+          lambda: [f"restrict {amb_rd.gtype} nabla({lam}) (dim {chi.dim()}) "
+                   f"to {sub_rd.gtype}",
+                   f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
+          + _item_lines("  nabla(%s): %%d", sub_rd.rank, dec.items_sorted()))
 
 
 def _parse_chain(text):
@@ -321,21 +338,21 @@ def orbit_classical(ctx, kind, partition):
     fmt = ctx.parent.parent.obj["fmt"]
     if not valid:
         _emit(fmt, "orbit",
-              {"kind": kind, "partition": parts, "valid": False},
-              [f"{jt}: not a valid nilpotent Jordan type"])
+              lambda: {"kind": kind, "partition": parts, "valid": False},
+              lambda: [f"{jt}: not a valid nilpotent Jordan type"])
         sys.exit(1)
     labels = centralizer_factor_labels(jt)
     _emit(fmt, "orbit",
-          {"kind": kind, "partition": parts, "valid": True,
-           "centralizer_factors": list(labels),
-           "centralizer_type": str(reductive_centralizer(jt)),
-           "centralizer_dimension": centralizer_dimension(jt),
-           "unipotent_dimension": unipotent_dimension(jt)},
-          [f"{jt}: valid",
-           f"reductive centralizer: {'.'.join(labels)} "
-           f"(root system {reductive_centralizer(jt)})",
-           f"centralizer dimension: {centralizer_dimension(jt)} "
-           f"(unipotent part {unipotent_dimension(jt)})"])
+          lambda: {"kind": kind, "partition": parts, "valid": True,
+                   "centralizer_factors": list(labels),
+                   "centralizer_type": str(reductive_centralizer(jt)),
+                   "centralizer_dimension": centralizer_dimension(jt),
+                   "unipotent_dimension": unipotent_dimension(jt)},
+          lambda: [f"{jt}: valid",
+                   f"reductive centralizer: {'.'.join(labels)} "
+                   f"(root system {reductive_centralizer(jt)})",
+                   f"centralizer dimension: {centralizer_dimension(jt)} "
+                   f"(unipotent part {unipotent_dimension(jt)})"])
 
 
 def _read_tables(paths):
@@ -365,12 +382,12 @@ def verify_tables(ctx, files):
                     f"p_min={rep.p_min}, bound={rep.good_bound}")
             if rep.notes:
                 line += " -- " + "; ".join(rep.notes)
-            _emit(fmt, "verify", {"file": path, **rep.as_dict()}, [line])
+            _emit(fmt, "verify", lambda: {"file": path, **rep.as_dict()}, lambda: [line])
         total_pass += summary.passed
         total_fail += summary.failed
     _emit(fmt, "verify-summary",
-          {"passed": total_pass, "failed": total_fail},
-          [f"summary: {total_pass} passed, {total_fail} failed"])
+          lambda: {"passed": total_pass, "failed": total_fail},
+          lambda: [f"summary: {total_pass} passed, {total_fail} failed"])
     if total_fail:
         sys.exit(1)
 
@@ -397,8 +414,8 @@ def spot_check_cmd(ctx, files, lam):
         for rec in recs:
             v = verifier.spot_check(rec, w)
             failed += v.status == "FAIL"
-            _emit(fmt, "spot-check", {"file": path, **v.as_dict()},
-                  [f"{v.status} {rec.label} ({ambient}): {v.detail}"])
+            _emit(fmt, "spot-check", lambda: {"file": path, **v.as_dict()},
+                  lambda: [f"{v.status} {rec.label} ({ambient}): {v.detail}"])
     _save_cache()
     if failed:
         sys.exit(1)

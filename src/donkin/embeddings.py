@@ -414,7 +414,7 @@ def _match_levi(sub: GroupType, amb: GroupType) -> StepMatch:
             break
     if hit is None and total > 0:
         return StepMatch(False, "no Levi subdiagram matches")
-    if sub.torus_rank() > rd.rank - total:
+    if normalize_type(sub).torus_rank() > rd.rank - total:
         return StepMatch(False, "not enough central torus for the sub type")
     # components come sorted by (letter, -rank, first node), as the sub's parts
     return StepMatch(True, "Levi subgroup", 1,

@@ -23,7 +23,7 @@ TABLES = ("e8", "e7", "e6", "f4", "g2")
 
 VERIFY_JSONL_SHA256 = "7e5bb60d06605b0fa243f8470328181d486cbbd576e58459b69f871e1f28b163"
 CHAIN_MAPS_SHA256 = "7f36705e298fdc730e625bbe95e1577121bee0c24363026d0650d6cf9444334e"
-GRID_SHA256 = "d9cc55a17ac9f2ab463f54436692d998c278d2a52b5885c2bb055962d1efb7d9"
+GRID_SHA256 = "f2fdbc94c4bd308ed805baf01bfa19bd914045cfa30c712290ac5c180f68965e"
 
 GRID_TAGS = ("alias", "levi", "diag", "auto", "class", "max", "resirr", "tensor", "bogus")
 GRID_TYPES = (

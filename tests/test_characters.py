@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import donkin.characters as ch
 from conftest import (
@@ -21,6 +23,7 @@ from donkin.characters import (
     exterior_power,
     is_restricted,
 )
+from donkin.embeddings import EmbeddingStep, restrict_character, step_map
 from donkin.errors import AmbientMismatch, NegativeInput, NotDominant, NotSymmetric
 from donkin.rootsystem import (
     GroupType,
@@ -458,6 +461,53 @@ def test_orbit_expansion_consistency():
     chi = dual_weyl_character(g2, (1, 0))
     assert len(weyl_orbit(g2, (1, 0))) == 6
     assert chi.dim() == 6 + 1
+
+
+def _supports(rank):
+    """Weight -> multiplicity dicts, in a drawn (not sorted) insertion order."""
+    weights = st.tuples(*[st.integers(-4, 4)] * rank)
+    return st.dictionaries(weights, st.integers(-3, 3).filter(bool), max_size=40)
+
+
+# B2.T1: the torus coordinate has height 0, so many weights share a height
+@pytest.mark.parametrize("name", ["A2", "G2", "B2.T1"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_items_sorted_is_descending_height_then_weight(name, data):
+    rd = build_root_datum(name)
+    support = data.draw(_supports(rd.rank))
+    expected = [(w, support[w])
+                for w in sorted(support, key=lambda w: (-rd.height(w), w))]
+    assert FormalCharacter(rd.gtype, dict(support)).items_sorted() == expected
+    assert ch.DualWeylDecomposition(rd.gtype, support, True).items_sorted() == expected
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "B2.T1"])
+def test_items_sorted_of_the_empty_character(name):
+    rd = build_root_datum(name)
+    assert FormalCharacter(rd.gtype, {}).items_sorted() == []
+    assert ch.DualWeylDecomposition(rd.gtype, {}, True).items_sorted() == []
+
+
+def test_zero_multiplicities_are_dropped():
+    a1 = GroupType.parse("A1")
+    chi = FormalCharacter(a1, {(1,): 1, (-1,): 0})
+    assert chi.support == {(1,): 1}
+    assert chi.dim() == 1
+    assert chi == FormalCharacter(a1, {(1,): 1})
+
+
+def test_no_zero_multiplicity_in_computed_characters():
+    b2 = build_root_datum("B2")
+    chi = dual_weyl_character(b2, (1, 1))
+    diag = step_map(EmbeddingStep("diag", GroupType.parse("A1"), GroupType.parse("A1.A1")))
+    # (1, 0) and (0, 1) both restrict to (1,): the virtual character cancels there
+    virtual = FormalCharacter(GroupType.parse("A1.A1"), {(1, 0): 1, (0, 1): -1, (2, 2): 1})
+    restricted = restrict_character(virtual, diag)
+    assert restricted.support == {(4,): 1}
+    for c in (chi, exterior_algebra(dual_weyl_character(b2, (1, 0))),
+              exterior_power(chi, 2), restricted):
+        assert 0 not in c.support.values()
 
 
 def test_cache_roundtrip(tmp_path):

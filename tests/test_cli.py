@@ -176,6 +176,51 @@ def test_jsonl_schema(runner):
     assert lines[-1]["passed"] == 2
 
 
+def jsonl_line(kind, **payload):
+    return json.dumps({"schema": 1, "kind": kind, **payload}, sort_keys=True) + "\n"
+
+
+def test_roots_jsonl_payload(runner):
+    result = runner.invoke(main, ["--format", "jsonl", "roots", "A2"])
+    assert result.exit_code == 0
+    assert result.stdout == jsonl_line("roots", type="A2", rank=2, positive_roots=3,
+                                       highest_root=[1, 1], group_dimension=8)
+
+
+def test_decompose_jsonl_payload(runner, tmp_path):
+    src = tmp_path / "char.txt"
+    src.write_text("1 2\n2 0\n1 -2\n")
+    result = runner.invoke(main, ["--format", "jsonl", "decompose", "A1", f"@{src}"])
+    assert result.exit_code == 0
+    assert result.stdout == jsonl_line("decompose", type="A1", dimension=4, exact=True,
+                                       terms={"2": 1, "0": 1})
+
+
+@pytest.mark.parametrize("name,lam,prime,code,extra", [
+    # Lambda(k^3) = 1 + V + V* + 1 for SL3
+    ("A2", "1,0", "2", 0, dict(module_dim=3, algebra_dim=8,
+                               terms={"0,0": 2, "1,0": 1, "0,1": 1})),
+    # Lambda(L(2)) = 1 + L(2) + L(2) + 1 for SL2; 2 is not 2-restricted
+    ("A1", "2", "2", 1, dict(module_dim=3, algebra_dim=8, terms={"0": 2, "2": 2})),
+])
+def test_exterior_jsonl_payload(runner, name, lam, prime, code, extra):
+    result = runner.invoke(main, ["--format", "jsonl", "exterior", name, lam, "--p", prime])
+    assert result.exit_code == code
+    assert result.stdout == jsonl_line(
+        "exterior", type=name, exact=True, p=int(prime), all_restricted=not code,
+        verdict="FAIL" if code else "PASS", **extra)
+
+
+def test_restrict_jsonl_payload(runner):
+    # the adjoint of SL4 on Sp4 (written B2): its adjoint nabla(0,2) plus the
+    # 5-dimensional nabla(1,0)
+    result = runner.invoke(main, ["--format", "jsonl", "restrict", "C2 -[auto]-> A3", "1,0,1"])
+    assert result.exit_code == 0
+    assert result.stdout == jsonl_line(
+        "restrict", ambient="A3", subgroup="B2", highest_weight=[1, 0, 1], dimension=15,
+        exact=True, terms={"1,0": 1, "0,2": 1})
+
+
 def test_byte_identical_runs(runner):
     args = ["char", "B2", "1,1"]
     out1 = runner.invoke(main, args).output

@@ -26,6 +26,7 @@ from donkin.embeddings import (
 )
 from donkin.errors import (
     AmbientMismatch,
+    BadIndex,
     NotAClassicalSplit,
     NotARestrictedEmbedding,
     NotATensorEmbedding,
@@ -88,6 +89,16 @@ def test_levi_kernel_rows_kill_levi_roots():
     for i in range(7):
         col = tuple(e8.cartan[r][i] for r in range(8))
         assert sum(a * b for a, b in zip(torus_row, col)) == 0
+
+
+@pytest.mark.parametrize("amb", ["B2", "C2"])
+def test_levi_written_d1_takes_a_torus_slot(amb):
+    """D1 (SO2) is the torus T1: B2.D1 has rank 3 and is no Levi of a rank-2 group."""
+    m = match_step(G("B2.D1"), G(amb), "levi")
+    assert (m.legal, m.reason) == (False, "not enough central torus for the sub type")
+    with pytest.raises(BadIndex):
+        step_map(EmbeddingStep("levi", G("B2.D1"), G(amb)))
+    assert match_step(G("B2.D1"), G("B3"), "levi").legal
 
 
 # ---------------------------------------------------------------------------
