@@ -24,9 +24,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, mul
+from operator import add, itemgetter, sub as subtract
 
 from . import linalg
 from .errors import (
@@ -67,12 +68,43 @@ class WeightMap:
             raise TypeMismatch("matrix columns do not match source rank")
         object.__setattr__(self, "_source_rank", rank)
 
-    def apply(self, w: Weight) -> Weight:
-        """Image of one weight: the matrix times ``w``."""
-        if len(w) != self._source_rank:
+    def images(self, weights) -> Iterator[Weight]:
+        """Images of ``weights`` (a sized, re-iterable collection), in order.
+
+        The one restriction kernel.  Each matrix row is a lazy stream over all
+        the weights: a +-1 entry j is the stream of coordinates ``w[j]``, any
+        other entry ``a`` scales that stream by ``a``, and a row's terms are
+        summed stream by stream; ``zip`` of the row streams yields the images.
+        """
+        rank = self._source_rank
+        if not set(map(len, weights)) <= {rank}:
+            bad = next(len(w) for w in weights if len(w) != rank)
             raise AmbientMismatch(
-                f"weight of length {len(w)} under a map from {self.source}")
-        return tuple([sum(map(mul, row, w)) for row in self.matrix])
+                f"weight of length {bad} under a map from {self.source}")
+        n = len(weights)
+        if not self.matrix:
+            return itertools.repeat((), n)
+        rows = []
+        for row in self.matrix:
+            terms = sorted(((a, j) for j, a in enumerate(row) if a), reverse=True)
+            if not terms:
+                rows.append(itertools.repeat(0, n))
+                continue
+            (a, j), *rest = terms
+            stream = map(itemgetter(j), weights)
+            if a != 1:
+                stream = map(a.__mul__, stream)
+            for a, j in rest:  # the largest coefficient came first: add or subtract
+                term = map(itemgetter(j), weights)
+                if abs(a) != 1:
+                    term = map(abs(a).__mul__, term)
+                stream = map(add if a > 0 else subtract, stream, term)
+            rows.append(stream)
+        return zip(*rows)
+
+    def apply(self, w: Weight) -> Weight:
+        """Image of one weight."""
+        return next(self.images((w,)))
 
 
 def compose(m1: WeightMap, m2: WeightMap) -> WeightMap:
@@ -83,14 +115,19 @@ def compose(m1: WeightMap, m2: WeightMap) -> WeightMap:
 
 
 def restrict_character(chi: FormalCharacter, wmap: WeightMap) -> FormalCharacter:
-    """Pushforward of the multiplicity map; total dimension is preserved."""
+    """Pushforward of the multiplicity map; total dimension is preserved.
+
+    The images of the whole support come from one :meth:`WeightMap.images`
+    call; equal images add up their multiplicities, keyed in the order the
+    support first reaches them.
+    """
     if chi.ambient != normalize_type(wmap.source):
         raise AmbientMismatch(f"{chi.ambient} vs map source {wmap.source}")
-    apply = wmap.apply
+    support = chi.support
     out: dict[Weight, int] = {}
-    for w, m in chi.support.items():
-        v = apply(w)
-        out[v] = out.get(v, 0) + m
+    get = out.get
+    for v, m in zip(wmap.images(support), support.values()):
+        out[v] = get(v, 0) + m
     return FormalCharacter(normalize_type(wmap.target), out)
 
 
@@ -529,6 +566,9 @@ def _auto_map(sub: GroupType, amb: GroupType) -> WeightMap:
 # ---------------------------------------------------------------------------
 # clause: classical block embeddings (same-form splits and SL/SO, SL/Sp)
 
+_SO2 = SimpleType("D", 1)
+
+
 def _class_group_ok(subs: list[SimpleType], amb: SimpleType):
     """Validity of one ambient factor receiving the given sub factors.
 
@@ -560,9 +600,16 @@ def _class_group_ok(subs: list[SimpleType], amb: SimpleType):
 
 @functools.lru_cache(maxsize=None)
 def _match_class(sub: GroupType, amb: GroupType) -> StepMatch:
-    return _product_verdict(sub, amb, _class_group_ok, (
+    verdict = _product_verdict(sub, amb, _class_group_ok, (
         "no classical block split matches", "no factor is actually split",
         "classical split"))
+    # a split SO2 (written D1) lifts to a double-cover torus of the ambient
+    # spin group, so the spin weights restrict to half its characters
+    if verdict.legal and any(sub.factors[si] == _SO2
+                             for combo, kind, _ in verdict.payload if kind == "so_split"
+                             for si in combo):
+        return StepMatch(False, "a split SO2 factor lifts to a double-cover torus")
+    return verdict
 
 
 def classical_map(sub: GroupType, amb: GroupType) -> WeightMap:
@@ -736,7 +783,7 @@ def tensor_map(sub: GroupType, amb: GroupType) -> WeightMap:
         blocks.append((si, ai, _eps_block(f, axes)))
     core = _assemble(sub, amb, blocks)
     for off, f in zip(_offsets(sub), sub.factors):
-        if (f.letter, f.rank) == ("D", 1):
+        if f == _SO2:
             core[off] = _primitive_row(core[off])
     return _export_fraction(sub, amb, core)
 

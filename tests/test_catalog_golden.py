@@ -7,6 +7,7 @@ output on the five shipped tables (each step's ``legal``, ``reason`` and
 illegal pairs and an unknown tag.  A clause wired to the wrong matcher or
 builder changes at least one of them.
 """
+import functools
 import hashlib
 import itertools
 from pathlib import Path
@@ -23,7 +24,7 @@ TABLES = ("e8", "e7", "e6", "f4", "g2")
 
 VERIFY_JSONL_SHA256 = "7e5bb60d06605b0fa243f8470328181d486cbbd576e58459b69f871e1f28b163"
 CHAIN_MAPS_SHA256 = "7f36705e298fdc730e625bbe95e1577121bee0c24363026d0650d6cf9444334e"
-GRID_SHA256 = "f2fdbc94c4bd308ed805baf01bfa19bd914045cfa30c712290ac5c180f68965e"
+GRID_SHA256 = "67836f4e07608404b7e9c810d2a6fa6bb3387cf0c75c14c216988121d64cbccc"
 
 GRID_TAGS = ("alias", "levi", "diag", "auto", "class", "max", "resirr", "tensor", "bogus")
 GRID_TYPES = (
@@ -46,18 +47,28 @@ def _sha(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def grid_lines():
-    """One line per (tag, sub, amb): the verdict, then the matrix or error class."""
+@functools.lru_cache(maxsize=1)
+def grid():
+    """(tag, sub, amb, verdict, built) per grid pair; ``built`` is the step's
+    weight map, None for a map-less step, or the name of the error it raised."""
     G = GroupType.parse
     pairs = [*itertools.product(GRID_TYPES, GRID_TYPES), *GRID_PAIRS]
+    rows = []
     for tag, (sub, amb) in itertools.product(GRID_TAGS, pairs):
         m = match_step(G(sub), G(amb), tag)
         try:
-            wmap = step_map(EmbeddingStep(tag, G(sub), G(amb)))
-            built = "None" if wmap is None else repr(wmap.matrix)
+            built = step_map(EmbeddingStep(tag, G(sub), G(amb)))
         except Exception as exc:  # the error class is part of the answer
             built = type(exc).__name__
-        yield f"{tag} {sub} {amb} {m.legal} {m.reason!r} {m.p_min} {built}"
+        rows.append((tag, sub, amb, m, built))
+    return rows
+
+
+def grid_lines():
+    """One line per (tag, sub, amb): the verdict, then the matrix or error class."""
+    for tag, sub, amb, m, built in grid():
+        shown = built if isinstance(built, str) or built is None else repr(built.matrix)
+        yield f"{tag} {sub} {amb} {m.legal} {m.reason!r} {m.p_min} {shown}"
 
 
 def chain_map_lines(tables):
@@ -85,6 +96,13 @@ def test_chain_restriction_maps_digest(shipped_tables):
 
 def test_match_and_step_map_grid_digest():
     assert _sha(grid_lines()) == GRID_SHA256
+
+
+def test_every_legal_grid_step_builds():
+    """A legal verdict promises a weight map (None for a max step), not an error."""
+    broken = [(tag, sub, amb, built) for tag, sub, amb, m, built in grid()
+              if m.legal and isinstance(built, str)]
+    assert broken == []
 
 
 @pytest.mark.parametrize("tag", ["bogus", "x"])

@@ -126,6 +126,13 @@ def test_restrict_donkin_error_is_a_usage_error(runner):
     assert result.stdout == ""
 
 
+def test_restrict_split_so2_is_a_usage_error(runner):
+    result = runner.invoke(main, ["restrict", "D1 -[class]-> B1", "2"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: (D1, B1): a split SO2 factor lifts to a double-cover torus\n"
+    assert result.stdout == ""
+
+
 def test_orbit_classical(runner):
     result = runner.invoke(main, ["orbit", "classical", "GL", "3,1"])
     assert result.exit_code == 0

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import donkin.embeddings as emb
 from conftest import external_product
@@ -204,6 +206,16 @@ def test_classical_so_split_b1b6_in_d8():
 def test_classical_so2_rejected():
     with pytest.raises(NotAClassicalSplit):
         classical_map(G("D1"), G("A1"))  # SO2 in SL2: r >= 3 required
+
+
+@pytest.mark.parametrize("sub,amb", [("D1", "B1"), ("B2.D1", "B3"), ("B2.D1", "D4")])
+def test_classical_split_so2_rejected(sub, amb):
+    # SO2 in SO3, SO5 x SO2 in SO7 and in SO8: the spin weights restrict to
+    # half-characters of the SO2, so the step has no integral weight map
+    m = match_step(G(sub), G(amb), "class")
+    assert (m.legal, m.reason) == (False, "a split SO2 factor lifts to a double-cover torus")
+    with pytest.raises(NotAClassicalSplit, match="double-cover torus"):
+        step_map(EmbeddingStep("class", G(sub), G(amb)))
 
 
 def test_classical_sl_so():
@@ -411,24 +423,100 @@ def test_restriction_rejects_wrong_ambient():
         restrict_character(b2, m)
 
 
-@pytest.mark.parametrize("name", ["e6", "e7", "f4"])
+def _pushforward(matrix, support):
+    """Per-weight ``mat_vec`` pushforward, keyed in first-reached order."""
+    out = {}
+    for w, mult in support.items():
+        v = mat_vec(matrix, w)
+        out[v] = out.get(v, 0) + mult
+    return out
+
+
+def _check_kernel(m, support):
+    """``images``, ``apply`` and ``restrict_character`` against ``mat_vec``."""
+    assert list(m.images(support)) == [mat_vec(m.matrix, w) for w in support]
+    assert [m.apply(w) for w in support] == [mat_vec(m.matrix, w) for w in support]
+    expected = _pushforward(m.matrix, support)
+    got = restrict_character(FormalCharacter(m.source, dict(support)), m).support
+    assert list(got.items()) == list(expected.items())
+
+
+KERNEL_SUPPORT = {w: 1 + sum(map(abs, w)) for w in itertools.product(range(-2, 3), repeat=3)}
+
+
+@pytest.mark.parametrize("matrix", [
+    ((0, 0, 0), (1, 0, 0)),  # an all-zero row
+    ((0, 0, 0), (0, 0, 0)),  # the zero map: every row is all-zero
+    ((-1, 0, 0), (0, -1, 1)),  # -1 alone and after a +1
+    ((2, 0, 1), (0, 2, 0)),  # 2 alone and next to a +1
+    ((-3, 0, 0), (1, -3, -1)),  # -3 alone and between +1 and -1
+    ((-1, -1, -1), (-3, 2, -1)),  # no positive term / one positive among negatives
+])
+def test_images_matches_mat_vec(matrix):
+    _check_kernel(WeightMap(G("T3"), G("T2"), matrix), KERNEL_SUPPORT)
+
+
+def test_images_of_a_map_onto_rank_zero():
+    m = WeightMap(G("T3"), GroupType(()), ())
+    assert list(m.images(KERNEL_SUPPORT)) == [()] * len(KERNEL_SUPPORT)
+    assert m.apply((1, 2, 3)) == ()
+
+
+def test_images_of_no_weights():
+    m = WeightMap(G("T3"), G("T2"), ((1, 0, 0), (0, 2, -1)))
+    assert list(m.images(())) == []
+    assert restrict_character(FormalCharacter(G("T3"), {}), m).support == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_images_matches_mat_vec_on_random_matrices(data):
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    coef = st.integers(-3, 3)
+    matrix = tuple(tuple(data.draw(coef) for _ in range(cols)) for _ in range(rows))
+    weights = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * cols), max_size=30))
+    support = {w: data.draw(st.integers(1, 5)) for w in weights}
+    _check_kernel(WeightMap(G(f"T{cols}"), G(f"T{rows}"), matrix), support)
+
+
+@pytest.mark.parametrize("bad", [(1, 0), (1, 0, 0, 0)])
+def test_kernel_rejects_shorter_and_longer_weights(bad):
+    m = WeightMap(G("T3"), G("T2"), ((1, 0, 0), (0, -1, 2)))
+    message = f"weight of length {len(bad)} under a map from T3"
+    with pytest.raises(AmbientMismatch, match=message):
+        m.apply(bad)
+    with pytest.raises(AmbientMismatch, match=message):
+        list(m.images([(0, 0, 0), bad]))
+    with pytest.raises(AmbientMismatch, match=message):
+        restrict_character(FormalCharacter(G("T3"), {(0, 0, 0): 1, bad: 1}), m)
+
+
+@pytest.mark.parametrize("name", ["e8", "e7", "e6", "f4", "g2"])
 def test_restriction_matches_brute_force_pushforward(shipped_tables, name):
     """The adjoint character pushed along every shipped chain map agrees with a
-    per-weight ``linalg.mat_vec`` pushforward and keeps its dimension."""
-    maps = [m for m in (chain_restriction_map(r.chain)
+    per-weight ``linalg.mat_vec`` pushforward and keeps its dimension.
+
+    A chain with a map-less max-rank step contributes the map of its steps
+    below the first such step, so that G2, whose chains all end in one, is
+    covered too.  Such a map may start at a product group, whose adjoint
+    character is built from its roots; for a simple group it must equal
+    nabla of the highest root."""
+    maps = [m for m in (chain_restriction_map(itertools.takewhile(
+                            lambda s: s.tag != "max", r.chain))
                         for r in shipped_tables[name] if not r.is_torus)
             if m is not None]
     assert maps
     for m in maps:
         rd = build_root_datum(m.source)
-        adj = dual_weyl_character(rd, highest_root(rd))
-        expected = {}
-        for w, mult in adj.support.items():
-            v = mat_vec(m.matrix, w)
-            expected[v] = expected.get(v, 0) + mult
+        roots = [*rd.positive_roots, *(tuple(-x for x in a) for a in rd.positive_roots)]
+        adj = FormalCharacter(rd.gtype, {**dict.fromkeys(roots, 1), (0,) * rd.rank: rd.rank})
+        if len(rd.gtype.factors) == 1:
+            assert dual_weyl_character(rd, highest_root(rd)) == adj
+        expected = _pushforward(m.matrix, adj.support)
         r = restrict_character(adj, m)
         assert r.ambient == normalize_type(m.target)
         assert r.support == expected
+        assert list(r.support) == list(expected)
         assert r.dim() == adj.dim() == 2 * len(rd.positive_roots) + rd.rank
 
 
