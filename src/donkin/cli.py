@@ -7,33 +7,45 @@ verification failure, 2 on usage or parse errors.
 """
 from __future__ import annotations
 
-import json
+import importlib.util
 import os
 import sys
 import time
 
 import click
 
-from . import characters as ch
-from . import verifier
-from .embeddings import chain_restriction_map, restrict_character
 from .errors import DonkinError, TableSyntaxError
-from .nilpotent import (
-    JordanType,
-    centralizer_dimension,
-    centralizer_factor_labels,
-    parse_orbit_tables,
-    reductive_centralizer,
-    unipotent_dimension,
-    validate_jordan,
-)
 from .rootsystem import (
     GroupType,
     build_root_datum,
-    highest_root,
+    highest_roots,
     normalize_type,
     weyl_dim,
 )
+
+
+def _on_demand(name):
+    """The submodule ``name`` of this package, entered in ``sys.modules``
+    but run only when one of its attributes is first read; a module already
+    imported comes back unchanged."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Each command loads only the modules it reads from; call them through the
+# module (``ch.x``), since ``from .verifier import x`` would run it at once.
+ch = _on_demand("characters")
+embeddings = _on_demand("embeddings")
+nilpotent = _on_demand("nilpotent")
+verifier = _on_demand("verifier")
 
 SCHEMA = 1
 
@@ -78,6 +90,7 @@ def _emit(fmt, kind, payload, lines):
     are zero-argument callables and only the one ``fmt`` asks for is called,
     so a command builds only the form it prints."""
     if fmt == "jsonl":
+        import json
         click.echo(json.dumps({"schema": SCHEMA, "kind": kind, **payload()},
                               sort_keys=True))
     else:
@@ -137,18 +150,26 @@ def _finish(ctx):
 @click.argument("gtype")
 @click.pass_context
 def roots(ctx, gtype):
-    """Positive-root count and highest root of TYPE (e.g. E8 or A1.B6)."""
+    """Positive-root count and the highest root of each simple factor of
+    TYPE (e.g. E8 or A1.B6)."""
     gt = _parse_group(gtype)
     rd = build_root_datum(gt)
-    hr = highest_root(rd) if rd.positive_roots else None
-    _emit(ctx.obj["fmt"], "roots",
-          lambda: {"type": str(rd.gtype), "rank": rd.rank,
-                   "positive_roots": len(rd.positive_roots),
-                   "highest_root": list(hr) if hr else None,
-                   "group_dimension": rd.group_dimension()},
+    hrs = highest_roots(rd)
+
+    def payload():
+        out = {"type": str(rd.gtype), "rank": rd.rank,
+               "positive_roots": len(rd.positive_roots),
+               "highest_root": list(hrs[0]) if len(hrs) == 1 else None,
+               "group_dimension": rd.group_dimension()}
+        if len(hrs) > 1:
+            out["highest_roots"] = [list(hr) for hr in hrs]
+        return out
+
+    _emit(ctx.obj["fmt"], "roots", payload,
           lambda: [f"type {rd.gtype} (rank {rd.rank})",
                    f"positive roots: {len(rd.positive_roots)}",
-                   f"highest root: {','.join(map(str, hr)) if hr else '(none)'}",
+                   f"highest root{'s' if len(hrs) > 1 else ''}: "
+                   + ("; ".join(",".join(map(str, hr)) for hr in hrs) or "(none)"),
                    f"group dimension: {rd.group_dimension()}"])
 
 
@@ -288,14 +309,14 @@ def restrict(ctx, chain, lam):
     character's decomposition in the chain-start group.
     """
     recs = _parse_chain(chain)
-    total = chain_restriction_map(recs)
+    total = embeddings.chain_restriction_map(recs)
     if total is None:
         raise click.UsageError("chain contains a map-less max-rank step")
     amb_rd = build_root_datum(normalize_type(recs[-1].amb))
     w = _parse_weight(lam, amb_rd.rank)
     _load_cache()
     chi = ch.dual_weyl_character(amb_rd, w)
-    restricted = restrict_character(chi, total)
+    restricted = embeddings.restrict_character(chi, total)
     sub_rd = build_root_datum(normalize_type(total.target))
     dec = ch.decompose_dual_weyl(sub_rd, restricted)
     _save_cache()
@@ -312,7 +333,7 @@ def restrict(ctx, chain, lam):
 def _parse_chain(text):
     fake = f"cli\t1\t{text}"
     try:
-        recs = parse_orbit_tables(fake)
+        recs = nilpotent.parse_orbit_tables(fake)
     except TableSyntaxError as exc:
         raise click.UsageError(f"bad chain: {exc}")
     return recs[0].chain
@@ -333,26 +354,26 @@ def orbit_classical(ctx, kind, partition):
         parts = [int(p) for p in partition.split(",")]
     except ValueError:
         raise click.UsageError("PARTITION must be comma-separated integers")
-    jt = JordanType.from_partition(kind, parts)
-    valid = validate_jordan(jt, jt.n)
+    jt = nilpotent.JordanType.from_partition(kind, parts)
+    valid = nilpotent.validate_jordan(jt, jt.n)
     fmt = ctx.parent.parent.obj["fmt"]
     if not valid:
         _emit(fmt, "orbit",
               lambda: {"kind": kind, "partition": parts, "valid": False},
               lambda: [f"{jt}: not a valid nilpotent Jordan type"])
         sys.exit(1)
-    labels = centralizer_factor_labels(jt)
+    labels = nilpotent.centralizer_factor_labels(jt)
     _emit(fmt, "orbit",
           lambda: {"kind": kind, "partition": parts, "valid": True,
                    "centralizer_factors": list(labels),
-                   "centralizer_type": str(reductive_centralizer(jt)),
-                   "centralizer_dimension": centralizer_dimension(jt),
-                   "unipotent_dimension": unipotent_dimension(jt)},
+                   "centralizer_type": str(nilpotent.reductive_centralizer(jt)),
+                   "centralizer_dimension": nilpotent.centralizer_dimension(jt),
+                   "unipotent_dimension": nilpotent.unipotent_dimension(jt)},
           lambda: [f"{jt}: valid",
                    f"reductive centralizer: {'.'.join(labels)} "
-                   f"(root system {reductive_centralizer(jt)})",
-                   f"centralizer dimension: {centralizer_dimension(jt)} "
-                   f"(unipotent part {unipotent_dimension(jt)})"])
+                   f"(root system {nilpotent.reductive_centralizer(jt)})",
+                   f"centralizer dimension: {nilpotent.centralizer_dimension(jt)} "
+                   f"(unipotent part {nilpotent.unipotent_dimension(jt)})"])
 
 
 def _read_tables(paths):
@@ -360,7 +381,7 @@ def _read_tables(paths):
     for path in paths:
         text = _read_text(path)
         try:
-            out.append((path, parse_orbit_tables(text)))
+            out.append((path, nilpotent.parse_orbit_tables(text)))
         except TableSyntaxError as exc:
             click.echo(f"error: {path}: {exc}", err=True)
             sys.exit(2)

@@ -469,8 +469,18 @@ def weyl_dim(rd: RootDatum, lam: Weight) -> int:
     return num // den
 
 
-def highest_root(rd: RootDatum) -> Weight:
-    return max(rd.positive_roots, key=rd.height)
+def highest_roots(rd: RootDatum) -> tuple[Weight, ...]:
+    """The highest root of each simple factor, in factor order; a torus
+    factor has none."""
+    out = []
+    offset = 0
+    for fac in rd.gtype.factors:
+        block = range(offset, offset + fac.rank)
+        offset += fac.rank
+        if not fac.is_torus:
+            out.append(max((r for r in rd.positive_roots if any(r[i] for i in block)),
+                           key=rd.height))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,25 @@ def test_roots_jsonl_payload(runner):
                                        highest_root=[1, 1], group_dimension=8)
 
 
+@pytest.mark.parametrize("gtype, text, payload", [
+    ("A1.A2", "highest roots: 1,1,0; 0,0,2",
+     dict(type="A2.A1", rank=3, positive_roots=4, highest_root=None,
+          highest_roots=[[1, 1, 0], [0, 0, 2]], group_dimension=11)),
+    ("A2.T1", "highest root: 1,1,0",
+     dict(type="A2.T1", rank=3, positive_roots=3, highest_root=[1, 1, 0],
+          group_dimension=9)),
+    ("T2", "highest root: (none)",
+     dict(type="T2", rank=2, positive_roots=0, highest_root=None, group_dimension=2)),
+])
+def test_roots_product_types(runner, gtype, text, payload):
+    result = runner.invoke(main, ["roots", gtype])
+    assert result.exit_code == 0
+    assert result.stdout.split("\n")[2] == text
+    result = runner.invoke(main, ["--format", "jsonl", "roots", gtype])
+    assert result.exit_code == 0
+    assert result.stdout == jsonl_line("roots", **payload)
+
+
 def test_decompose_jsonl_payload(runner, tmp_path):
     src = tmp_path / "char.txt"
     src.write_text("1 2\n2 0\n1 -2\n")

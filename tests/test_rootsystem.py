@@ -10,7 +10,7 @@ from donkin.rootsystem import (
     SimpleType,
     build_root_datum,
     dominant_representative,
-    highest_root,
+    highest_roots,
     is_dominant,
     normalize_type,
     subdiagram_type,
@@ -174,10 +174,26 @@ def test_weyl_dim():
 
 
 def test_highest_roots():
-    assert highest_root(build_root_datum("E8")) == (0,) * 7 + (1,)
-    assert highest_root(build_root_datum("G2")) == (0, 1)
-    assert highest_root(build_root_datum("A2")) == (1, 1)
-    assert highest_root(build_root_datum("F4")) == (1, 0, 0, 0)
+    assert highest_roots(build_root_datum("E8")) == ((0,) * 7 + (1,),)
+    assert highest_roots(build_root_datum("G2")) == ((0, 1),)
+    assert highest_roots(build_root_datum("A2")) == ((1, 1),)
+    assert highest_roots(build_root_datum("F4")) == ((1, 0, 0, 0),)
+
+
+@pytest.mark.parametrize("gtype, expected", [
+    ("A1.A2", ((1, 1, 0), (0, 0, 2))),
+    ("A1.A1", ((2, 0), (0, 2))),
+    ("A1.B6", ((2, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0))),
+    ("A2.T1", ((1, 1, 0),)),
+    ("T2", ()),
+    ("1", ()),
+])
+def test_highest_roots_per_factor(gtype, expected):
+    rd = build_root_datum(gtype)
+    assert highest_roots(rd) == expected
+    # each is a root and the highest weight of its factor's adjoint module
+    assert set(expected) <= set(rd.positive_roots)
+    assert sum(weyl_dim(rd, hr) for hr in expected) == rd.group_dimension() - rd.gtype.torus_rank()
 
 
 def test_subdiagram_types():
