@@ -55,9 +55,6 @@ class FormalCharacter:
     def dim(self) -> int:
         return sum(self.support.values())
 
-    def multiplicity(self, w: Weight) -> int:
-        return self.support.get(tuple(w), 0)
-
     def items_sorted(self):
         return _by_height(self.ambient, self.support)
 
@@ -319,6 +316,15 @@ def is_restricted(rd: RootDatum, lam: Weight, p: int) -> bool:
     if not is_dominant(rd, lam):
         raise NotDominant(f"{lam} is not dominant")
     return all(lam[i] <= p - 1 for i in rd.simple_indices())
+
+
+def min_prime_greater(n: int) -> int:
+    """Smallest prime strictly greater than n; p is a prime iff
+    ``min_prime_greater(p - 1) == p``."""
+    p = max(2, n + 1)
+    while any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        p += 1
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,8 @@ def decompose(ctx, gtype, source):
 def exterior(ctx, gtype, lam, prime):
     """Exterior algebra of the dual Weyl module: decomposition and, with
     --p, a restrictedness report (exit 1 if some weight is not restricted)."""
+    if prime is not None and ch.min_prime_greater(prime - 1) != prime:
+        raise click.UsageError(f"--p {prime} is not a prime")
     gt = _parse_group(gtype)
     rd = build_root_datum(gt)
     w = _parse_weight(lam, rd.rank)

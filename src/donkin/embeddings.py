@@ -4,9 +4,12 @@ Every :class:`WeightMap` stores a ``target rank x source rank`` integer matrix
 acting on *normalized-vocabulary* fundamental-weight coordinates (the
 coordinates of ``normalize_type(source)`` / ``normalize_type(target)``); the
 ``source``/``target`` fields keep the spelling the map was built from.  The
-classical clauses are constructed in epsilon coordinates and converted, so the
-tables' nonstandard spellings (B1 for SO3, C1 for Sp2, D1 for SO2, ...) pick
-the intended classical group.
+clauses build a core matrix in the written coordinates, the classical ones
+through epsilon coordinates, so the tables' nonstandard spellings (B1 for
+SO3, C1 for Sp2, D1 for SO2, ...) pick the intended classical group;
+:func:`normalization_map` then moves it onto the normalized coordinates with
+the rows of the one alias table, ``rootsystem._ALIASES``.  An ``alias`` step
+names the same group under two spellings, so its map is the identity.
 
 The catalog is one clause table, ``_CLAUSES``, from each chain tag to a
 cached matcher (legality verdict and minimal prime, :func:`match_step`) and a
@@ -40,13 +43,14 @@ from .errors import (
     UnknownPair,
     UnknownType,
 )
-from .characters import FormalCharacter, dual_weyl_character
+from .characters import FormalCharacter, dual_weyl_character, min_prime_greater
 from .rootsystem import (
     GroupType,
     SimpleType,
     Weight,
     _classify_nodes,
     build_root_datum,
+    normal_parts,
     normalize_type,
 )
 
@@ -153,14 +157,6 @@ class StepMatch:
     payload: object = None
 
 
-def min_prime_greater(n: int) -> int:
-    """Smallest prime strictly greater than n (n >= 0)."""
-    p = max(2, n + 1)
-    while any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        p += 1
-    return p
-
-
 # ---------------------------------------------------------------------------
 # epsilon-coordinate scaffolding for the classical types
 
@@ -217,44 +213,20 @@ def _so_dim(f: SimpleType) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# vocabulary conversion (normalized coordinates <-> written coordinates)
-
-def _alias_block(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of the map written-factor coordinates -> normalized coordinates."""
-    if (letter, rank) == ("D", 3):
-        return ((0, 1, 0), (1, 0, 0), (0, 0, 1))  # D3 nodes (2,1,3) are A3's path
-    if (letter, rank) == ("C", 2):
-        return ((0, 1), (1, 0))  # Sp4 = Spin5 swaps the two nodes
-    return linalg.identity(rank)
-
+# vocabulary conversion: written coordinates <-> normalized coordinates, by
+# the rows that rootsystem.normal_parts reads from the alias table
 
 def normalization_map(gtype: GroupType) -> WeightMap:
-    """Coordinate map from a written spelling onto its normalized form."""
-    from .rootsystem import _ALIASES
-    norm = normalize_type(gtype)
-    pieces: list[tuple[SimpleType, int, tuple[tuple[int, ...], ...]]] = []
-    offset = 0
-    for f in gtype.factors:
-        block = _alias_block(f.letter, f.rank)
-        parts = _ALIASES.get((f.letter, f.rank), ((f.letter, f.rank),))
-        sub_off = 0
-        for letter, rank in parts:
-            full_rows = []
-            for i in range(rank):
-                row = [0] * gtype.rank
-                for j in range(f.rank):
-                    row[offset + j] = block[sub_off + i][j]
-                full_rows.append(tuple(row))
-            pieces.append((SimpleType(letter, rank), offset, tuple(full_rows)))
-            sub_off += rank
-        offset += f.rank
-    semis = [p for p in pieces if not p[0].is_torus]
-    tori = [p for p in pieces if p[0].is_torus]
-    semis.sort(key=lambda p: (p[0].letter, -p[0].rank, p[1]))
-    rows: list[tuple[int, ...]] = []
-    for _, _, blk in semis + tori:
-        rows.extend(blk)
-    return WeightMap(gtype, norm, tuple(rows))
+    """Coordinate map from a written spelling onto its normalized form: the
+    rows of :func:`normal_parts`, each moved to its written factor's columns."""
+    offsets = _offsets(gtype)
+    rows = []
+    for _, pos, block in normal_parts(gtype):
+        for part_row in block:
+            row = [0] * gtype.rank
+            row[offsets[pos]:offsets[pos] + len(part_row)] = part_row
+            rows.append(tuple(row))
+    return WeightMap(gtype, normalize_type(gtype), tuple(rows))
 
 
 def _denormalization_rows(gtype: GroupType) -> tuple[tuple[int, ...], ...]:
@@ -373,12 +345,12 @@ def _match_alias(sub: GroupType, amb: GroupType) -> StepMatch:
 
 
 def _alias_map(sub: GroupType, amb: GroupType) -> WeightMap:
-    """Coordinate map for a respelling step, through the common normal form."""
+    """A respelling names the same group, so on normalized coordinates its
+    map is the identity."""
     if not _match_alias(sub, amb).legal:
         raise TypeMismatch(
             f"alias step {EmbeddingStep('alias', sub, amb)} does not normalize equal")
-    return WeightMap(amb, sub, linalg.mat_mul(_denormalization_rows(sub),
-                                              normalization_map(amb).matrix))
+    return WeightMap(amb, sub, linalg.identity(amb.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -406,36 +378,17 @@ def _diag_map(sub: GroupType, amb: GroupType) -> WeightMap:
 # ---------------------------------------------------------------------------
 # clause: Levi subgroups
 #
-# The written sub type's semisimple part (alias-expanded) must appear as the
+# The semisimple factors of the sub's normal form must appear as the
 # components of an induced subdiagram of the normalized ambient, and the
 # corank plus ambient torus must cover the sub's central torus.  The search
 # runs over node subsets of the normalized ambient diagram, so everything
 # below works in normalized coordinates on both sides.
 
-def _expanded_parts(gtype: GroupType):
-    """Alias-expanded factors of a written type in normalized coordinate
-    order, as (part, written position, normalized offset) triples."""
-    from .rootsystem import _ALIASES
-    parts = []
-    for pos, f in enumerate(gtype.factors):
-        for letter, rank in _ALIASES.get((f.letter, f.rank), ((f.letter, f.rank),)):
-            parts.append((SimpleType(letter, rank), pos))
-    semis = sorted(((p, pos) for p, pos in parts if not p.is_torus),
-                   key=lambda t: (t[0].letter, -t[0].rank))
-    tori = [(p, pos) for p, pos in parts if p.is_torus]
-    out = []
-    off = 0
-    for p, pos in semis + tori:
-        out.append((p, pos, off))
-        off += p.rank
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _match_levi(sub: GroupType, amb: GroupType) -> StepMatch:
     rd = build_root_datum(amb)
-    want = sorted(
-        ((p.letter, p.rank) for p, _, _ in _expanded_parts(sub) if not p.is_torus))
+    norm = normalize_type(sub)
+    want = sorted((f.letter, f.rank) for f in norm.factors if not f.is_torus)
     total = sum(r for _, r in want)
     candidates = [i + 1 for i in range(rd.rank) if not rd.torus[i]]
     if total > len(candidates):
@@ -451,9 +404,10 @@ def _match_levi(sub: GroupType, amb: GroupType) -> StepMatch:
             break
     if hit is None and total > 0:
         return StepMatch(False, "no Levi subdiagram matches")
-    if normalize_type(sub).torus_rank() > rd.rank - total:
+    if norm.torus_rank() > rd.rank - total:
         return StepMatch(False, "not enough central torus for the sub type")
-    # components come sorted by (letter, -rank, first node), as the sub's parts
+    # components come sorted by (letter, -rank, first node), as the normal
+    # form's semisimple factors are
     return StepMatch(True, "Levi subgroup", 1,
                      tuple((st, tuple(order)) for st, order in hit or []))
 
@@ -469,27 +423,14 @@ def _levi_map(sub: GroupType, amb: GroupType) -> WeightMap:
     rd = build_root_datum(amb)
     n = rd.rank
     unit = linalg.identity(n)
-    parts = _expanded_parts(sub)
-    rows: list[tuple[int, ...]] = [None] * normalize_type(sub).rank
-    semis = [(p, off) for p, _, off in parts if not p.is_torus]
-    used: list[int] = []
-    for (p, off), (st, order) in zip(semis, comps):
-        if (st.letter, st.rank) != (p.letter, p.rank):
-            raise AssertionError("component alignment failed")
-        for i, node in enumerate(order):
-            rows[off + i] = unit[node]
-        used.extend(order)
+    used = sorted(node for _, order in comps for node in order)
+    rows = [unit[node] for _, order in comps for node in order]
     if used:
         kernel = linalg.left_integer_kernel(
-            tuple(tuple(rd.cartan[i][j] for j in sorted(used)) for i in range(n)))
+            tuple(tuple(rd.cartan[i][j] for j in used) for i in range(n)))
     else:
         kernel = unit
-    kpos = 0
-    for p, _, off in parts:
-        if p.is_torus:
-            for i in range(p.rank):
-                rows[off + i] = kernel[kpos]
-                kpos += 1
+    rows.extend(kernel[:normalize_type(sub).torus_rank()])
     return WeightMap(amb, sub, tuple(rows))
 
 

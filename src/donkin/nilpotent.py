@@ -19,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .embeddings import EmbeddingStep
+from .embeddings import _CLAUSES, EmbeddingStep
 from .errors import InvalidJordanType, TableSyntaxError
 from .rootsystem import GroupType, SimpleType, normalize_type
 
@@ -179,7 +179,6 @@ class OrbitRecord:
 
 
 _ARROW_RE = re.compile(r" -\[([a-z]+)(?:,p>(\d+))?\]-> ")
-_TAGS = {"diag", "levi", "auto", "class", "max", "resirr", "tensor", "alias"}
 
 
 def _parse_type(text: str, lineno: int, col: int) -> GroupType:
@@ -222,7 +221,7 @@ def parse_orbit_tables(text: str, ambient: GroupType | None = None) -> list[Orbi
         steps: list[EmbeddingStep] = []
         for k in range(1, len(pieces), 3):
             tag, p_text, ttext = pieces[k], pieces[k + 1], pieces[k + 2]
-            if tag not in _TAGS:
+            if tag not in _CLAUSES:
                 raise TableSyntaxError(lineno, col0, f"unknown tag {tag!r}")
             target = _parse_type(ttext, lineno, col0)
             steps.append(EmbeddingStep(

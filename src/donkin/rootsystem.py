@@ -28,15 +28,17 @@ Weight = tuple[int, ...]
 
 _TYPE_RE = re.compile(r"([A-GT])(\d+)$")
 
-# Alias rules applied by normalize_type before any comparison.  The tables
-# freely rename low-rank classical types (SO3 = B1, Sp2 = C1, SO2 = T1, ...).
-_ALIASES: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {
-    ("B", 1): (("A", 1),),
-    ("C", 1): (("A", 1),),
-    ("C", 2): (("B", 2),),
-    ("D", 1): (("T", 1),),
-    ("D", 2): (("A", 1), ("A", 1)),
-    ("D", 3): (("A", 3),),
+# The one alias table.  The tables freely spell low-rank classical groups
+# (SO3 = B1, Sp2 = C1, Sp4 = C2, SO2 = D1, SO4 = D2, SO6 = D3); each alias maps
+# to its normalized parts, each part with the rows that take the written
+# factor's fundamental-weight coordinates to the part's.
+_ALIASES: dict[tuple[str, int], tuple[tuple[tuple[str, int], linalg.IntMatrix], ...]] = {
+    ("B", 1): ((("A", 1), ((1,),)),),
+    ("C", 1): ((("A", 1), ((1,),)),),
+    ("C", 2): ((("B", 2), ((0, 1), (1, 0))),),  # Sp4 = Spin5 swaps the two nodes
+    ("D", 1): ((("T", 1), ((1,),)),),
+    ("D", 2): ((("A", 1), ((1, 0),)), (("A", 1), ((0, 1),))),
+    ("D", 3): ((("A", 3), ((0, 1, 0), (1, 0, 0), (0, 0, 1))),),  # D3 nodes 2,1,3: A3's path
 }
 
 _POSITIVE_ROOT_COUNTS = {
@@ -52,10 +54,8 @@ _POSITIVE_ROOT_COUNTS = {
 
 
 def _is_canonical(letter: str, rank: int) -> bool:
-    if rank < 1:
-        return False
-    return {
-        "A": rank >= 1,
+    return rank >= 1 and {
+        "A": True,
         "B": rank >= 2,
         "C": rank >= 3,
         "D": rank >= 4,
@@ -71,20 +71,15 @@ class SimpleType:
     """One factor of a group type: a simple-type letter plus rank.
 
     ``T`` denotes a central torus factor whose rank is its dimension.
-    Non-canonical spellings (B1, C1, C2, D1, D2, D3) are accepted and resolved
-    by :func:`normalize_type`.
+    A factor is canonical or an alias (B1, C1, C2, D1, D2, D3), which
+    :func:`normalize_type` resolves.
     """
 
     letter: str
     rank: int
 
     def __post_init__(self):
-        if self.letter not in "ABCDEFGT" or self.rank < 1:
-            raise UnknownType(f"bad simple type {self.letter}{self.rank}")
-        if self.letter not in "ABCDT" and not _is_canonical(self.letter, self.rank):
-            raise UnknownType(f"bad simple type {self.letter}{self.rank}")
-        if self.letter in "BCD" and not _is_canonical(self.letter, self.rank) \
-                and (self.letter, self.rank) not in _ALIASES:
+        if not (_is_canonical(self.letter, self.rank) or (self.letter, self.rank) in _ALIASES):
             raise UnknownType(f"bad simple type {self.letter}{self.rank}")
 
     @property
@@ -115,18 +110,6 @@ class GroupType:
             return cls(())
         return cls(tuple(SimpleType.parse(p) for p in text.split(".")))
 
-    @classmethod
-    def of(cls, *specs) -> "GroupType":
-        facs = []
-        for s in specs:
-            if isinstance(s, SimpleType):
-                facs.append(s)
-            elif isinstance(s, GroupType):
-                facs.extend(s.factors)
-            else:
-                facs.extend(cls.parse(s).factors)
-        return cls(tuple(facs))
-
     @property
     def rank(self) -> int:
         return sum(f.rank for f in self.factors)
@@ -134,11 +117,26 @@ class GroupType:
     def __str__(self) -> str:
         return ".".join(str(f) for f in self.factors) if self.factors else "1"
 
-    def semisimple_factors(self) -> tuple[SimpleType, ...]:
-        return tuple(f for f in self.factors if not f.is_torus)
-
     def torus_rank(self) -> int:
         return sum(f.rank for f in self.factors if f.is_torus)
+
+
+@functools.lru_cache(maxsize=None)
+def normal_parts(gtype: GroupType) -> tuple[tuple[SimpleType, int, linalg.IntMatrix], ...]:
+    """The normalized parts of a written type, in normal-form order.
+
+    One ``(part, written factor index, rows)`` per part, where ``rows`` take
+    the written factor's fundamental-weight coordinates to the part's.  The
+    semisimple parts are sorted by letter then descending rank and the torus
+    parts come last; equal keys keep their written order.
+    """
+    parts = []
+    for pos, f in enumerate(gtype.factors):
+        canonical = (((f.letter, f.rank), linalg.identity(f.rank)),)
+        for part, rows in _ALIASES.get((f.letter, f.rank), canonical):
+            parts.append((SimpleType(*part), pos, rows))
+    parts.sort(key=lambda t: (t[0].letter, 0 if t[0].is_torus else -t[0].rank))
+    return tuple(parts)
 
 
 def normalize_type(gtype: GroupType) -> GroupType:
@@ -150,16 +148,9 @@ def normalize_type(gtype: GroupType) -> GroupType:
     """
     if isinstance(gtype, str):
         gtype = GroupType.parse(gtype)
-    flat: list[SimpleType] = []
-    for f in gtype.factors:
-        for letter, rank in _ALIASES.get((f.letter, f.rank), ((f.letter, f.rank),)):
-            flat.append(SimpleType(letter, rank))
-    for f in flat:
-        if not _is_canonical(f.letter, f.rank):
-            raise UnknownType(f"no canonical form for {f}")
-    semis = sorted((f for f in flat if not f.is_torus),
-                   key=lambda f: (f.letter, -f.rank))
-    torus = sum(f.rank for f in flat if f.is_torus)
+    parts = [part for part, _, _ in normal_parts(gtype)]
+    semis = [f for f in parts if not f.is_torus]
+    torus = sum(f.rank for f in parts if f.is_torus)
     if torus:
         semis.append(SimpleType("T", torus))
     return GroupType(tuple(semis))
@@ -276,7 +267,6 @@ class RootDatum:
         n = self.rank
         cartan = [[0] * n for _ in range(n)]
         torus = [False] * n
-        sym = [0] * n
         gram = [[Fraction(0)] * n for _ in range(n)]
         pos_roots: list[Weight] = []
         pos_coroots: list[Weight] = []
@@ -291,7 +281,6 @@ class RootDatum:
             block, d = _simple_cartan(fac.letter, fac.rank)
             inv = linalg.rational_inverse(block)
             for i in range(r):
-                sym[offset + i] = d[i]
                 for j in range(r):
                     cartan[offset + i][offset + j] = block[i][j]
                     gram[offset + i][offset + j] = inv[j][i] * d[j]
@@ -312,7 +301,6 @@ class RootDatum:
             offset += r
         self.cartan = tuple(tuple(row) for row in cartan)
         self.torus = tuple(torus)
-        self.symmetrizer = tuple(sym)
         self.positive_roots = tuple(pos_roots)
         self.positive_coroots = tuple(pos_coroots)
         self.gram_scale = math.lcm(*(x.denominator for row in gram for x in row))
@@ -365,10 +353,6 @@ class RootDatum:
         """gram_scale * <v, w>, an exact int."""
         return sum(x * sum(map(mul, row, w)) for x, row in zip(v, self.gram) if x)
 
-    def inner(self, v: Weight, w: Weight) -> Fraction:
-        """The exact W-invariant inner product <v, w>."""
-        return Fraction(self.scaled_inner(v, w), self.gram_scale)
-
     def group_dimension(self) -> int:
         """Dimension of the group: rank + number of roots."""
         return self.rank + 2 * len(self.positive_roots)
@@ -397,12 +381,6 @@ def is_dominant(rd: RootDatum, w: Weight) -> bool:
     return all(w[i] >= 0 for i in rd.simple_indices())
 
 
-def dominant_representative(rd: RootDatum, w: Weight) -> Weight:
-    """The dominant weight in the Weyl orbit of ``w``."""
-    rd.check_weight(w)
-    return _dominant(tuple(w), rd._simple, rd._columns)
-
-
 def _dominant(w: Weight, simple, columns) -> Weight:
     """Reflect ``w`` by s_i at its first negative simple coordinate until none is left."""
     while True:
@@ -426,7 +404,7 @@ def weyl_orbit(rd: RootDatum, w: Weight) -> tuple[Weight, ...]:
     negative simple coordinate, that is when u[j] = v[j] - c * a_ji >= 0 for
     every simple j < i; this is tested on v before u is built.  Each point
     thus has exactly one parent, the parents climb to ``w`` (the
-    ``dominant_representative`` path), and every point is emitted once.
+    ``_dominant`` path), and every point is emitted once.
     """
     rd.check_weight(w)
     w = tuple(w)
@@ -588,13 +566,3 @@ def _classify_nodes(rd: RootDatum, nodes) -> list[tuple[SimpleType, list[int]]]:
         out.append((stype, order))
     out.sort(key=lambda t: (t[0].letter, -t[0].rank, t[1][0]))
     return out
-
-
-def subdiagram_type(rd: RootDatum, nodes) -> GroupType:
-    """Group type of the induced Dynkin subdiagram plus a torus of the corank."""
-    comps = _classify_nodes(rd, nodes)
-    facs = [st for st, _ in comps]
-    corank = rd.rank - sum(st.rank for st in facs)
-    if corank:
-        facs.append(SimpleType("T", corank))
-    return normalize_type(GroupType(tuple(facs)))

@@ -9,12 +9,16 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .characters import FormalCharacter, decompose_dual_weyl, dual_weyl_character
+from .characters import (
+    FormalCharacter,
+    decompose_dual_weyl,
+    dual_weyl_character,
+    min_prime_greater,
+)
 from .embeddings import (
     EmbeddingStep,
     chain_restriction_map,
     match_step,
-    min_prime_greater,
     restrict_character,
 )
 from .errors import UnknownType
@@ -194,10 +198,6 @@ class Summary:
     @property
     def failed(self):
         return sum(1 for r in self.reports if not r.passed)
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
 
 
 def verify_all(records) -> Summary:

@@ -1,5 +1,5 @@
 """Shared test helpers: exact matrix oracles for classical nilpotents, and
-small character-ring operations that only the tests need.
+small root-system and character-ring operations that only the tests need.
 
 The matrix oracles are deliberately independent of the package's formulas:
 Jordan types are read off from rank sequences, Lie algebras are parametrized
@@ -17,7 +17,13 @@ import donkin.characters as ch
 from donkin.characters import FormalCharacter, dual_weyl_character
 from donkin.errors import AmbientMismatch
 from donkin.nilpotent import JordanType, parse_orbit_tables
-from donkin.rootsystem import GroupType, normalize_type
+from donkin.rootsystem import (
+    GroupType,
+    SimpleType,
+    _classify_nodes,
+    _dominant,
+    normalize_type,
+)
 
 
 def load_table(name):
@@ -28,6 +34,24 @@ def load_table(name):
 @pytest.fixture(scope="session")
 def shipped_tables():
     return {name: load_table(name) for name in ("e8", "e7", "e6", "f4", "g2")}
+
+
+# ---------------------------------------------------------------------------
+# root-system helpers
+
+def dominant_representative(rd, w):
+    """The dominant weight in the Weyl orbit of ``w``."""
+    rd.check_weight(w)
+    return _dominant(tuple(w), rd.simple_indices(), rd._columns)
+
+
+def subdiagram_type(rd, nodes) -> GroupType:
+    """Group type of the induced Dynkin subdiagram plus a torus of the corank."""
+    facs = [st for st, _ in _classify_nodes(rd, nodes)]
+    corank = rd.rank - sum(st.rank for st in facs)
+    if corank:
+        facs.append(SimpleType("T", corank))
+    return normalize_type(GroupType(tuple(facs)))
 
 
 # ---------------------------------------------------------------------------

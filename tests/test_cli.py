@@ -68,6 +68,14 @@ def test_exterior_fail_exit_code(runner):
     assert "FAIL" in result.output
 
 
+@pytest.mark.parametrize("prime", ["4", "1", "0", "-3"])
+def test_exterior_non_prime_is_a_usage_error(runner, prime):
+    result = runner.invoke(main, ["exterior", "G2", "1,0", "--p", prime])
+    assert result.exit_code == 2
+    assert f"--p {prime} is not a prime" in result.stderr
+    assert result.stdout == ""
+
+
 def test_decompose_from_file(runner, tmp_path):
     src = tmp_path / "char.txt"
     src.write_text("# three-dimensional module plus a trivial\n1 2\n2 0\n1 -2\n")
@@ -111,6 +119,20 @@ def test_restrict(runner):
     result = runner.invoke(main, ["restrict", "B2 -[auto]-> A3", "0,1,0"])
     assert result.exit_code == 0
     assert "exact: yes" in result.output
+
+
+@pytest.mark.parametrize("chain, lam, term", [
+    ("B2 -[alias]-> C2", "1,1", "  nabla(1,1): 1"),
+    ("A3 -[alias]-> D3", "1,0,1", "  nabla(1,0,1): 1"),
+    # the prefix of the shipped e8 row A3A1^2 up to its max step
+    ("A1.B2 -[alias]-> B1.C2 -[tensor,p>2]-> B1.D4", "1,1,0,0,0", "  nabla(1,0,1): 2"),
+])
+def test_restrict_through_alias(runner, chain, lam, term):
+    """A respelling step is the identity on normalized coordinates, so the
+    restricted character stays Weyl-invariant and decomposes exactly."""
+    result = runner.invoke(main, ["restrict", chain, lam])
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout.splitlines()[1:] == ["exact: yes", term]
 
 
 def test_restrict_max_chain_rejected(runner):

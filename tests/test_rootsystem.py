@@ -4,16 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dominant_representative, subdiagram_type
+from donkin.characters import dual_weyl_character
+from donkin.embeddings import (
+    EmbeddingStep,
+    normalization_map,
+    restrict_character,
+    step_map,
+)
 from donkin.errors import BadIndex, DimensionMismatch, NotDominant, UnknownType
 from donkin.rootsystem import (
     GroupType,
     SimpleType,
     build_root_datum,
-    dominant_representative,
     highest_roots,
     is_dominant,
     normalize_type,
-    subdiagram_type,
     weyl_dim,
     weyl_orbit,
 )
@@ -85,7 +91,7 @@ def test_product_and_torus_datum():
 
 
 def test_unknown_types():
-    for bad in ("E9", "F3", "G3", "H2", "A0"):
+    for bad in ("E9", "F3", "G3", "H2", "A0", "B0", "C0", "D0", "T0"):
         with pytest.raises(UnknownType):
             normalize_type(GroupType.parse(bad))
 
@@ -101,12 +107,23 @@ def test_normalize_examples():
 
 @given(st.lists(st.sampled_from(
     ["A1", "A3", "B1", "B2", "C1", "C2", "C3", "D1", "D2", "D3", "D4",
-     "E6", "F4", "G2", "T1", "T2"]), min_size=1, max_size=5))
-def test_normalize_idempotent_and_rank_preserving(letters):
+     "E6", "F4", "G2", "T1", "T2"]), min_size=1, max_size=5), st.data())
+def test_normalize_idempotent_and_rank_preserving(letters, data):
     gt = GroupType.parse(".".join(letters))
     once = normalize_type(gt)
     assert normalize_type(once) == once
     assert once.rank == gt.rank
+    # the written coordinates go onto the normal form's by a 0/1 permutation
+    conv = normalization_map(gt)
+    assert conv.target == once
+    assert sorted(conv.matrix, reverse=True) == [
+        tuple(int(i == j) for j in range(gt.rank)) for i in range(gt.rank)]
+    # a respelling names the same group: alias steps both ways fix nabla(lam)
+    i = data.draw(st.integers(0, gt.rank - 1))
+    lam = tuple(int(j == i) for j in range(gt.rank))
+    chi = dual_weyl_character(build_root_datum(once), lam)
+    for sub, amb in ((gt, once), (once, gt)):
+        assert restrict_character(chi, step_map(EmbeddingStep("alias", sub, amb))) == chi
 
 
 def test_dominance():
