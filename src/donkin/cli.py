@@ -310,11 +310,14 @@ def restrict(ctx, chain, lam):
     weight of the chain's final (ambient) type.  Prints the restricted
     character's decomposition in the chain-start group.
     """
-    recs = _parse_chain(chain)
-    total = embeddings.chain_restriction_map(recs)
+    try:
+        steps = nilpotent.parse_chain(chain)
+    except ValueError as exc:
+        raise click.UsageError(f"bad chain: {exc}")
+    total = embeddings.chain_restriction_map(steps)
     if total is None:
         raise click.UsageError("chain contains a map-less max-rank step")
-    amb_rd = build_root_datum(normalize_type(recs[-1].amb))
+    amb_rd = build_root_datum(normalize_type(steps[-1].amb))
     w = _parse_weight(lam, amb_rd.rank)
     _load_cache()
     chi = ch.dual_weyl_character(amb_rd, w)
@@ -330,15 +333,6 @@ def restrict(ctx, chain, lam):
                    f"to {sub_rd.gtype}",
                    f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
           + _item_lines("  nabla(%s): %%d", sub_rd.rank, dec.items_sorted()))
-
-
-def _parse_chain(text):
-    fake = f"cli\t1\t{text}"
-    try:
-        recs = nilpotent.parse_orbit_tables(fake)
-    except TableSyntaxError as exc:
-        raise click.UsageError(f"bad chain: {exc}")
-    return recs[0].chain
 
 
 @main.group()

@@ -12,9 +12,10 @@ the rows of the one alias table, ``rootsystem._ALIASES``.  An ``alias`` step
 names the same group under two spellings, so its map is the identity.
 
 The catalog is one clause table, ``_CLAUSES``, from each chain tag to a
-cached matcher (legality verdict and minimal prime, :func:`match_step`) and a
-builder (weight map, :func:`step_map`).  Tags: ``diag`` (diagonal into a
-power), ``levi`` (Levi subgroup up to central torus), ``auto``
+cached matcher (legality verdict, minimal prime and payload,
+:func:`match_step`) and a builder, which takes the matcher's payload and
+checks nothing: :func:`step_map` is the one legality gate.  Tags: ``diag``
+(diagonal into a power), ``levi`` (Levi subgroup up to central torus), ``auto``
 (diagram-folding fixed points), ``class`` (same-form block splits and SL/SO,
 SL/Sp), ``max`` (maximal-rank subgroups of exceptional groups; type-level
 only, so its builder is None), ``resirr`` (restricted irreducible
@@ -33,16 +34,7 @@ from fractions import Fraction
 from operator import add, itemgetter, sub as subtract
 
 from . import linalg
-from .errors import (
-    AmbientMismatch,
-    BadIndex,
-    NotAClassicalSplit,
-    NotARestrictedEmbedding,
-    NotATensorEmbedding,
-    TypeMismatch,
-    UnknownPair,
-    UnknownType,
-)
+from .errors import AmbientMismatch, IllegalStep, TypeMismatch, UnknownType
 from .characters import FormalCharacter, dual_weyl_character, min_prime_greater
 from .rootsystem import (
     GroupType,
@@ -185,7 +177,7 @@ def _eps_to_fw(letter: str, n: int) -> list[list[int]]:
         rows[n - 2][n - 2], rows[n - 2][n - 1] = 1, -1
         rows.append([1 if j >= n - 2 else 0 for j in range(n)])
         return rows
-    raise UnknownPair(f"no epsilon coordinates for {letter}{n}")
+    raise AssertionError(f"no epsilon coordinates for {letter}{n}")
 
 
 def _fw_to_eps(letter: str, n: int) -> list[list[Fraction]]:
@@ -230,27 +222,19 @@ def normalization_map(gtype: GroupType) -> WeightMap:
 
 
 def _denormalization_rows(gtype: GroupType) -> tuple[tuple[int, ...], ...]:
-    """Inverse of :func:`normalization_map` (a signed permutation; here 0/1)."""
-    fwd = normalization_map(gtype).matrix
-    n = len(fwd)
-    inv = [[fwd[i][j] for i in range(n)] for j in range(n)]
-    return tuple(tuple(r) for r in inv)
+    """Inverse of :func:`normalization_map`, a 0/1 permutation: its transpose."""
+    return tuple(zip(*normalization_map(gtype).matrix))
 
 
-def _export(sub: GroupType, amb: GroupType, core_rows) -> WeightMap:
-    """Wrap a written-vocabulary core matrix into normalized semantics."""
-    p_sub = normalization_map(sub).matrix
-    p_amb_inv = _denormalization_rows(amb)
-    mat = linalg.mat_mul(p_sub, linalg.mat_mul(tuple(tuple(r) for r in core_rows),
-                                               p_amb_inv))
-    return WeightMap(amb, sub, mat)
-
-
-def _export_fraction(sub: GroupType, amb: GroupType, core) -> WeightMap:
-    """:func:`_export` for a core with Fraction entries, which must be integers."""
-    if any(Fraction(x).denominator != 1 for row in core for x in row):
+def _export(sub: GroupType, amb: GroupType, core) -> WeightMap:
+    """Wrap a written-vocabulary core matrix into normalized semantics; its
+    entries (ints, or Fractions from epsilon coordinates) must be integers."""
+    if any(x.denominator != 1 for row in core for x in row):
         raise AssertionError("non-integral restriction matrix")
-    return _export(sub, amb, [[int(x) for x in row] for row in core])
+    core = tuple(tuple(map(int, row)) for row in core)
+    mat = linalg.mat_mul(normalization_map(sub).matrix,
+                         linalg.mat_mul(core, _denormalization_rows(amb)))
+    return WeightMap(amb, sub, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +312,6 @@ def _assemble(sub: GroupType, amb: GroupType, blocks) -> list[list]:
     return core
 
 
-def _legal_payload(match, error, sub: GroupType, amb: GroupType):
-    """The matcher's payload for a legal pair; ``error`` names the reason if not."""
-    m = match(sub, amb)
-    if not m.legal:
-        raise error(f"({sub}, {amb}): {m.reason}")
-    return m.payload
-
-
 # ---------------------------------------------------------------------------
 # clause: respelling
 
@@ -344,12 +320,9 @@ def _match_alias(sub: GroupType, amb: GroupType) -> StepMatch:
     return StepMatch(ok, "respelling" if ok else "normal forms differ", 1)
 
 
-def _alias_map(sub: GroupType, amb: GroupType) -> WeightMap:
+def _alias_map(sub: GroupType, amb: GroupType, _payload) -> WeightMap:
     """A respelling names the same group, so on normalized coordinates its
     map is the identity."""
-    if not _match_alias(sub, amb).legal:
-        raise TypeMismatch(
-            f"alias step {EmbeddingStep('alias', sub, amb)} does not normalize equal")
     return WeightMap(amb, sub, linalg.identity(amb.rank))
 
 
@@ -367,9 +340,8 @@ def _match_diag(sub: GroupType, amb: GroupType) -> StepMatch:
     return StepMatch(True, "diagonal embedding", 1, tuple(assign))
 
 
-def _diag_map(sub: GroupType, amb: GroupType) -> WeightMap:
+def _diag_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
     """Restriction along the diagonal: sums each sub factor's ambient copies."""
-    assign = _legal_payload(_match_diag, TypeMismatch, sub, amb)
     return _export(sub, amb, _assemble(
         sub, amb, [(si, ai, None) for si, (copies, _, _) in enumerate(assign)
                    for ai in copies]))
@@ -412,14 +384,13 @@ def _match_levi(sub: GroupType, amb: GroupType) -> StepMatch:
                      tuple((st, tuple(order)) for st, order in hit or []))
 
 
-def _levi_map(sub: GroupType, amb: GroupType) -> WeightMap:
+def _levi_map(sub: GroupType, amb: GroupType, comps) -> WeightMap:
     """Restriction to a Levi subgroup up to central torus.
 
     Rows select the subdiagram's fundamental-weight coordinates in its
     Bourbaki numbering; the central-torus rows are an integral basis of the
     functionals vanishing on the Levi's root lattice.
     """
-    comps = _legal_payload(_match_levi, BadIndex, sub, amb)
     rd = build_root_datum(amb)
     n = rd.rank
     unit = linalg.identity(n)
@@ -455,30 +426,14 @@ def _folding_entry(amb: SimpleType):
     return []
 
 
-def folding_map(amb: GroupType, sub: GroupType) -> WeightMap:
-    """Restriction to the fixed points of a diagram automorphism.
-
-    Rows sum the ambient coordinates over each node orbit.  Single-factor
-    pairs only; products fold factorwise through :func:`step_map`.
-    """
-    if len(amb.factors) != 1:
-        raise UnknownPair(f"{amb} is not simple")
-    sub_n = normalize_type(sub)
-    for vocab, orbits in _folding_entry(amb.factors[0]):
-        if normalize_type(GroupType.parse(vocab)) == sub_n:
-            n = amb.rank
-            core = [[int(j + 1 in orb) for j in range(n)] for orb in orbits]
-            return _export(GroupType.parse(vocab), amb, core)
-    raise UnknownPair(f"({amb}, {sub}) is not a diagram folding")
-
-
 def _fold_pair_ok(s: SimpleType, a: SimpleType):
+    """("spectator", 1), or ((folded vocabulary, node orbits), 1), or None."""
     if s == a:
         return ("spectator", 1)
     sn = normalize_type(GroupType((s,)))
-    for vocab, _ in _folding_entry(a):
+    for vocab, orbits in _folding_entry(a):
         if normalize_type(GroupType.parse(vocab)) == sn:
-            return ("fold", 1)
+            return ((vocab, orbits), 1)
     return None
 
 
@@ -489,18 +444,20 @@ def _match_auto(sub: GroupType, amb: GroupType) -> StepMatch:
         "diagram folding"))
 
 
-def _auto_map(sub: GroupType, amb: GroupType) -> WeightMap:
-    """Factorwise folding; each normalized folding map is sandwiched back
-    into the written vocabularies of its two factors."""
+def _auto_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
+    """Factorwise folding: a folded factor's rows sum the ambient coordinates
+    over each node orbit, moved from the folded vocabulary to the sub factor's
+    spelling (no folded ambient factor is an alias spelling)."""
     blocks = []
-    for ai, ((si,), kind, _) in enumerate(_legal_payload(_match_auto, UnknownPair, sub, amb)):
-        f, af = GroupType((sub.factors[si],)), GroupType((amb.factors[ai],))
-        if kind == "spectator":
+    for ai, ((si,), fold, _) in enumerate(assign):
+        if fold == "spectator":
             blocks.append((si, ai, None))
             continue
-        fold = folding_map(af, f).matrix
+        vocab, orbits = fold
+        core = [[int(j + 1 in orb) for j in range(amb.factors[ai].rank)] for orb in orbits]
         blocks.append((si, ai, linalg.mat_mul(
-            _denormalization_rows(f), linalg.mat_mul(fold, normalization_map(af).matrix))))
+            _denormalization_rows(GroupType((sub.factors[si],))),
+            linalg.mat_mul(normalization_map(GroupType.parse(vocab)).matrix, core))))
     return _export(sub, amb, _assemble(sub, amb, blocks))
 
 
@@ -553,10 +510,10 @@ def _match_class(sub: GroupType, amb: GroupType) -> StepMatch:
     return verdict
 
 
-def classical_map(sub: GroupType, amb: GroupType) -> WeightMap:
+def _class_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
     """Weight map for a classical block embedding, spectator factors allowed."""
     blocks = []
-    for ai, (combo, kind, _) in enumerate(_legal_payload(_match_class, NotAClassicalSplit, sub, amb)):
+    for ai, (combo, kind, _) in enumerate(assign):
         af = amb.factors[ai]
         if kind == "spectator":
             blocks.append((combo[0], ai, None))
@@ -575,7 +532,7 @@ def classical_map(sub: GroupType, amb: GroupType) -> WeightMap:
             axes = [[x - y for x, y in zip(amb_f2e[k], amb_f2e[af.rank - k])]
                     for k in range(f.rank)]
             blocks.append((combo[0], ai, _eps_block(f, axes)))
-    return _export_fraction(sub, amb, _assemble(sub, amb, blocks))
+    return _export(sub, amb, _assemble(sub, amb, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -631,17 +588,18 @@ def _resirr_weights(sub: SimpleType, amb_rank_plus_1: int):
     for w, m in chi.support.items():
         weights.extend([w] * m)
     weights.sort(key=lambda w: (rd.height(w), w), reverse=True)
-    return weights, p
+    return tuple(weights), p
 
 
 def _resirr_pair_ok(s: SimpleType, a: SimpleType):
+    """("spectator", 1), or (the module's ordered weights, p_min), or None."""
     # A1 -> A1 is the n=1 member of the (A_n, A1) family, not a spectator
     if s == a and (s.letter, s.rank) != ("A", 1):
         return ("spectator", 1)
     got = _resirr_weights(s, a.rank + 1) if a.letter == "A" else None
     if got is None:
         return ("spectator", 1) if s == a else None
-    return ("resirr", got[1])
+    return got
 
 
 @functools.lru_cache(maxsize=None)
@@ -651,16 +609,14 @@ def _match_resirr(sub: GroupType, amb: GroupType) -> StepMatch:
         "restricted irreducible"))
 
 
-def resirr_map(sub: GroupType, amb: GroupType) -> WeightMap:
+def _resirr_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
     """Weight map determined by the ordered weight list of the defining module."""
     blocks = []
-    for ai, ((si,), kind, _) in enumerate(
-            _legal_payload(_match_resirr, NotARestrictedEmbedding, sub, amb)):
-        if kind == "spectator":
+    for ai, ((si,), weights, _) in enumerate(assign):
+        if weights == "spectator":
             blocks.append((si, ai, None))
             continue
         f, af = sub.factors[si], amb.factors[ai]
-        weights, _ = _resirr_weights(f, af.rank + 1)
         # the j-th ambient fundamental weight restricts to the sum of the
         # first j module weights (the gl lift kills (1..1))
         partial = list(itertools.accumulate(weights, lambda u, v: tuple(map(add, u, v))))
@@ -703,7 +659,7 @@ def _match_tensor(sub: GroupType, amb: GroupType) -> StepMatch:
         "tensor embedding"))
 
 
-def tensor_map(sub: GroupType, amb: GroupType) -> WeightMap:
+def _tensor_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
     """Weight map for a tensor-product embedding: the retained factor's
     epsilon coordinates each absorb s ambient axes.
 
@@ -712,8 +668,7 @@ def tensor_map(sub: GroupType, amb: GroupType) -> WeightMap:
     that cover; this only relabels central characters.
     """
     blocks = []
-    for ai, ((si,), copies, _) in enumerate(
-            _legal_payload(_match_tensor, NotATensorEmbedding, sub, amb)):
+    for ai, ((si,), copies, _) in enumerate(assign):
         if copies == "spectator":
             blocks.append((si, ai, None))
             continue
@@ -726,7 +681,7 @@ def tensor_map(sub: GroupType, amb: GroupType) -> WeightMap:
     for off, f in zip(_offsets(sub), sub.factors):
         if f == _SO2:
             core[off] = _primitive_row(core[off])
-    return _export_fraction(sub, amb, core)
+    return _export(sub, amb, core)
 
 
 def _primitive_row(row):
@@ -745,10 +700,10 @@ _CLAUSES = {
     "levi": (_match_levi, _levi_map),
     "diag": (_match_diag, _diag_map),
     "auto": (_match_auto, _auto_map),
-    "class": (_match_class, classical_map),
+    "class": (_match_class, _class_map),
     "max": (_match_max, None),
-    "resirr": (_match_resirr, resirr_map),
-    "tensor": (_match_tensor, tensor_map),
+    "resirr": (_match_resirr, _resirr_map),
+    "tensor": (_match_tensor, _tensor_map),
 }
 
 
@@ -761,12 +716,13 @@ def match_step(sub: GroupType, amb: GroupType, tag: str) -> StepMatch:
 
 
 def step_map(step: EmbeddingStep) -> WeightMap | None:
-    """Weight map realizing one chain step, or None for map-less max steps."""
-    clause = _CLAUSES.get(step.tag)
-    if clause is None:
-        raise TypeMismatch(f"unknown tag {step.tag!r}")
-    build = clause[1]
-    return None if build is None else build(step.sub, step.amb)
+    """Weight map realizing one chain step, or None for a map-less max step;
+    a step its clause rejects, or with an unknown tag, raises IllegalStep."""
+    m = match_step(step.sub, step.amb, step.tag)
+    if not m.legal:
+        raise IllegalStep(f"({step.sub}, {step.amb}): {m.reason}")
+    build = _CLAUSES[step.tag][1]
+    return None if build is None else build(step.sub, step.amb, m.payload)
 
 
 def chain_restriction_map(steps) -> WeightMap | None:

@@ -33,20 +33,8 @@ class NotSymmetric(DonkinError):
     """A character that is not Weyl-invariant, detected during peel-off."""
 
 
-class UnknownPair(DonkinError):
-    """A (ambient, subgroup) pair outside the diagram-folding list."""
-
-
-class NotAClassicalSplit(DonkinError):
-    """A pair outside the classical block-embedding catalog."""
-
-
-class NotARestrictedEmbedding(DonkinError):
-    """A pair outside the restricted-irreducible-representation catalog."""
-
-
-class NotATensorEmbedding(DonkinError):
-    """A pair outside the tensor-product embedding catalog."""
+class IllegalStep(DonkinError):
+    """A chain step that no clause of the embedding catalog accepts."""
 
 
 class TypeMismatch(DonkinError):

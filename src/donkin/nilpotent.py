@@ -181,11 +181,32 @@ class OrbitRecord:
 _ARROW_RE = re.compile(r" -\[([a-z]+)(?:,p>(\d+))?\]-> ")
 
 
-def _parse_type(text: str, lineno: int, col: int) -> GroupType:
+def _parse_type(text: str) -> GroupType:
     try:
         return GroupType.parse(text)
     except Exception:
-        raise TableSyntaxError(lineno, col, f"bad type {text!r}") from None
+        raise ValueError(f"bad type {text!r}") from None
+
+
+def parse_chain(text: str) -> tuple[EmbeddingStep, ...]:
+    """The steps of one chain cell; a ValueError names what is malformed."""
+    pieces = _ARROW_RE.split(text)
+    # pieces: type, (tag, p, type)*
+    if len(pieces) % 3 != 1:
+        raise ValueError("malformed chain")
+    types = [_parse_type(pieces[0])]
+    steps: list[EmbeddingStep] = []
+    for k in range(1, len(pieces), 3):
+        tag, p_text, ttext = pieces[k], pieces[k + 1], pieces[k + 2]
+        if tag not in _CLAUSES:
+            raise ValueError(f"unknown tag {tag!r}")
+        target = _parse_type(ttext)
+        steps.append(EmbeddingStep(
+            tag, types[-1], target, int(p_text) if p_text else None))
+        types.append(target)
+    if not steps:
+        raise ValueError("chain needs at least one step")
+    return tuple(steps)
 
 
 def parse_orbit_tables(text: str, ambient: GroupType | None = None) -> list[OrbitRecord]:
@@ -199,37 +220,22 @@ def parse_orbit_tables(text: str, ambient: GroupType | None = None) -> list[Orbi
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if raw != raw.rstrip():
             raise TableSyntaxError(lineno, len(raw.rstrip()) + 1, "trailing whitespace")
-        line = raw
-        if not line or line.startswith("#"):
+        if not raw or raw.startswith("#"):
             continue
-        cells = line.split("\t")
+        cells = raw.split("\t")
         if len(cells) != 3:
             raise TableSyntaxError(lineno, 1, f"expected 3 tab-separated cells, got {len(cells)}")
         label, ctype_text, chain_text = cells
         if not label:
             raise TableSyntaxError(lineno, 1, "empty label")
-        centralizer = _parse_type(ctype_text, lineno, len(label) + 2)
-        col0 = len(label) + len(ctype_text) + 3
-        if chain_text == "TORUS":
-            records.append(OrbitRecord(label, centralizer, None))
-            continue
-        pieces = _ARROW_RE.split(chain_text)
-        # pieces: type, (tag, p, type)*
-        if len(pieces) % 3 != 1:
-            raise TableSyntaxError(lineno, col0, "malformed chain")
-        types = [_parse_type(pieces[0], lineno, col0)]
-        steps: list[EmbeddingStep] = []
-        for k in range(1, len(pieces), 3):
-            tag, p_text, ttext = pieces[k], pieces[k + 1], pieces[k + 2]
-            if tag not in _CLAUSES:
-                raise TableSyntaxError(lineno, col0, f"unknown tag {tag!r}")
-            target = _parse_type(ttext, lineno, col0)
-            steps.append(EmbeddingStep(
-                tag, types[-1], target, int(p_text) if p_text else None))
-            types.append(target)
-        if not steps:
-            raise TableSyntaxError(lineno, col0, "chain needs at least one step")
-        records.append(OrbitRecord(label, centralizer, tuple(steps)))
+        col = len(label) + 2  # where the cell being parsed starts
+        try:
+            centralizer = _parse_type(ctype_text)
+            col += len(ctype_text) + 1
+            chain = None if chain_text == "TORUS" else parse_chain(chain_text)
+        except ValueError as exc:
+            raise TableSyntaxError(lineno, col, str(exc)) from None
+        records.append(OrbitRecord(label, centralizer, chain))
     ends = Counter(str(normalize_type(r.chain_end())) for r in records if r.chain)
     if ambient is None and ends:
         ambient = GroupType.parse(ends.most_common(1)[0][0])

@@ -21,7 +21,7 @@ from .embeddings import (
     match_step,
     restrict_character,
 )
-from .errors import UnknownType
+from .errors import IllegalStep, UnknownType
 from .nilpotent import OrbitRecord
 from .rootsystem import GroupType, build_root_datum, is_dominant, normalize_type
 
@@ -98,6 +98,13 @@ class VerificationReport:
         }
 
 
+def _end_mismatch(rec: OrbitRecord) -> str | None:
+    """Why a chain does not end at its record's ambient group, or None."""
+    if normalize_type(rec.chain_end()) == normalize_type(rec.ambient):
+        return None
+    return f"chain ends at {rec.chain_end()}, ambient is {rec.ambient}"
+
+
 def verify_record(rec: OrbitRecord) -> VerificationReport:
     """Step-wise legality, endpoint matching, and prime-bound comparison.
 
@@ -118,14 +125,11 @@ def verify_record(rec: OrbitRecord) -> VerificationReport:
         rec.chain[i].amb == rec.chain[i + 1].sub for i in range(len(rec.chain) - 1))
     if not continuity:
         notes.append("chain is not contiguous")
-    if rec.ambient is not None:
-        end_ok = normalize_type(rec.chain_end()) == normalize_type(rec.ambient)
-        bound = good_prime_bound(rec.ambient)
-    else:
-        end_ok = True
-        bound = None
+    end_note = _end_mismatch(rec) if rec.ambient is not None else None
+    end_ok = end_note is None
     if not end_ok:
-        notes.append(f"chain ends at {rec.chain_end()}, ambient is {rec.ambient}")
+        notes.append(end_note)
+    bound = good_prime_bound(rec.ambient) if rec.ambient is not None else None
     bound_ok = bound is None or p_min <= bound
     if not bound_ok:
         notes.append(f"composed bound p>={p_min} exceeds the good-prime bound {bound}")
@@ -160,13 +164,20 @@ def spot_check(rec: OrbitRecord, lam) -> SpotVerdict:
     exact nonnegative dual-Weyl decomposition at the bottom.
 
     Records with map-less steps (maximal-rank steps) or no chain at all are
-    reported SKIPPED rather than failed.
+    reported SKIPPED rather than failed; a chain that ends elsewhere than the
+    ambient group or has an illegal step is a FAIL naming its cause.
     """
     if rec.is_torus:
         return SpotVerdict(rec, "SKIPPED", "torus centralizer carries no map data")
     if rec.ambient is None:
         return SpotVerdict(rec, "SKIPPED", "record has no ambient group")
-    total = chain_restriction_map(rec.chain)
+    end_note = _end_mismatch(rec)
+    if end_note is not None:
+        return SpotVerdict(rec, "FAIL", end_note)
+    try:
+        total = chain_restriction_map(rec.chain)
+    except IllegalStep as exc:
+        return SpotVerdict(rec, "FAIL", f"illegal step {exc}")
     if total is None:
         return SpotVerdict(rec, "SKIPPED", "chain contains a map-less max-rank step")
     amb_rd = build_root_datum(rec.ambient)

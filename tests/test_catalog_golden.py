@@ -24,7 +24,7 @@ TABLES = ("e8", "e7", "e6", "f4", "g2")
 
 VERIFY_JSONL_SHA256 = "7e5bb60d06605b0fa243f8470328181d486cbbd576e58459b69f871e1f28b163"
 CHAIN_MAPS_SHA256 = "7f36705e298fdc730e625bbe95e1577121bee0c24363026d0650d6cf9444334e"
-GRID_SHA256 = "bb5524df549dfddb93fcdcdd13892c379909561fea6b1c8004a2754cef093e52"
+GRID_SHA256 = "683411dc5a139f1ee4496bd292ac6bf480fcde36bc312f6e081a3261510acf48"
 
 GRID_TAGS = ("alias", "levi", "diag", "auto", "class", "max", "resirr", "tensor", "bogus")
 GRID_TYPES = (

@@ -155,6 +155,23 @@ def test_restrict_split_so2_is_a_usage_error(runner):
     assert result.stdout == ""
 
 
+def test_restrict_illegal_max_step_is_an_error(runner):
+    result = runner.invoke(main, ["restrict", "A1 -[max]-> G2", "1,0"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: (A1, G2): not a listed maximal-rank pair\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("chain, message", [
+    ("A1 -[foo]-> A2", "bad chain: unknown tag 'foo'"),
+    ("A1 -[levi]-> Q9", "bad chain: bad type 'Q9'"),
+])
+def test_restrict_bad_chain_names_no_position(runner, chain, message):
+    result = runner.invoke(main, ["restrict", chain, "1,0"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == f"Error: {message}"
+
+
 def test_orbit_classical(runner):
     result = runner.invoke(main, ["orbit", "classical", "GL", "3,1"])
     assert result.exit_code == 0
@@ -194,6 +211,23 @@ def test_spot_check_cli(runner):
     result = runner.invoke(main, ["spot-check", data_path("f4"), "--lambda", "0,0,0,1"])
     assert result.exit_code == 0
     assert "PASS" in result.output and "SKIPPED" in result.output
+
+
+def test_spot_check_fails_bad_rows_and_runs_on(runner, tmp_path):
+    """An illegal step and a chain that ends elsewhere are FAILs naming their
+    cause; the rows after them still run."""
+    table = tmp_path / "three.tbl"
+    table.write_text("P\tA1.T1\tA1.T1 -[levi]-> G2\n"
+                     "X\tA1\tA1 -[class]-> G2\n"
+                     "Y\tA1\tA1 -[levi]-> A2\n")
+    result = runner.invoke(main, ["spot-check", str(table), "--lambda", "1,0"])
+    assert result.exit_code == 1
+    assert result.stdout.splitlines() == [
+        "PASS P (G2): exact decomposition with 3 terms in A1.T1",
+        "FAIL X (G2): illegal step (A1, G2): no classical block split matches",
+        "FAIL Y (G2): chain ends at A2, ambient is G2",
+    ]
+    assert result.stderr == ""
 
 
 def test_jsonl_schema(runner):

@@ -16,26 +16,13 @@ from donkin.embeddings import (
     EmbeddingStep,
     WeightMap,
     chain_restriction_map,
-    classical_map,
     compose,
-    folding_map,
     match_step,
     normalization_map,
-    resirr_map,
     restrict_character,
     step_map,
-    tensor_map,
 )
-from donkin.errors import (
-    AmbientMismatch,
-    BadIndex,
-    NotAClassicalSplit,
-    NotARestrictedEmbedding,
-    NotATensorEmbedding,
-    TypeMismatch,
-    UnknownPair,
-    UnknownType,
-)
+from donkin.errors import AmbientMismatch, IllegalStep, TypeMismatch, UnknownType
 from donkin.linalg import identity, mat_vec
 from donkin.rootsystem import GroupType, build_root_datum, highest_roots, normalize_type
 
@@ -50,14 +37,19 @@ def identity_map(gtype):
     return WeightMap(gtype, gtype, identity(normalize_type(gtype).rank))
 
 
+def step(tag, sub, amb):
+    """The map of the step ``sub -[tag]-> amb``."""
+    return step_map(EmbeddingStep(tag, G(sub), G(amb)))
+
+
 def levi(sub, amb):
     """The map of the step ``sub -[levi]-> amb`` and its target type."""
-    m = step_map(EmbeddingStep("levi", G(sub), G(amb)))
+    m = step("levi", sub, amb)
     return m, m.target
 
 
 def diag(sub, amb):
-    return step_map(EmbeddingStep("diag", G(sub), G(amb)))
+    return step("diag", sub, amb)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +90,8 @@ def test_levi_written_d1_takes_a_torus_slot(amb):
     """D1 (SO2) is the torus T1: B2.D1 has rank 3 and is no Levi of a rank-2 group."""
     m = match_step(G("B2.D1"), G(amb), "levi")
     assert (m.legal, m.reason) == (False, "not enough central torus for the sub type")
-    with pytest.raises(BadIndex):
-        step_map(EmbeddingStep("levi", G("B2.D1"), G(amb)))
+    with pytest.raises(IllegalStep):
+        step("levi", "B2.D1", amb)
     assert match_step(G("B2.D1"), G("B3"), "levi").legal
 
 
@@ -121,7 +113,7 @@ def test_diag_examples():
 # foldings
 
 def test_folding_a3_c2():
-    m = folding_map(G("A3"), G("C2"))
+    m = step("auto", "C2", "A3")
     # both outer nodes restrict to the first C2 fundamental weight, which is
     # the spin coordinate once Sp4 is normalized to B2
     conv = normalization_map(G("C2"))
@@ -130,14 +122,14 @@ def test_folding_a3_c2():
 
 
 def test_folding_d4_g2_triality():
-    m = folding_map(G("D4"), G("G2"))
+    m = step("auto", "G2", "D4")
     outer = [m.apply(fw(4, i)) for i in (0, 2, 3)]
     assert outer == [(1, 0)] * 3
     assert m.apply(fw(4, 1)) == (0, 1)
 
 
 def test_folding_e6_f4():
-    m = folding_map(G("E6"), G("F4"))
+    m = step("auto", "F4", "E6")
     # orbit structure: {2}, {4}, {3,5}, {1,6}
     assert m.matrix == ((0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
                        (0, 0, 1, 0, 1, 0), (1, 0, 0, 0, 0, 1))
@@ -158,9 +150,9 @@ def test_folding_catalog_exact():
     accepted = set()
     for amb, sub in itertools.product(simple, simple):
         try:
-            folding_map(G(amb), G(sub))
+            step("auto", sub, amb)
             accepted.add((amb, str(normalize_type(G(sub)))))
-        except UnknownPair:
+        except IllegalStep:
             pass
     assert accepted == hand
 
@@ -168,12 +160,12 @@ def test_folding_catalog_exact():
 def test_folding_adjoint_nonneg():
     a3 = build_root_datum("A3")
     adj = dual_weyl_character(a3, (1, 0, 1))
-    r = restrict_character(adj, folding_map(G("A3"), G("C2")))
+    r = restrict_character(adj, step("auto", "C2", "A3"))
     dec = decompose_dual_weyl(build_root_datum("B2"), r)
     assert dec.exact and r.dim() == 15
     d4 = build_root_datum("D4")
     adj4 = dual_weyl_character(d4, (0, 1, 0, 0))
-    r4 = restrict_character(adj4, folding_map(G("D4"), G("G2")))
+    r4 = restrict_character(adj4, step("auto", "G2", "D4"))
     dec4 = decompose_dual_weyl(build_root_datum("G2"), r4)
     assert dec4.exact and r4.dim() == 28
 
@@ -182,7 +174,7 @@ def test_folding_adjoint_nonneg():
 # classical splits
 
 def test_classical_sp_split():
-    m = classical_map(G("C1.C1"), G("C2"))
+    m = step("class", "C1.C1", "C2")
     c2 = build_root_datum("B2")  # normalized Sp4
     conv = normalization_map(G("C2"))
     nat = dual_weyl_character(c2, conv.apply((1, 0)))
@@ -193,7 +185,7 @@ def test_classical_sp_split():
 
 
 def test_classical_so_split_b1b6_in_d8():
-    m = classical_map(G("B1.B6"), G("D8"))
+    m = step("class", "B1.B6", "D8")
     d8 = build_root_datum("D8")
     nat = dual_weyl_character(d8, fw(8, 0))
     r = restrict_character(nat, m)
@@ -204,8 +196,8 @@ def test_classical_so_split_b1b6_in_d8():
 
 
 def test_classical_so2_rejected():
-    with pytest.raises(NotAClassicalSplit):
-        classical_map(G("D1"), G("A1"))  # SO2 in SL2: r >= 3 required
+    with pytest.raises(IllegalStep):
+        step("class", "D1", "A1")  # SO2 in SL2: r >= 3 required
 
 
 @pytest.mark.parametrize("sub,amb", [("D1", "B1"), ("B2.D1", "B3"), ("B2.D1", "D4")])
@@ -214,12 +206,12 @@ def test_classical_split_so2_rejected(sub, amb):
     # half-characters of the SO2, so the step has no integral weight map
     m = match_step(G(sub), G(amb), "class")
     assert (m.legal, m.reason) == (False, "a split SO2 factor lifts to a double-cover torus")
-    with pytest.raises(NotAClassicalSplit, match="double-cover torus"):
-        step_map(EmbeddingStep("class", G(sub), G(amb)))
+    with pytest.raises(IllegalStep, match="double-cover torus"):
+        step("class", sub, amb)
 
 
 def test_classical_sl_so():
-    m = classical_map(G("B2"), G("A4"))  # SO5 in SL5
+    m = step("class", "B2", "A4")  # SO5 in SL5
     a4 = build_root_datum("A4")
     nat = dual_weyl_character(a4, fw(4, 0))
     r = restrict_character(nat, m)
@@ -227,7 +219,7 @@ def test_classical_sl_so():
 
 
 def test_classical_sl_sp():
-    m = classical_map(G("C3"), G("A5"))  # Sp6 in SL6
+    m = step("class", "C3", "A5")  # Sp6 in SL6
     a5 = build_root_datum("A5")
     nat = dual_weyl_character(a5, fw(5, 0))
     r = restrict_character(nat, m)
@@ -235,7 +227,7 @@ def test_classical_sl_sp():
 
 
 def test_classical_defect_one():
-    m = classical_map(G("B3"), G("D4"))  # SO7 in SO8
+    m = step("class", "B3", "D4")  # SO7 in SO8
     d4 = build_root_datum("D4")
     r = restrict_character(dual_weyl_character(d4, fw(4, 0)), m)
     dec = decompose_dual_weyl(build_root_datum("B3"), r)
@@ -243,17 +235,17 @@ def test_classical_defect_one():
 
 
 def test_classical_spectators():
-    m = classical_map(G("B4.A1.B1"), G("A1.D6"))
+    m = step("class", "B4.A1.B1", "A1.D6")
     assert normalize_type(m.source) == normalize_type(G("A1.D6"))
-    with pytest.raises(NotAClassicalSplit):
-        classical_map(G("B4.A1.B1"), G("A1.D7"))
+    with pytest.raises(IllegalStep):
+        step("class", "B4.A1.B1", "A1.D7")
 
 
 # ---------------------------------------------------------------------------
 # restricted irreducibles
 
 def test_resirr_identity():
-    m = resirr_map(G("A1"), G("A1"))
+    m = step("resirr", "A1", "A1")
     assert m.matrix == ((1,),)
 
 
@@ -261,29 +253,29 @@ def test_resirr_identity():
 def test_resirr_a_family_natural_restriction(n):
     amb = build_root_datum(f"A{n}")
     a1 = build_root_datum("A1")
-    m = resirr_map(G("A1"), G(f"A{n}"))
+    m = step("resirr", "A1", f"A{n}")
     nat = dual_weyl_character(amb, fw(n, 0))
     assert restrict_character(nat, m) == dual_weyl_character(a1, (n,))
 
 
 def test_resirr_a7_a2_and_a6_g2():
     a7 = build_root_datum("A7")
-    m = resirr_map(G("A2"), G("A7"))
+    m = step("resirr", "A2", "A7")
     assert restrict_character(dual_weyl_character(a7, fw(7, 0)), m) == \
         dual_weyl_character(build_root_datum("A2"), (1, 1))
     a6 = build_root_datum("A6")
-    m2 = resirr_map(G("G2"), G("A6"))
+    m2 = step("resirr", "G2", "A6")
     assert restrict_character(dual_weyl_character(a6, fw(6, 0)), m2) == \
         dual_weyl_character(build_root_datum("G2"), (1, 0))
 
 
 def test_resirr_rejects():
-    with pytest.raises(NotARestrictedEmbedding):
-        resirr_map(G("A2"), G("A6"))
-    with pytest.raises(NotARestrictedEmbedding):
-        resirr_map(G("G2"), G("A7"))
-    with pytest.raises(NotARestrictedEmbedding):
-        resirr_map(G("B2"), G("A4"))
+    with pytest.raises(IllegalStep):
+        step("resirr", "A2", "A6")
+    with pytest.raises(IllegalStep):
+        step("resirr", "G2", "A7")
+    with pytest.raises(IllegalStep):
+        step("resirr", "B2", "A4")
 
 
 def test_resirr_prime_bounds():
@@ -300,7 +292,7 @@ def test_resirr_prime_bounds():
 # tensor embeddings
 
 def test_tensor_sp2_in_so4():
-    m = tensor_map(G("C1"), G("D2"))
+    m = step("tensor", "C1", "D2")
     d2 = build_root_datum("A1.A1")
     nat = dual_weyl_character(d2, (1, 1))
     r = restrict_character(nat, m)
@@ -311,7 +303,7 @@ def test_tensor_sp2_in_so4():
 
 
 def test_tensor_so3_in_so9():
-    m = tensor_map(G("B1"), G("B4"))
+    m = step("tensor", "B1", "B4")
     b4 = build_root_datum("B4")
     r = restrict_character(dual_weyl_character(b4, fw(4, 0)), m)
     dec = decompose_dual_weyl(build_root_datum("A1"), r)
@@ -320,7 +312,7 @@ def test_tensor_so3_in_so9():
 
 
 def test_tensor_sp4_in_so16():
-    m = tensor_map(G("C2"), G("D8"))
+    m = step("tensor", "C2", "D8")
     d8 = build_root_datum("D8")
     r = restrict_character(dual_weyl_character(d8, fw(8, 0)), m)
     dec = decompose_dual_weyl(build_root_datum("B2"), r)
@@ -329,10 +321,10 @@ def test_tensor_sp4_in_so16():
 
 
 def test_tensor_rejects():
-    with pytest.raises(NotATensorEmbedding):
-        tensor_map(G("B1"), G("B3"))  # 7 is not a multiple of 3
-    with pytest.raises(NotATensorEmbedding):
-        tensor_map(G("A1"), G("D4"))  # plain A1 names no classical form
+    with pytest.raises(IllegalStep):
+        step("tensor", "B1", "B3")  # 7 is not a multiple of 3
+    with pytest.raises(IllegalStep):
+        step("tensor", "A1", "D4")  # plain A1 names no classical form
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +366,11 @@ def test_max_rank_rejects():
 # composition and chains
 
 def test_compose_identity_and_associativity():
-    f = folding_map(G("A3"), G("C2"))
+    f = step("auto", "C2", "A3")
     assert compose(identity_map(G("A3")), f).matrix == f.matrix
     assert compose(f, identity_map(G("C2"))).matrix == f.matrix
-    m1 = classical_map(G("D4"), G("B4"))  # SO8 in SO9
-    m2 = folding_map(G("D4"), G("G2"))
+    m1 = step("class", "D4", "B4")  # SO8 in SO9
+    m2 = step("auto", "G2", "D4")
     m3 = diag("G2", "G2")
     left = compose(compose(m1, m2), m3)
     right = compose(m1, compose(m2, m3))
@@ -389,8 +381,8 @@ def test_compose_identity_and_associativity():
 
 def test_sequential_equals_composed_restriction():
     # partial chain of an F4-ambient row: G2 -auto-> D4 -class-> B4
-    m1 = classical_map(G("D4"), G("B4"))
-    m2 = folding_map(G("D4"), G("G2"))
+    m1 = step("class", "D4", "B4")
+    m2 = step("auto", "G2", "D4")
     b4 = build_root_datum("B4")
     chi = dual_weyl_character(b4, (0, 0, 0, 1))  # 16-dim spin
     seq = restrict_character(restrict_character(chi, m1), m2)
@@ -407,7 +399,9 @@ def test_chain_restriction_map():
     total = chain_restriction_map(steps)
     assert normalize_type(total.source) == G("E8")
     assert normalize_type(total.target) == G("G2")
-    with_max = steps + (EmbeddingStep("max", G("E8"), G("E8")),)
+    # the shipped g2 row A1: its legal max step carries no weight map
+    with_max = (EmbeddingStep("levi", G("A1"), G("A1.A1")),
+                EmbeddingStep("max", G("A1.A1"), G("G2")))
     assert chain_restriction_map(with_max) is None
 
 
@@ -592,17 +586,21 @@ def test_levi_skips_unknown_subdiagrams(monkeypatch, fresh_levi_cache):
     assert (m.legal, m.reason) == (False, "no Levi subdiagram matches")
 
 
-@pytest.mark.parametrize("tag,sub,amb,error", [
-    ("levi", "G2", "E8", "BadIndex"),
-    ("diag", "A2", "A1.A1", "TypeMismatch"),
-    ("alias", "A2", "B2", "TypeMismatch"),
-    ("auto", "G2", "E8", "UnknownPair"),
-    ("class", "G2", "D4", "NotAClassicalSplit"),
-    ("resirr", "B2", "A4", "NotARestrictedEmbedding"),
-    ("tensor", "A1", "D4", "NotATensorEmbedding"),
-    ("bogus", "A1", "A1", "TypeMismatch"),
+@pytest.mark.parametrize("tag,sub,amb", [
+    ("levi", "G2", "E8"),
+    ("diag", "A2", "A1.A1"),
+    ("alias", "A2", "B2"),
+    ("auto", "G2", "E8"),
+    ("class", "G2", "D4"),
+    ("max", "A1", "G2"),
+    ("resirr", "B2", "A4"),
+    ("tensor", "A1", "D4"),
+    ("bogus", "A1", "A1"),
 ])
-def test_step_map_error_class_per_tag(tag, sub, amb, error):
-    with pytest.raises(Exception) as exc:
-        step_map(EmbeddingStep(tag, G(sub), G(amb)))
-    assert type(exc.value).__name__ == error
+def test_step_map_illegal_step_per_tag(tag, sub, amb):
+    """step_map is the one legality gate: a rejected step of every clause, an
+    unlisted max pair and an unknown tag raise IllegalStep with its reason."""
+    reason = match_step(G(sub), G(amb), tag).reason
+    with pytest.raises(IllegalStep) as exc:
+        step(tag, sub, amb)
+    assert str(exc.value) == f"({sub}, {amb}): {reason}"

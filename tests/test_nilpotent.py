@@ -18,6 +18,7 @@ from donkin.nilpotent import (
     OrbitRecord,
     centralizer_dimension,
     centralizer_factor_labels,
+    parse_chain,
     parse_orbit_tables,
     reductive_centralizer,
     reductive_dimension,
@@ -147,11 +148,27 @@ def test_parse_errors_carry_position():
     assert exc.value.line == 1
     with pytest.raises(TableSyntaxError) as exc:
         parse_orbit_tables("A1\tE7\tE7 -[bogus]-> E8\n")
-    assert "bogus" in str(exc.value)
+    assert str(exc.value) == "line 1, column 7: unknown tag 'bogus'"
     with pytest.raises(TableSyntaxError):
         parse_orbit_tables("A1\tE7\tE7 -[levi]-> E8 \n")  # trailing whitespace
     with pytest.raises(TableSyntaxError):
         parse_orbit_tables("A1\tZ9\tTORUS\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("E7 -[bogus]-> E8", "unknown tag 'bogus'"),
+    ("E7 -[levi]-> Q9", "bad type 'Q9'"),
+    ("E7", "chain needs at least one step"),
+])
+def test_parse_chain_errors(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_chain(text)
+    assert str(exc.value) == message
+
+
+def test_parse_chain_is_the_table_chain_cell():
+    text = "B6 -[levi]-> B1.B6 -[class,p>2]-> D8 -[max,p>2]-> E8"
+    assert parse_chain(text) == parse_orbit_tables(f"A1^2\tB6\t{text}\n")[0].chain
 
 
 def test_explicit_ambient_overrides_inference():
