@@ -42,6 +42,7 @@ from .rootsystem import (
     Weight,
     _classify_nodes,
     build_root_datum,
+    cartan_matrix,
     normal_parts,
     normalize_type,
 )
@@ -358,17 +359,17 @@ def _diag_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
 
 @functools.lru_cache(maxsize=None)
 def _match_levi(sub: GroupType, amb: GroupType) -> StepMatch:
-    rd = build_root_datum(amb)
+    cartan = cartan_matrix(amb)
     norm = normalize_type(sub)
     want = sorted((f.letter, f.rank) for f in norm.factors if not f.is_torus)
     total = sum(r for _, r in want)
-    candidates = [i + 1 for i in range(rd.rank) if not rd.torus[i]]
+    candidates = [i + 1 for i, row in enumerate(cartan) if row[i]]
     if total > len(candidates):
         return StepMatch(False, "subgroup rank exceeds the ambient diagram")
     hit = None
     for nodes in itertools.combinations(candidates, total):
         try:
-            comps = _classify_nodes(rd, nodes)
+            comps = _classify_nodes(cartan, nodes)
         except UnknownType:
             continue
         if sorted((st.letter, st.rank) for st, _ in comps) == want:
@@ -376,7 +377,7 @@ def _match_levi(sub: GroupType, amb: GroupType) -> StepMatch:
             break
     if hit is None and total > 0:
         return StepMatch(False, "no Levi subdiagram matches")
-    if norm.torus_rank() > rd.rank - total:
+    if norm.torus_rank() > len(cartan) - total:
         return StepMatch(False, "not enough central torus for the sub type")
     # components come sorted by (letter, -rank, first node), as the normal
     # form's semisimple factors are
@@ -391,14 +392,13 @@ def _levi_map(sub: GroupType, amb: GroupType, comps) -> WeightMap:
     Bourbaki numbering; the central-torus rows are an integral basis of the
     functionals vanishing on the Levi's root lattice.
     """
-    rd = build_root_datum(amb)
-    n = rd.rank
-    unit = linalg.identity(n)
+    cartan = cartan_matrix(amb)
+    unit = linalg.identity(len(cartan))
     used = sorted(node for _, order in comps for node in order)
     rows = [unit[node] for _, order in comps for node in order]
     if used:
         kernel = linalg.left_integer_kernel(
-            tuple(tuple(rd.cartan[i][j] for j in used) for i in range(n)))
+            tuple(tuple(row[j] for j in used) for row in cartan))
     else:
         kernel = unit
     rows.extend(kernel[:normalize_type(sub).torus_rank()])

@@ -209,12 +209,12 @@ def parse_chain(text: str) -> tuple[EmbeddingStep, ...]:
     return tuple(steps)
 
 
-def parse_orbit_tables(text: str, ambient: GroupType | None = None) -> list[OrbitRecord]:
+def parse_orbit_tables(text: str) -> list[OrbitRecord]:
     """Parse a table file into records.
 
-    The grammar has no ambient column; when ``ambient`` is not given it is
-    inferred per file as the most common chain endpoint, so that a corrupted
-    row surfaces as an endpoint mismatch during verification rather than here.
+    The grammar has no ambient column; the ambient is inferred per file as
+    the most common chain endpoint, so that a corrupted row surfaces as an
+    endpoint mismatch during verification rather than here.
     """
     records: list[OrbitRecord] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -237,9 +237,8 @@ def parse_orbit_tables(text: str, ambient: GroupType | None = None) -> list[Orbi
             raise TableSyntaxError(lineno, col, str(exc)) from None
         records.append(OrbitRecord(label, centralizer, chain))
     ends = Counter(str(normalize_type(r.chain_end())) for r in records if r.chain)
-    if ambient is None and ends:
+    if ends:
         ambient = GroupType.parse(ends.most_common(1)[0][0])
-    if ambient is not None:
         records = [OrbitRecord(r.label, r.centralizer, r.chain, ambient)
                    for r in records]
     return records

@@ -209,6 +209,21 @@ def _simple_cartan(letter: str, rank: int) -> tuple[list[list[int]], list[int]]:
     return a, d
 
 
+@functools.lru_cache(maxsize=None)
+def cartan_matrix(gtype: GroupType) -> linalg.IntMatrix:
+    """Cartan matrix of ``normalize_type(gtype)``, block diagonal over its
+    factors; torus coordinates give zero rows and columns."""
+    gtype = normalize_type(gtype)
+    cartan = [[0] * gtype.rank for _ in range(gtype.rank)]
+    offset = 0
+    for fac in gtype.factors:
+        block, _ = _simple_cartan(fac.letter, fac.rank)
+        for i, row in enumerate(block):
+            cartan[offset + i][offset:offset + fac.rank] = row
+        offset += fac.rank
+    return tuple(map(tuple, cartan))
+
+
 def _simple_positive_roots(letter: str, rank: int) -> list[tuple[int, ...]]:
     """Positive roots in root coordinates, by root-string closure."""
     if letter == "T":
@@ -265,8 +280,8 @@ class RootDatum:
         self.gtype = gtype
         self.rank = gtype.rank
         n = self.rank
-        cartan = [[0] * n for _ in range(n)]
-        torus = [False] * n
+        self.cartan = cartan = cartan_matrix(gtype)
+        self.torus = torus = tuple(row[i] == 0 for i, row in enumerate(cartan))
         gram = [[Fraction(0)] * n for _ in range(n)]
         pos_roots: list[Weight] = []
         pos_coroots: list[Weight] = []
@@ -274,15 +289,12 @@ class RootDatum:
         for fac in gtype.factors:
             r = fac.rank
             if fac.is_torus:
-                for i in range(r):
-                    torus[offset + i] = True
                 offset += r
                 continue
             block, d = _simple_cartan(fac.letter, fac.rank)
             inv = linalg.rational_inverse(block)
             for i in range(r):
                 for j in range(r):
-                    cartan[offset + i][offset + j] = block[i][j]
                     gram[offset + i][offset + j] = inv[j][i] * d[j]
             for rc in _simple_positive_roots(fac.letter, fac.rank):
                 fw = [0] * n
@@ -299,8 +311,6 @@ class RootDatum:
                 pos_roots.append(tuple(fw))
                 pos_coroots.append(tuple(cv))
             offset += r
-        self.cartan = tuple(tuple(row) for row in cartan)
-        self.torus = tuple(torus)
         self.positive_roots = tuple(pos_roots)
         self.positive_coroots = tuple(pos_coroots)
         self.gram_scale = math.lcm(*(x.denominator for row in gram for x in row))
@@ -528,18 +538,20 @@ def _component_order(comp: list[int], cartan, adj) -> tuple[SimpleType, list[int
     raise UnknownType("not a Dynkin subdiagram")
 
 
-def _classify_nodes(rd: RootDatum, nodes) -> list[tuple[SimpleType, list[int]]]:
-    """Split a node subset into classified components with Bourbaki node order.
+def _classify_nodes(cartan, nodes) -> list[tuple[SimpleType, list[int]]]:
+    """Split a node subset of a Cartan matrix (:func:`cartan_matrix`) into
+    classified components with Bourbaki node order.
 
-    ``nodes`` are 1-based coordinate indices; torus coordinates are invalid.
-    The returned node lists are 0-based coordinate indices.
+    ``nodes`` are 1-based coordinate indices; torus coordinates (a zero
+    diagonal entry) are invalid.  The returned node lists are 0-based
+    coordinate indices.
     """
     idx = sorted(set(nodes))
     for i in idx:
-        if not 1 <= i <= rd.rank or rd.torus[i - 1]:
-            raise BadIndex(f"node {i} outside the diagram of {rd.gtype}")
+        if not 1 <= i <= len(cartan) or cartan[i - 1][i - 1] == 0:
+            raise BadIndex(f"node {i} outside a diagram of rank {len(cartan)}")
     sel = [i - 1 for i in idx]
-    adj = {u: [v for v in sel if v != u and rd.cartan[u][v] != 0] for u in sel}
+    adj = {u: [v for v in sel if v != u and cartan[u][v] != 0] for u in sel}
     comps = []
     seen: set[int] = set()
     for u in sel:
@@ -558,9 +570,9 @@ def _classify_nodes(rd: RootDatum, nodes) -> list[tuple[SimpleType, list[int]]]:
         comps.append(sorted(comp))
     out = []
     for comp in comps:
-        stype, order = _component_order(comp, rd.cartan, adj)
+        stype, order = _component_order(comp, cartan, adj)
         block, _ = _simple_cartan(stype.letter, stype.rank)
-        got = [[rd.cartan[u][v] for v in order] for u in order]
+        got = [[cartan[u][v] for v in order] for u in order]
         if got != block:
             raise AssertionError(f"subdiagram classification failed near nodes {comp}")
         out.append((stype, order))

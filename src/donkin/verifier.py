@@ -1,13 +1,14 @@
-"""Batch validation of orbit records: step legality, endpoint matching,
+"""Validation of orbit records: step legality, endpoint matching,
 prime-bound composition, and character-level spot checks.
 
 Verdicts are data, not exceptions, so a run over a whole table reports every
-failure.  Reports come back in input order.
+failure.  :func:`verify_record` is the one gate for a row, and
+:func:`spot_check` runs it before the character check.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .characters import (
     FormalCharacter,
@@ -21,7 +22,7 @@ from .embeddings import (
     match_step,
     restrict_character,
 )
-from .errors import IllegalStep, UnknownType
+from .errors import UnknownType
 from .nilpotent import OrbitRecord
 from .rootsystem import GroupType, build_root_datum, is_dominant, normalize_type
 
@@ -31,8 +32,6 @@ _GOOD = {"A": 2, "B": 3, "C": 3, "D": 3, "F": 5, "G": 5, "T": 2}
 
 def good_prime_bound(g: GroupType) -> int:
     """Smallest prime that is good for every factor; max over a product."""
-    if isinstance(g, str):
-        g = GroupType.parse(g)
     bound = 2
     for f in normalize_type(g).factors:
         if f.letter == "E":
@@ -98,45 +97,36 @@ class VerificationReport:
         }
 
 
-def _end_mismatch(rec: OrbitRecord) -> str | None:
-    """Why a chain does not end at its record's ambient group, or None."""
-    if normalize_type(rec.chain_end()) == normalize_type(rec.ambient):
-        return None
-    return f"chain ends at {rec.chain_end()}, ambient is {rec.ambient}"
-
-
 def verify_record(rec: OrbitRecord) -> VerificationReport:
-    """Step-wise legality, endpoint matching, and prime-bound comparison.
+    """The one gate for a table row: step legality, endpoint matching and
+    the prime-bound comparison, each failed condition adding one note.
 
-    TORUS records pass unconditionally: restriction to a torus trivially
-    preserves characters of modules with a good filtration.
+    A chain row passes exactly when it has no note; an illegal step's note
+    reads ``illegal step (SUB, AMB): REASON``.  TORUS records pass
+    unconditionally: restriction to a torus trivially preserves characters of
+    modules with a good filtration.
     """
+    bound = good_prime_bound(rec.ambient) if rec.ambient is not None else None
     if rec.is_torus:
-        bound = good_prime_bound(rec.ambient) if rec.ambient else None
         return VerificationReport(rec, (), 1, bound, True, True, True,
                                   ("torus centralizer",))
     verdicts = tuple(check_step(s) for s in rec.chain)
-    notes = []
+    notes = [f"illegal step ({v.step.sub}, {v.step.amb}): {v.reason}"
+             for v in verdicts if not v.legal]
     p_min = max((v.p_min for v in verdicts), default=1)
     start_ok = normalize_type(rec.chain[0].sub) == normalize_type(rec.centralizer)
     if not start_ok:
         notes.append(f"chain starts at {rec.chain[0].sub}, centralizer is {rec.centralizer}")
-    continuity = all(
-        rec.chain[i].amb == rec.chain[i + 1].sub for i in range(len(rec.chain) - 1))
-    if not continuity:
+    if any(a.amb != b.sub for a, b in zip(rec.chain, rec.chain[1:])):
         notes.append("chain is not contiguous")
-    end_note = _end_mismatch(rec) if rec.ambient is not None else None
-    end_ok = end_note is None
+    end_ok = (rec.ambient is None
+              or normalize_type(rec.chain_end()) == normalize_type(rec.ambient))
     if not end_ok:
-        notes.append(end_note)
-    bound = good_prime_bound(rec.ambient) if rec.ambient is not None else None
-    bound_ok = bound is None or p_min <= bound
-    if not bound_ok:
+        notes.append(f"chain ends at {rec.chain_end()}, ambient is {rec.ambient}")
+    if bound is not None and p_min > bound:
         notes.append(f"composed bound p>={p_min} exceeds the good-prime bound {bound}")
-    passed = (all(v.legal for v in verdicts) and start_ok and end_ok
-              and continuity and bound_ok)
     return VerificationReport(rec, verdicts, p_min, bound, start_ok, end_ok,
-                              passed, tuple(notes))
+                              not notes, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -160,24 +150,23 @@ def _ambient_character(gtype: GroupType, lam: tuple[int, ...]) -> FormalCharacte
 
 
 def spot_check(rec: OrbitRecord, lam) -> SpotVerdict:
-    """Restrict the ambient dual Weyl character along the chain and demand an
-    exact nonnegative dual-Weyl decomposition at the bottom.
+    """:func:`verify_record`, then restrict the ambient dual Weyl character
+    along the chain and demand an exact nonnegative dual-Weyl decomposition
+    at the bottom.
 
-    Records with map-less steps (maximal-rank steps) or no chain at all are
-    reported SKIPPED rather than failed; a chain that ends elsewhere than the
-    ambient group or has an illegal step is a FAIL naming its cause.
+    Torus rows, rows with no ambient group and chains with a map-less
+    (maximal-rank) step are SKIPPED; a row that :func:`verify_record` fails
+    is a FAIL naming its notes, so ``verify-tables`` and ``spot-check`` fail
+    the same rows for the same causes.
     """
     if rec.is_torus:
         return SpotVerdict(rec, "SKIPPED", "torus centralizer carries no map data")
     if rec.ambient is None:
         return SpotVerdict(rec, "SKIPPED", "record has no ambient group")
-    end_note = _end_mismatch(rec)
-    if end_note is not None:
-        return SpotVerdict(rec, "FAIL", end_note)
-    try:
-        total = chain_restriction_map(rec.chain)
-    except IllegalStep as exc:
-        return SpotVerdict(rec, "FAIL", f"illegal step {exc}")
+    report = verify_record(rec)
+    if not report.passed:
+        return SpotVerdict(rec, "FAIL", "; ".join(report.notes))
+    total = chain_restriction_map(rec.chain)
     if total is None:
         return SpotVerdict(rec, "SKIPPED", "chain contains a map-less max-rank step")
     amb_rd = build_root_datum(rec.ambient)
@@ -196,24 +185,3 @@ def spot_check(rec: OrbitRecord, lam) -> SpotVerdict:
     return SpotVerdict(rec, "PASS",
                        f"exact decomposition with {len(dec.terms)} terms in "
                        f"{sub_rd.gtype}", dec.terms)
-
-
-@dataclass
-class Summary:
-    reports: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return sum(1 for r in self.reports if r.passed)
-
-    @property
-    def failed(self):
-        return sum(1 for r in self.reports if not r.passed)
-
-
-def verify_all(records) -> Summary:
-    """Verify records in input order; exit status belongs to the CLI."""
-    s = Summary()
-    for rec in records:
-        s.reports.append(verify_record(rec))
-    return s

@@ -47,7 +47,7 @@ def dominant_representative(rd, w):
 
 def subdiagram_type(rd, nodes) -> GroupType:
     """Group type of the induced Dynkin subdiagram plus a torus of the corank."""
-    facs = [st for st, _ in _classify_nodes(rd, nodes)]
+    facs = [st for st, _ in _classify_nodes(rd.cartan, nodes)]
     corank = rd.rank - sum(st.rank for st in facs)
     if corank:
         facs.append(SimpleType("T", corank))

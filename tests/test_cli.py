@@ -230,6 +230,32 @@ def test_spot_check_fails_bad_rows_and_runs_on(runner, tmp_path):
     assert result.stderr == ""
 
 
+def test_verify_tables_and_spot_check_fail_the_same_rows(runner, tmp_path):
+    """Both commands run one gate per row: they FAIL the same rows with the
+    same causes, an illegal step under a max step included, and exit 1."""
+    table = tmp_path / "five.tbl"
+    table.write_text("P\tA1.T1\tA1.T1 -[levi]-> G2\n"
+                     "Q\tA1\tA1 -[class]-> A1.A1 -[max]-> G2\n"
+                     "W\tA1\tA1.T1 -[levi]-> G2\n"
+                     "A\tA1.T1\tA1.T1 -[levi,p>3]-> G2\n"
+                     "R\tA1.T1\tA1.T1 -[levi]-> G2\n")
+    causes = {
+        "Q": "illegal step (A1, A1.A1): no classical block split matches",
+        "W": "chain starts at A1.T1, centralizer is A1",
+        "A": "illegal step (A1.T1, G2): annotated p>3 disagrees with the catalog "
+             "bound (minimal prime 1)",
+    }
+    verified = runner.invoke(main, ["verify-tables", str(table)])
+    spot = runner.invoke(main, ["spot-check", str(table), "--lambda", "1,0"])
+    assert (verified.exit_code, spot.exit_code) == (1, 1)
+    assert [line for line in verified.stdout.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL {label} (G2): p_min=1, bound=5 -- {cause}" for label, cause in causes.items()]
+    assert [line for line in spot.stdout.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL {label} (G2): {cause}" for label, cause in causes.items()]
+    assert "summary: 2 passed, 3 failed" in verified.stdout
+    assert spot.stdout.count("PASS") == 2
+
+
 def test_jsonl_schema(runner):
     result = runner.invoke(main, ["--format", "jsonl", "verify-tables", data_path("g2")])
     assert result.exit_code == 0

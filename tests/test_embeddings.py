@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import donkin.embeddings as emb
+import donkin.rootsystem as rootsystem
 from conftest import external_product
 from donkin.characters import (
     FormalCharacter,
@@ -569,7 +570,7 @@ def fresh_levi_cache():
 
 def test_levi_classifier_bug_propagates(monkeypatch, fresh_levi_cache):
     """A failed subdiagram classification is a bug, not a non-matching subset."""
-    def broken(rd, nodes):
+    def broken(cartan, nodes):
         raise AssertionError("subdiagram classification failed near nodes [0]")
 
     monkeypatch.setattr(emb, "_classify_nodes", broken)
@@ -577,8 +578,19 @@ def test_levi_classifier_bug_propagates(monkeypatch, fresh_levi_cache):
         match_step(G("A1"), G("A2"), "levi")
 
 
+def test_levi_step_builds_no_root_datum(fresh_levi_cache):
+    """The Levi clause reads the ambient's Cartan matrix only: matching and
+    building a step into a fresh product ambient build no root datum."""
+    rootsystem._datum_cache.cache_clear()
+    rootsystem.cartan_matrix.cache_clear()
+    assert match_step(G("A1.A5.T1"), G("A1.E7"), "levi").legal
+    m = step("levi", "A1.A5.T1", "A1.E7")
+    assert (len(m.matrix), len(m.matrix[0])) == (7, 8)
+    assert rootsystem._datum_cache.cache_info().currsize == 0
+
+
 def test_levi_skips_unknown_subdiagrams(monkeypatch, fresh_levi_cache):
-    def unknown(rd, nodes):
+    def unknown(cartan, nodes):
         raise UnknownType("not a Dynkin diagram")
 
     monkeypatch.setattr(emb, "_classify_nodes", unknown)

@@ -171,12 +171,6 @@ def test_parse_chain_is_the_table_chain_cell():
     assert parse_chain(text) == parse_orbit_tables(f"A1^2\tB6\t{text}\n")[0].chain
 
 
-def test_explicit_ambient_overrides_inference():
-    recs = parse_orbit_tables("x\tA1\tA1 -[levi]-> E7\n",
-                              ambient=GroupType.parse("E8"))
-    assert str(recs[0].ambient) == "E8"
-
-
 def test_shipped_tables_roundtrip(shipped_tables):
     for recs in shipped_tables.values():
         assert parse_orbit_tables(serialize_orbit_tables(recs)) == recs

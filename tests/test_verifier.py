@@ -1,15 +1,16 @@
+import dataclasses
+
 import pytest
 
-from donkin.embeddings import EmbeddingStep
+from donkin.embeddings import _CLAUSES, EmbeddingStep, match_step
 from donkin.errors import UnknownType
 from donkin.nilpotent import OrbitRecord, parse_orbit_tables
-from donkin.rootsystem import GroupType
+from donkin.rootsystem import GroupType, SimpleType
 from donkin.verifier import (
     _ambient_character,
     check_step,
     good_prime_bound,
     spot_check,
-    verify_all,
     verify_record,
 )
 
@@ -63,10 +64,10 @@ def test_verify_torus_record():
 
 
 def test_endpoint_mismatch_fails():
-    recs = parse_orbit_tables("A1\tA1\tA1 -[levi]-> E7\n",
-                              ambient=G("E8"))
-    rep = verify_record(recs[0])
+    rec = parse_orbit_tables("A1\tA1\tA1 -[levi]-> E7\n")[0]
+    rep = verify_record(dataclasses.replace(rec, ambient=G("E8")))
     assert not rep.passed and not rep.end_ok
+    assert rep.notes == ("chain ends at E7, ambient is E8",)
 
 
 def test_start_mismatch_fails():
@@ -87,18 +88,18 @@ def test_verify_all_ordering_and_counts():
     text = ("good\tE7\tE7 -[levi]-> E8\n"
             "bad\tG2\tG2 -[levi]-> E8\n"
             "torus\tT1\tTORUS\n")
-    summary = verify_all(parse_orbit_tables(text))
-    assert [r.record.label for r in summary.reports] == ["good", "bad", "torus"]
-    assert summary.passed == 2 and summary.failed == 1
+    reports = [verify_record(r) for r in parse_orbit_tables(text)]
+    assert [r.record.label for r in reports] == ["good", "bad", "torus"]
+    assert [r.passed for r in reports] == [True, False, True]
 
 
 def test_shipped_tables_all_pass(shipped_tables):
     for name, recs in shipped_tables.items():
-        summary = verify_all(recs)
-        bad = [r.record.label for r in summary.reports if not r.passed]
+        reports = [verify_record(r) for r in recs]
+        bad = [r.record.label for r in reports if not r.passed]
         assert not bad, (name, bad)
         bound = 7 if name == "e8" else 5
-        for rep in summary.reports:
+        for rep in reports:
             assert rep.p_min <= bound
 
 
@@ -106,10 +107,46 @@ def test_corrupted_row_reported_with_label(shipped_tables):
     from donkin.nilpotent import serialize_orbit_tables
     recs = list(shipped_tables["g2"])
     broken = OrbitRecord("BROKEN", G("B2"), recs[0].chain, recs[0].ambient)
-    summary = verify_all(recs + [broken])
-    failures = [r for r in summary.reports if not r.passed]
+    reports = [verify_record(r) for r in recs + [broken]]
+    failures = [r for r in reports if not r.passed]
     assert len(failures) == 1 and failures[0].record.label == "BROKEN"
     assert parse_orbit_tables(serialize_orbit_tables(recs)) == recs
+
+
+def _mutations(rec):
+    """The row with a wrong centralizer type, with its first step under a
+    tag whose clause rejects it, and with its last step's p> annotation
+    contradicting the catalog."""
+    first, last = rec.chain[0], rec.chain[-1]
+    torus = GroupType(rec.centralizer.factors + (SimpleType("T", 1),))
+    tag = next(t for t in sorted(_CLAUSES)
+               if not match_step(first.sub, first.amb, t).legal)
+    # p>k names the least prime above k, never k itself
+    p_bound = check_step(last).p_min
+    return [
+        dataclasses.replace(rec, centralizer=torus),
+        dataclasses.replace(rec, chain=(dataclasses.replace(first, tag=tag),
+                                        *rec.chain[1:])),
+        dataclasses.replace(rec, chain=(*rec.chain[:-1],
+                                        dataclasses.replace(last, p_bound=p_bound))),
+    ]
+
+
+def test_spot_check_fails_every_row_verify_record_fails(shipped_tables):
+    """spot_check runs the verify_record gate: a shipped row mutated in its
+    centralizer, a step's tag or a p> annotation is a FAIL naming the
+    gate's notes, also under a max step."""
+    for name, recs in shipped_tables.items():
+        zero = (0,) * recs[0].ambient.rank
+        for rec in recs:
+            if rec.is_torus:
+                continue
+            for bad in _mutations(rec):
+                report = verify_record(bad)
+                assert not report.passed and report.notes, (name, rec.label)
+                v = spot_check(bad, zero)
+                assert (v.status, v.detail) == ("FAIL", "; ".join(report.notes)), \
+                    (name, rec.label, v.detail)
 
 
 def test_spot_check_lambda_zero(shipped_tables):
