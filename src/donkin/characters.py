@@ -4,13 +4,14 @@ into the dual-Weyl basis, and restrictedness tests.
 A formal character is a finite map from weights (fundamental-weight
 coordinates) to arbitrary-precision integer multiplicities.  Dominant
 multiplicities of dual Weyl modules are computed with Freudenthal's recursion
-and expanded along Weyl orbits; they are memoized in memory and can be
-persisted to a small versioned binary cache file.
+and expanded along Weyl orbits; they are memoized in memory and persisted to
+a text cache file, whose entries are checked at first use against the Weyl
+dimension formula, so that a wrong file cannot change an answer.
 """
 from __future__ import annotations
 
+import functools
 import os
-import struct
 import tempfile
 import threading
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ from .rootsystem import (
     build_root_datum,
     is_dominant,
     normalize_type,
+    weyl_dim,
     weyl_orbit,
 )
 
@@ -96,6 +98,7 @@ def _by_height(ambient: GroupType, mults: dict[Weight, int]) -> list[tuple[Weigh
 # Freudenthal's recursion
 
 _DOMINANT_MULTS: dict[tuple[str, Weight], dict[Weight, int]] = {}
+_ON_DISK: dict[tuple[str, Weight], dict[Weight, int]] = {}
 _LOCK = threading.Lock()
 
 
@@ -121,18 +124,48 @@ def _dominant_weights_below(rd: RootDatum, lam: Weight) -> list[Weight]:
     return sorted(found, key=lambda w: (-rd.height(w), w))
 
 
+@functools.lru_cache(maxsize=None)
+def _orbit_size(rd: RootDatum, positive: tuple[bool, ...]) -> int:
+    """|W mu| for a dominant mu with these positive coordinates: Macdonald's
+    |W| / |W_mu| (Math. Ann. 199, 1972), the product of (<rho,a> + 1) / <rho,a>
+    over the positive coroots a with <mu,a> > 0."""
+    num = den = 1
+    for cv in rd.positive_coroots:
+        if any(c and p for c, p in zip(cv, positive)):
+            h = rd.pairing(rd.rho, cv)
+            num, den = num * (h + 1), den * h
+    return num // den
+
+
+def _cached_entry_ok(rd: RootDatum, lam: Weight, mults: dict[Weight, int]) -> bool:
+    """Whether an entry read from the cache file can be the dominant
+    multiplicities of nabla(lam): dominant full-length weights, positive
+    multiplicities, m(lam) = 1, and the sum of m * |W mu| equal to the Weyl
+    dimension, which one changed, added or deleted weight always moves."""
+    total = 0
+    for mu, m in mults.items():
+        if len(mu) != rd.rank or m <= 0 or any(mu[i] < 0 for i in rd._simple):
+            return False
+        total += m * _orbit_size(rd, tuple(c > 0 for c in mu))
+    return mults.get(lam) == 1 and total == weyl_dim(rd, lam)
+
+
 def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     """Dominant multiplicities of the dual Weyl module, by Freudenthal's recursion.
 
-    Runs on ints only: inner products are taken with the integer Gram matrix
-    ``rd.gram``, whose scale ``rd.gram_scale`` cancels in the quotient.
+    An entry read from the cache file is used if ``_cached_entry_ok`` passes
+    it, else recomputed.  Runs on ints only: inner products are taken with
+    the integer Gram matrix ``rd.gram``, whose scale cancels in the quotient.
     """
     key = (str(rd.gtype), tuple(lam))
     with _LOCK:
         cached = _DOMINANT_MULTS.get(key)
+        on_disk = _ON_DISK.pop(key, None)
     if cached is not None:
         return cached
-    if not rd.positive_roots:
+    if on_disk is not None and _cached_entry_ok(rd, key[1], on_disk):
+        mults = on_disk
+    elif not rd.positive_roots:
         mults = {tuple(lam): 1}
     else:
         simple, columns = rd.simple_indices(), rd._columns
@@ -330,55 +363,40 @@ def min_prime_greater(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Persistent character cache
 #
-# Layout (all integers big-endian):
-#   8-byte magic "DWCACHE1"
-#   u32 entry count, then per entry:
-#     u16 type-string length + utf-8 type string
-#     u16 rank, rank * i32 highest-weight coordinates
-#     u32 dominant-weight count, then per weight:
-#       rank * i32 coordinates, u16 length + signed big-endian multiplicity
-# Unreadable or wrong-magic files are ignored; correctness never depends on
-# the cache (misses silently recompute).
+# A text file: a header line, then one line "TYPE LAMBDA MU:M MU:M ..." per
+# entry, every weight as comma-separated integers.  A line that does not parse
+# is skipped, and a file with another header (an old binary one too) ignored.
+# Entries read wait in _ON_DISK until _freudenthal checks them at first use.
 
-CACHE_MAGIC = b"DWCACHE1"
-CACHE_ENV_VAR = "DONKIN_CACHE_DIR"
-CACHE_FILENAME = "characters.bin"
+_CACHE_HEADER = "donkin character cache 2"
 
 
-def default_cache_dir() -> str:
-    return os.environ.get(
-        CACHE_ENV_VAR, os.path.join(os.path.expanduser("~"), ".cache", "donkin"))
+def _cache_path() -> str:
+    default = os.path.join(os.path.expanduser("~"), ".cache", "donkin")
+    return os.path.join(os.environ.get("DONKIN_CACHE_DIR", default), "characters.txt")
 
 
-def _pack_int(n: int) -> bytes:
-    data = n.to_bytes((n.bit_length() + 8) // 8 or 1, "big", signed=True)
-    return struct.pack(">H", len(data)) + data
+def _text_weight(text: str) -> Weight:
+    return tuple(map(int, text.split(",")))
 
 
-def save_cache_file(path: str | None = None) -> str:
-    """Persist memoized dominant multiplicities; returns the path written."""
-    if path is None:
-        path = os.path.join(default_cache_dir(), CACHE_FILENAME)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+def save_cache_file() -> str:
+    """Write the checked and the not yet used dominant multiplicities to the
+    cache file; returns its path."""
+    path = _cache_path()
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
     with _LOCK:
-        entries = sorted(_DOMINANT_MULTS.items())
-    blob = [CACHE_MAGIC, struct.pack(">I", len(entries))]
+        entries = sorted({**_ON_DISK, **_DOMINANT_MULTS}.items())
+    lines = [_CACHE_HEADER]
     for (tname, lam), mults in entries:
-        enc = tname.encode()
-        blob.append(struct.pack(">H", len(enc)))
-        blob.append(enc)
-        blob.append(struct.pack(">H", len(lam)))
-        blob.append(struct.pack(f">{len(lam)}i", *lam))
-        blob.append(struct.pack(">I", len(mults)))
-        for w, m in sorted(mults.items()):
-            blob.append(struct.pack(f">{len(lam)}i", *w))
-            blob.append(_pack_int(m))
+        pairs = [",".join(map(str, mu)) + f":{m}" for mu, m in sorted(mults.items())]
+        lines.append(" ".join([tname, ",".join(map(str, lam)), *pairs]))
     # a temp file of its own per writer, so concurrent saves cannot interleave
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix="characters.txt.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(b"".join(blob))
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -386,48 +404,24 @@ def save_cache_file(path: str | None = None) -> str:
     return path
 
 
-def load_cache_file(path: str | None = None) -> int:
-    """Merge a cache file into the in-memory table; returns entries loaded.
-
-    Silently returns 0 on a missing or wrong-version file.  A file cut short
-    keeps the entries that are complete before the cut and returns their count.
-    """
-    if path is None:
-        path = os.path.join(default_cache_dir(), CACHE_FILENAME)
+def load_cache_file() -> int:
+    """Read the cache file's entries, unchecked, for ``_freudenthal``;
+    returns how many were read (0 for a missing or wrong-header file)."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError:
+        with open(_cache_path(), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError):
         return 0
-    if not data.startswith(CACHE_MAGIC):
+    if lines[0] != _CACHE_HEADER:
         return 0
-    pos = len(CACHE_MAGIC)
-    loaded = 0
-    try:
-        (count,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        for _ in range(count):
-            (tlen,) = struct.unpack_from(">H", data, pos)
-            pos += 2
-            tname = data[pos:pos + tlen].decode()
-            pos += tlen
-            (rank,) = struct.unpack_from(">H", data, pos)
-            pos += 2
-            lam = struct.unpack_from(f">{rank}i", data, pos)
-            pos += 4 * rank
-            (nw,) = struct.unpack_from(">I", data, pos)
-            pos += 4
-            mults = {}
-            for _ in range(nw):
-                w = struct.unpack_from(f">{rank}i", data, pos)
-                pos += 4 * rank
-                (mlen,) = struct.unpack_from(">H", data, pos)
-                pos += 2
-                mults[w] = int.from_bytes(data[pos:pos + mlen], "big", signed=True)
-                pos += mlen
-            with _LOCK:
-                _DOMINANT_MULTS.setdefault((tname, lam), mults)
-            loaded += 1
-    except (struct.error, UnicodeDecodeError):
-        return loaded
-    return loaded
+    entries = {}
+    for line in lines[1:]:
+        try:
+            tname, lam, *pairs = line.split(" ")
+            entries[tname, _text_weight(lam)] = {
+                _text_weight(mu): int(m) for mu, m in (pair.split(":") for pair in pairs)}
+        except ValueError:
+            continue
+    with _LOCK:
+        _ON_DISK.update(entries)
+    return len(entries)

@@ -8,7 +8,6 @@ verification failure, 2 on usage or parse errors.
 from __future__ import annotations
 
 import importlib.util
-import os
 import sys
 import time
 
@@ -100,15 +99,7 @@ def _emit(fmt, kind, payload, lines):
             click.echo("\n".join(text_lines[start:start + 1024]))
 
 
-def _load_cache():
-    if os.environ.get("DONKIN_NO_CACHE"):
-        return
-    ch.load_cache_file()
-
-
 def _save_cache():
-    if os.environ.get("DONKIN_NO_CACHE"):
-        return
     try:
         ch.save_cache_file()
     except OSError:
@@ -182,7 +173,7 @@ def char(ctx, gtype, lam):
     gt = _parse_group(gtype)
     rd = build_root_datum(gt)
     w = _parse_weight(lam, rd.rank)
-    _load_cache()
+    ch.load_cache_file()
     chi = ch.dual_weyl_character(rd, w)
     _save_cache()
     _emit(ctx.obj["fmt"], "char",
@@ -238,7 +229,7 @@ def decompose(ctx, gtype, source):
     rd = build_root_datum(gt)
     if not source.startswith("@"):
         raise click.UsageError("SOURCE must be @FILE")
-    _load_cache()
+    ch.load_cache_file()
     chi = _read_character(rd, source[1:])
     dec = ch.decompose_dual_weyl(rd, chi)
     _save_cache()
@@ -264,7 +255,7 @@ def exterior(ctx, gtype, lam, prime):
     gt = _parse_group(gtype)
     rd = build_root_datum(gt)
     w = _parse_weight(lam, rd.rank)
-    _load_cache()
+    ch.load_cache_file()
     chi = ch.dual_weyl_character(rd, w)
     ea = ch.exterior_algebra(chi)
     dec = ch.decompose_dual_weyl(rd, ea)
@@ -319,7 +310,7 @@ def restrict(ctx, chain, lam):
         raise click.UsageError("chain contains a map-less max-rank step")
     amb_rd = build_root_datum(normalize_type(steps[-1].amb))
     w = _parse_weight(lam, amb_rd.rank)
-    _load_cache()
+    ch.load_cache_file()
     chi = ch.dual_weyl_character(amb_rd, w)
     restricted = embeddings.restrict_character(chi, total)
     sub_rd = build_root_datum(normalize_type(total.target))
@@ -418,7 +409,7 @@ def verify_tables(ctx, files):
 def spot_check_cmd(ctx, files, lam):
     """Character-level spot check of every chain; exit 1 on any failure."""
     fmt = ctx.obj["fmt"]
-    _load_cache()
+    ch.load_cache_file()
     failed = 0
     for path, recs in _read_tables(files):
         if not recs:

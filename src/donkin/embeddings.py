@@ -715,12 +715,19 @@ def match_step(sub: GroupType, amb: GroupType, tag: str) -> StepMatch:
     return clause[0](sub, amb)
 
 
-def step_map(step: EmbeddingStep) -> WeightMap | None:
-    """Weight map realizing one chain step, or None for a map-less max step;
-    a step its clause rejects, or with an unknown tag, raises IllegalStep."""
+def _legal_match(step: EmbeddingStep) -> StepMatch:
+    """The step's legal verdict; a step its clause rejects, or with an
+    unknown tag, raises IllegalStep."""
     m = match_step(step.sub, step.amb, step.tag)
     if not m.legal:
         raise IllegalStep(f"({step.sub}, {step.amb}): {m.reason}")
+    return m
+
+
+def step_map(step: EmbeddingStep) -> WeightMap | None:
+    """Weight map realizing one chain step, or None for a map-less max step;
+    an illegal step raises IllegalStep."""
+    m = _legal_match(step)
     build = _CLAUSES[step.tag][1]
     return None if build is None else build(step.sub, step.amb, m.payload)
 
@@ -728,12 +735,16 @@ def step_map(step: EmbeddingStep) -> WeightMap | None:
 def chain_restriction_map(steps) -> WeightMap | None:
     """Composed restriction map from the chain's ambient end to its start.
 
-    Returns None if any step carries no weight map (max-rank steps).
+    Returns None if any step carries no weight map (max-rank steps); the
+    steps under it build no map, but an illegal one still raises IllegalStep.
     """
+    steps = list(steps)
     total: WeightMap | None = None
-    for step in reversed(list(steps)):
-        m = step_map(step)
+    while steps:
+        m = step_map(steps.pop())
         if m is None:
+            for step in reversed(steps):
+                _legal_match(step)
             return None
         total = m if total is None else compose(total, m)
     return total

@@ -31,6 +31,15 @@ def load_table(name):
     return parse_orbit_tables(text)
 
 
+@pytest.fixture(autouse=True)
+def cache_dir(tmp_path, monkeypatch):
+    """The character cache dir of this test: a temp dir of its own, never the
+    user's cache.  It is created by the first save."""
+    path = tmp_path / "donkin-cache"
+    monkeypatch.setenv("DONKIN_CACHE_DIR", str(path))
+    return path
+
+
 @pytest.fixture(scope="session")
 def shipped_tables():
     return {name: load_table(name) for name in ("e8", "e7", "e6", "f4", "g2")}
@@ -94,9 +103,11 @@ def decomposition_character(rd, dec) -> FormalCharacter:
 
 
 def clear_memo() -> None:
-    """Empty the in-memory table of dominant multiplicities."""
+    """Empty the in-memory tables of dominant multiplicities: the computed
+    and checked ones, and the unchecked entries read from a cache file."""
     with ch._LOCK:
         ch._DOMINANT_MULTS.clear()
+        ch._ON_DISK.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,6 @@ def chain_map_lines(tables):
 
 
 def test_verify_tables_jsonl_digest(monkeypatch):
-    monkeypatch.setenv("DONKIN_NO_CACHE", "1")
     monkeypatch.chdir(REPO)
     files = [f"src/donkin/data/{name}.tbl" for name in TABLES]
     result = CliRunner().invoke(main, ["--format", "jsonl", "verify-tables", *files])

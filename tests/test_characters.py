@@ -511,59 +511,93 @@ def test_no_zero_multiplicity_in_computed_characters():
         assert 0 not in c.support.values()
 
 
-def test_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "chars.bin")
+def test_cache_roundtrip(cache_dir):
+    path = cache_dir / "characters.txt"
     a2 = build_root_datum("A2")
-    chi = dual_weyl_character(a2, (3, 2))
-    ch.save_cache_file(path)
-    key = ("A2", (3, 2))
-    with ch._LOCK:
-        saved = dict(ch._DOMINANT_MULTS[key])
-        ch._DOMINANT_MULTS.clear()
+    clear_memo()
     try:
-        loaded = ch.load_cache_file(path)
-        assert loaded > 0
+        chi = dual_weyl_character(a2, (3, 2))
+        ch.save_cache_file()
+        key = ("A2", (3, 2))
+        with ch._LOCK:
+            saved = dict(ch._DOMINANT_MULTS[key])
+        assert path.read_text(encoding="utf-8").startswith("donkin character cache 2\n")
+        clear_memo()
+        assert ch.load_cache_file() == 1
+        with ch._LOCK:
+            assert ch._ON_DISK[key] == saved
+            assert key not in ch._DOMINANT_MULTS
+        assert dual_weyl_character(a2, (3, 2)) == chi
+        # checked at first use and moved into the memo
         with ch._LOCK:
             assert ch._DOMINANT_MULTS[key] == saved
-        assert dual_weyl_character(a2, (3, 2)) == chi
+            assert key not in ch._ON_DISK
     finally:
         clear_memo()
 
 
-def test_cache_ignores_garbage(tmp_path):
-    path = tmp_path / "chars.bin"
-    path.write_bytes(b"not a cache file at all")
-    assert ch.load_cache_file(str(path)) == 0
-    path.write_bytes(ch.CACHE_MAGIC + b"\x00\x00\x00\x05truncated")
-    assert ch.load_cache_file(str(path)) == 0
-    assert ch.load_cache_file(str(tmp_path / "missing.bin")) == 0
+def test_cache_ignores_garbage(cache_dir):
+    path = cache_dir / "characters.txt"
+    cache_dir.mkdir()
+    clear_memo()
+    try:
+        path.write_bytes(b"not a cache file at all")
+        assert ch.load_cache_file() == 0
+        # the old binary layout: another header, so nothing is read
+        path.write_bytes(b"DWCACHE1\x00\x00\x00\x01\x00\x02A1\x00\x01\x00\x00\x00\x02")
+        assert ch.load_cache_file() == 0
+        path.write_bytes(b"\xff\xfe binary \x00")
+        assert ch.load_cache_file() == 0
+        path.unlink()
+        assert ch.load_cache_file() == 0
+        # lines that do not parse are skipped, the others read
+        path.write_text("donkin character cache 2\n"
+                        "A1 2 2:1 0:1\n"
+                        "A1 x 2:1\n"
+                        "A1 3 3:1 1\n"
+                        "A1\n"
+                        "A1 4 4:1 2:1:1\n", encoding="utf-8")
+        assert ch.load_cache_file() == 1
+        with ch._LOCK:
+            assert ch._ON_DISK == {("A1", (2,)): {(2,): 1, (0,): 1}}
+    finally:
+        clear_memo()
 
 
-def test_cache_truncated_file_keeps_complete_entries(tmp_path):
-    path = tmp_path / "chars.bin"
+def test_cache_truncated_file_keeps_complete_entries(cache_dir):
+    """A cut inside a number leaves a line that does not parse; a cut between
+    two pairs leaves one that parses and fails the check at first use."""
+    path = cache_dir / "characters.txt"
     a2 = build_root_datum("A2")
     clear_memo()
     try:
         chi = dual_weyl_character(a2, (1, 1))
-        dual_weyl_character(a2, (2, 2))
-        ch.save_cache_file(str(path))
+        chi22 = dual_weyl_character(a2, (2, 2))
+        ch.save_cache_file()
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith(" 3,0:1\n")  # the last pair of the A2 (2,2) line
         clear_memo()
-        assert ch.load_cache_file(str(path)) == 2
+        assert ch.load_cache_file() == 2
         clear_memo()
-        path.write_bytes(path.read_bytes()[:-3])  # cut inside the second entry
-        assert ch.load_cache_file(str(path)) == 1
+        path.write_text(text[:-3], encoding="utf-8")
+        assert ch.load_cache_file() == 1
         with ch._LOCK:
-            assert set(ch._DOMINANT_MULTS) == {("A2", (1, 1))}
+            assert set(ch._ON_DISK) == {("A2", (1, 1))}
         assert dual_weyl_character(a2, (1, 1)) == chi
+        clear_memo()
+        path.write_text(text[:-len(" 3,0:1\n")], encoding="utf-8")
+        assert ch.load_cache_file() == 2
+        assert dual_weyl_character(a2, (2, 2)) == chi22
+        ch.save_cache_file()
+        assert path.read_text(encoding="utf-8") == text
     finally:
         clear_memo()
 
 
-def test_cache_concurrent_writers_leave_no_temp_files(tmp_path):
+def test_cache_concurrent_writers_leave_no_temp_files(cache_dir):
     import threading
     a2 = build_root_datum("A2")
     chi = dual_weyl_character(a2, (2, 1))
-    path = str(tmp_path / ch.CACHE_FILENAME)
     start = threading.Barrier(8)
     errors = []
 
@@ -571,7 +605,7 @@ def test_cache_concurrent_writers_leave_no_temp_files(tmp_path):
         start.wait(timeout=10)
         try:
             for _ in range(5):
-                ch.save_cache_file(path)
+                ch.save_cache_file()
         except OSError as exc:
             errors.append(exc)
 
@@ -583,23 +617,104 @@ def test_cache_concurrent_writers_leave_no_temp_files(tmp_path):
             t.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert not list(tmp_path.glob("*.tmp"))
+        assert [p.name for p in cache_dir.iterdir()] == ["characters.txt"]
         clear_memo()
-        assert ch.load_cache_file(path) > 0
+        assert ch.load_cache_file() > 0
         assert dual_weyl_character(a2, (2, 1)) == chi
     finally:
         clear_memo()
 
 
-def test_cache_failed_write_removes_temp_file(tmp_path, monkeypatch):
+def test_cache_entry_used_by_concurrent_threads(cache_dir):
+    """Threads that meet one entry read from disk all get the right
+    character, and the entry ends in the memo, not in the unchecked table."""
+    import sys
+    import threading
+    rd = build_root_datum("B3")
+    key = ("B3", (1, 1, 1))
+    clear_memo()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        want = dual_weyl_character(rd, (1, 1, 1))
+        ch.save_cache_file()
+        for _ in range(5):
+            clear_memo()
+            assert ch.load_cache_file() == 1
+            results = []
+            threads = [threading.Thread(
+                target=lambda: results.append(dual_weyl_character(rd, (1, 1, 1))))
+                for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [want] * 8
+            with ch._LOCK:
+                assert key in ch._DOMINANT_MULTS and not ch._ON_DISK
+    finally:
+        sys.setswitchinterval(interval)
+        clear_memo()
+
+
+def test_cache_failed_write_removes_temp_file(cache_dir, monkeypatch):
     def fail(src, dst):
         raise OSError("disk full")
 
     dual_weyl_character(build_root_datum("A1"), (3,))
     monkeypatch.setattr(ch.os, "replace", fail)
     with pytest.raises(OSError):
-        ch.save_cache_file(str(tmp_path / ch.CACHE_FILENAME))
-    assert not list(tmp_path.iterdir())
+        ch.save_cache_file()
+    assert not list(cache_dir.iterdir())
+
+
+# Types of ranks 1-4, G2, F4 and one with a torus factor, each with a bound on
+# the coordinates of the highest weights drawn, so that Freudenthal stays cheap.
+CHECK_TYPES = [("A1", 6), ("A2", 3), ("B2", 3), ("G2", 2), ("A3", 2), ("B3", 1),
+               ("C3", 1), ("A4", 1), ("C4", 1), ("D4", 1), ("F4", 1), ("A2.T1", 2)]
+
+
+@st.composite
+def _dominant_weights(draw, rd, bound):
+    return tuple(draw(st.integers(0, bound)) if i in rd._simple else draw(st.integers(-3, 3))
+                 for i in range(rd.rank))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cache_check_rejects_every_single_change(data):
+    """The true table passes the check; changing one multiplicity by +-1,
+    deleting one weight or adding one dominant weight is always rejected,
+    since each moves the sum of m * |W mu| by at least 1.  Compensating
+    changes to several entries that keep that sum are not caught."""
+    name, bound = data.draw(st.sampled_from(CHECK_TYPES))
+    rd = build_root_datum(name)
+    lam = data.draw(_dominant_weights(rd, bound))
+    true = dict(ch._freudenthal(rd, lam))
+    assert ch._cached_entry_ok(rd, lam, true)
+    bad = dict(true)
+    kind = data.draw(st.sampled_from(["+1", "-1", "delete", "add"]))
+    if kind == "add":
+        nu = data.draw(_dominant_weights(rd, bound + 1))
+        bad[nu] = bad.get(nu, 0) + 1
+    else:
+        mu = data.draw(st.sampled_from(sorted(true)))
+        if kind == "delete":
+            del bad[mu]
+        else:
+            bad[mu] += int(kind)
+    assert not ch._cached_entry_ok(rd, lam, bad)
+
+
+@pytest.mark.parametrize("name", ["A1", "B2", "G2", "A3", "C3", "D4", "F4", "A2.T1",
+                                  "A1.A1", "B2.G2", "T2"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_orbit_size_matches_weyl_orbit(name, data):
+    rd = build_root_datum(name)
+    mu = data.draw(_dominant_weights(rd, 2))
+    assert ch._orbit_size(rd, tuple(c > 0 for c in mu)) == len(weyl_orbit(rd, mu))
 
 
 def test_cold_start_independent_of_cache():

@@ -6,16 +6,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import clear_memo
 from donkin.characters import dual_weyl_character
 from donkin.cli import main
 from donkin.rootsystem import build_root_datum, weyl_dim
 
 REFERENCE_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "reference_digests.json"
-
-
-@pytest.fixture(autouse=True)
-def no_cache(monkeypatch):
-    monkeypatch.setenv("DONKIN_NO_CACHE", "1")
 
 
 @pytest.fixture()
@@ -159,6 +155,13 @@ def test_restrict_illegal_max_step_is_an_error(runner):
     result = runner.invoke(main, ["restrict", "A1 -[max]-> G2", "1,0"])
     assert result.exit_code == 2
     assert result.stderr == "error: (A1, G2): not a listed maximal-rank pair\n"
+    assert result.stdout == ""
+
+
+def test_restrict_names_an_illegal_step_under_a_max_step(runner):
+    result = runner.invoke(main, ["restrict", "A1 -[class]-> A1.A1 -[max]-> G2", "1,0"])
+    assert result.exit_code == 2
+    assert result.stderr == "error: (A1, A1.A1): no classical block split matches\n"
     assert result.stdout == ""
 
 
@@ -336,15 +339,40 @@ def test_byte_identical_runs(runner):
     assert out1 == out2
 
 
-def test_cache_dir_env(runner, tmp_path, monkeypatch):
-    monkeypatch.delenv("DONKIN_NO_CACHE", raising=False)
-    monkeypatch.setenv("DONKIN_CACHE_DIR", str(tmp_path))
+def test_cache_dir_env(runner, cache_dir):
     result = runner.invoke(main, ["char", "A2", "2,2"])
     assert result.exit_code == 0
-    assert (tmp_path / "characters.bin").exists()
+    assert "A2 2,2 0,0:3 0,3:1 1,1:2 2,2:1 3,0:1" in (
+        cache_dir / "characters.txt").read_text(encoding="utf-8").splitlines()
     # a second run picks the cache up and agrees
     again = runner.invoke(main, ["char", "A2", "2,2"])
     assert again.output == result.output
+
+
+@pytest.mark.parametrize("entry, args, expected", [
+    # the entry that char reads itself
+    ("G2 1,0 1,0:1 0,0:5", ["char", "G2", "1,0"],
+     ["dimension: 7 (Weyl formula: 7)"]),
+    # an entry that only the peel-off of the exterior algebra subtracts
+    ("G2 0,1 0,1:1 1,0:1 0,0:3", ["exterior", "G2", "1,0"],
+     ["exact: yes", "  nabla(0,0): 4"]),
+])
+def test_wrong_cache_entry_changes_no_answer(runner, cache_dir, entry, args, expected):
+    clear_memo()
+    true = runner.invoke(main, args).output
+    path = cache_dir / "characters.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    key = " ".join(entry.split()[:2]) + " "
+    right = next(line for line in lines if line.startswith(key))
+    path.write_text(f"donkin character cache 2\n{entry}\n", encoding="utf-8")
+    clear_memo()
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.output == true
+    assert set(expected) <= set(result.output.splitlines())
+    # the rejected entry was replaced by the recomputed one
+    assert right in path.read_text(encoding="utf-8").splitlines()
+    assert entry not in path.read_text(encoding="utf-8").splitlines()
 
 
 @pytest.mark.parametrize("name,lam", [("A1", (4,)), ("G2", (2, 1)), ("B2.T1", (1, 0, -5))])

@@ -15,7 +15,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 F4 = str(ROOT / "src" / "donkin" / "data" / "f4.tbl")
-ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "DONKIN_NO_CACHE": "1"}
 
 # type(), not an attribute read: reading any attribute runs a pending module
 PROBE = """
@@ -28,8 +27,10 @@ print("ran:", *(n for n in names if type(sys.modules["donkin." + n]) is types.Mo
 
 
 def run_python(*args, cwd=ROOT):
+    # os.environ is read per call, so the child gets the test's cache dir
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=ENV, cwd=cwd, timeout=120)
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          cwd=cwd, timeout=120)
 
 
 @pytest.mark.parametrize("args, ran", [
