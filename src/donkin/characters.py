@@ -2,11 +2,11 @@
 into the dual-Weyl basis, and restrictedness tests.
 
 A formal character is a finite map from weights (fundamental-weight
-coordinates) to arbitrary-precision integer multiplicities.  Dominant
-multiplicities of dual Weyl modules are computed with Freudenthal's recursion
-and expanded along Weyl orbits; they are memoized in memory and persisted to
-a text cache file, whose entries are checked at first use against the Weyl
-dimension formula, so that a wrong file cannot change an answer.
+coordinates) to integer multiplicities.  Freudenthal's recursion gives the
+dominant multiplicities of dual Weyl modules, memoized and kept in a text
+cache file checked at first use against the Weyl dimension formula.  One
+Racah–Speiser pass over the support decomposes a W-invariant character
+(Humphreys §24), with no Freudenthal run.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass, field
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import (
     AmbientMismatch,
@@ -312,35 +312,37 @@ def _not_symmetric(rd: RootDatum, support: dict[Weight, int], u: Weight, i: int)
 
 
 def decompose_dual_weyl(rd: RootDatum, chi: FormalCharacter) -> DualWeylDecomposition:
-    """Peel-off decomposition of a Weyl-symmetric character.
+    """One-pass Racah–Speiser decomposition of a Weyl-symmetric character.
 
-    The input is first checked to be invariant under every simple reflection
-    (NotSymmetric names a weight and its reflection whose multiplicities
-    differ).  A W-invariant character is fixed by its dominant part, so the
-    peel-off runs on dominant weights alone: it repeatedly strips
-    m * (the dominant multiplicities of the dual Weyl module) at the
-    surviving dominant weight of maximal height (ties broken
-    lexicographically), and never expands a Weyl orbit.
+    The input is checked first to be W-invariant (NotSymmetric names a weight
+    and its reflection whose multiplicities differ), as the rule would
+    decompose any other input wrongly.  A weight nu of multiplicity m adds
+    (-1)^k m at x - rho, where k reflections, each at the first negative
+    simple coordinate, fold nu + rho to the dominant x, or nothing if x is on
+    a wall (Humphreys, *Introduction to Lie Algebras and Representation
+    Theory*, §24).  Terms go in by descending (height, weight) of x - rho.
     """
     if normalize_type(chi.ambient) != rd.gtype:
         raise AmbientMismatch(f"{chi.ambient} vs {rd.gtype}")
     _check_symmetric(rd, chi.support)
-    simple = rd._simple
-    residual = {w: m for w, m in chi.support.items()
-                if all(w[i] >= 0 for i in simple)}
-    terms: dict[Weight, int] = {}
-    while residual:
-        w = max(residual, key=lambda v: (rd.height(v), v))
-        # w is maximal in the residual, so no later step reaches it again
-        m = terms[w] = residual[w]
-        for v, mv in _freudenthal(rd, w).items():
-            new = residual.get(v, 0) - m * mv
-            if new:
-                residual[v] = new
+    simple, columns, rho = rd._simple, rd._columns, rd.rho
+    sums: dict[Weight, int] = {}
+    for nu, m in chi.support.items():
+        x = tuple(map(add, nu, rho))
+        while True:
+            for i in simple:
+                if (c := x[i]) <= 0:
+                    break
             else:
-                residual.pop(v, None)
-    exact = all(m >= 0 for m in terms.values())
-    return DualWeylDecomposition(rd.gtype, terms, exact)
+                sums[x] = sums.get(x, 0) + m
+                break
+            if c == 0:  # x lies on the wall of s_i
+                break
+            x = tuple([v - c * a for v, a in zip(x, columns[i])])
+            m = -m
+    terms = {tuple(map(sub, x, rho)): sums[x] for x in sorted(
+        (x for x, m in sums.items() if m), key=lambda v: (rd.height(v), v), reverse=True)}
+    return DualWeylDecomposition(rd.gtype, terms, all(m >= 0 for m in terms.values()))
 
 
 def is_restricted(rd: RootDatum, lam: Weight, p: int) -> bool:

@@ -229,10 +229,8 @@ def decompose(ctx, gtype, source):
     rd = build_root_datum(gt)
     if not source.startswith("@"):
         raise click.UsageError("SOURCE must be @FILE")
-    ch.load_cache_file()
     chi = _read_character(rd, source[1:])
     dec = ch.decompose_dual_weyl(rd, chi)
-    _save_cache()
     _emit(ctx.obj["fmt"], "decompose",
           lambda: {"type": str(rd.gtype), "dimension": chi.dim(), "exact": dec.exact,
                    "terms": _keyed(rd.rank, dec.terms)},

@@ -30,7 +30,7 @@ class NegativeInput(DonkinError):
 
 
 class NotSymmetric(DonkinError):
-    """A character that is not Weyl-invariant, detected during peel-off."""
+    """A character that is not Weyl-invariant, detected before decomposition."""
 
 
 class IllegalStep(DonkinError):

@@ -319,7 +319,7 @@ class RootDatum:
         self._simple = tuple(i for i in range(n) if not torus[i])
         # column i of the Cartan matrix = alpha_i in fw coordinates
         self._columns = tuple(tuple(cartan[r][i] for r in range(n)) for i in range(n))
-        # per-i plan of weyl_orbit and of the peel-off's symmetry check: s_i
+        # per-i plan of weyl_orbit and of the decomposition's symmetry check: s_i
         # moves coordinate i and i's Dynkin neighbours j (by -c * a_ji); the
         # simple j < i are split into the unmoved and the moved, with their
         # Cartan entries

@@ -72,13 +72,15 @@ def test_exterior_non_prime_is_a_usage_error(runner, prime):
     assert result.stdout == ""
 
 
-def test_decompose_from_file(runner, tmp_path):
+def test_decompose_from_file(runner, tmp_path, cache_dir):
     src = tmp_path / "char.txt"
     src.write_text("# three-dimensional module plus a trivial\n1 2\n2 0\n1 -2\n")
     result = runner.invoke(main, ["decompose", "A1", f"@{src}"])
     assert result.exit_code == 0
     assert "nabla(2): 1" in result.output
     assert "nabla(0): 1" in result.output
+    # the decomposition computes no dual Weyl character, so no cache is written
+    assert not cache_dir.exists()
 
 
 def test_decompose_non_invariant_file_names_the_weights(runner, tmp_path):
@@ -353,8 +355,8 @@ def test_cache_dir_env(runner, cache_dir):
     # the entry that char reads itself
     ("G2 1,0 1,0:1 0,0:5", ["char", "G2", "1,0"],
      ["dimension: 7 (Weyl formula: 7)"]),
-    # an entry that only the peel-off of the exterior algebra subtracts
-    ("G2 0,1 0,1:1 1,0:1 0,0:3", ["exterior", "G2", "1,0"],
+    # the entry of nabla(1,0) itself, which exterior reads to build the algebra
+    ("G2 1,0 1,0:2 0,0:1", ["exterior", "G2", "1,0"],
      ["exact: yes", "  nabla(0,0): 4"]),
 ])
 def test_wrong_cache_entry_changes_no_answer(runner, cache_dir, entry, args, expected):
