@@ -1,4 +1,4 @@
-"""Formal characters: dual Weyl characters, exterior powers, decomposition
+"""Formal characters: dual Weyl characters, the exterior algebra, decomposition
 into the dual-Weyl basis, and restrictedness tests.
 
 A formal character is a finite map from weights (fundamental-weight
@@ -57,9 +57,6 @@ class FormalCharacter:
     def dim(self) -> int:
         return sum(self.support.values())
 
-    def items_sorted(self):
-        return _by_height(self.ambient, self.support)
-
     def __eq__(self, other):
         return (isinstance(other, FormalCharacter)
                 and self.ambient == other.ambient
@@ -70,12 +67,12 @@ class FormalCharacter:
 
 
 def _by_height(ambient: GroupType, mults: dict[Weight, int]) -> list[tuple[Weight, int]]:
-    """The (weight, multiplicity) pairs by descending height, ties by weight.
+    """The (weight, multiplicity) pairs by descending height, ties by weight:
+    the print order of a decomposition's terms.
 
     The weights go into one bucket per height, the heights are visited in
-    descending order, and each bucket is sorted on its own.  A dict filled
-    one sorted Weyl orbit at a time hands each bucket a few sorted runs,
-    which the sort merges cheaply.
+    descending order, and each bucket is sorted on its own.  (A dual Weyl
+    character needs no such pass: ``weyl_orbit`` builds it in this order.)
     """
     hf = build_root_datum(ambient).height_functional
     buckets: dict[int, list[Weight]] = {}
@@ -178,6 +175,10 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         lam_rho = tuple(a + r for a, r in zip(lam, rd.rho))
         clam = rd.scaled_inner(lam_rho, lam_rho)
         mults = {order[0]: 1}
+        # m(nu) of every nu = mu + k alpha looked up so far: the dominant
+        # representative of nu lies above mu, so its multiplicity is already
+        # final (computed, or 0 for a weight outside the module)
+        folded: dict[Weight, int] = {}
         for mu in order[1:]:
             mu_rho = tuple(m + r for m, r in zip(mu, rd.rho))
             denom = clam - rd.scaled_inner(mu_rho, mu_rho)
@@ -187,7 +188,9 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
                 nu = mu
                 while True:
                     nu = tuple([x + a for x, a in zip(nu, alpha)])
-                    m_nu = mults.get(_dominant(nu, simple, columns), 0)
+                    m_nu = folded.get(nu)
+                    if m_nu is None:
+                        m_nu = folded[nu] = mults.get(_dominant(nu, simple, columns), 0)
                     if m_nu == 0:
                         break
                     ip += aa
@@ -203,45 +206,21 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
 
 
 def dual_weyl_character(rd: RootDatum, lam: Weight) -> FormalCharacter:
-    """Character of the dual Weyl module with highest weight ``lam``."""
+    """Character of the dual Weyl module with highest weight ``lam``, its
+    support in print order (see ``weyl_orbit``)."""
     rd.check_weight(lam)
     lam = tuple(lam)
     if not is_dominant(rd, lam):
         raise NotDominant(f"{lam} is not dominant")
-    support: dict[Weight, int] = {}
-    for mu, m in _freudenthal(rd, lam).items():
-        for w in weyl_orbit(rd, mu):
-            support[w] = m
-    return FormalCharacter(rd.gtype, support)
+    return FormalCharacter(rd.gtype, weyl_orbit(rd, _freudenthal(rd, lam)))
 
 
 # ---------------------------------------------------------------------------
-# Exterior powers
+# The exterior algebra
 
 def _check_genuine(chi: FormalCharacter):
     if any(m < 0 for m in chi.support.values()):
         raise NegativeInput("exterior powers need a genuine character")
-
-
-def exterior_power(chi: FormalCharacter, k: int) -> FormalCharacter:
-    """k-th exterior power, by a graded subset expansion: after each weight
-    copy w, row j holds Lambda^j of the copies seen so far, and row j gains
-    row j-1 shifted by w."""
-    if k < 0:
-        raise NegativeInput("negative exterior power")
-    _check_genuine(chi)
-    if k > chi.dim():
-        return FormalCharacter(chi.ambient, {})
-    rows: list[dict[Weight, int]] = [{(0,) * chi.ambient.rank: 1}]
-    rows += [{} for _ in range(k)]
-    for w, mult in chi.support.items():
-        for _ in range(mult):
-            for j in range(k, 0, -1):
-                dst = rows[j]
-                for v, m in rows[j - 1].items():
-                    u = tuple([a + b for a, b in zip(v, w)])
-                    dst[u] = dst.get(u, 0) + m
-    return FormalCharacter(chi.ambient, rows[k])
 
 
 def exterior_algebra(chi: FormalCharacter) -> FormalCharacter:
@@ -320,7 +299,7 @@ def decompose_dual_weyl(rd: RootDatum, chi: FormalCharacter) -> DualWeylDecompos
     (-1)^k m at x - rho, where k reflections, each at the first negative
     simple coordinate, fold nu + rho to the dominant x, or nothing if x is on
     a wall (Humphreys, *Introduction to Lie Algebras and Representation
-    Theory*, §24).  Terms go in by descending (height, weight) of x - rho.
+    Theory*, §24).
     """
     if normalize_type(chi.ambient) != rd.gtype:
         raise AmbientMismatch(f"{chi.ambient} vs {rd.gtype}")
@@ -340,8 +319,7 @@ def decompose_dual_weyl(rd: RootDatum, chi: FormalCharacter) -> DualWeylDecompos
                 break
             x = tuple([v - c * a for v, a in zip(x, columns[i])])
             m = -m
-    terms = {tuple(map(sub, x, rho)): sums[x] for x in sorted(
-        (x for x, m in sums.items() if m), key=lambda v: (rd.height(v), v), reverse=True)}
+    terms = {tuple(map(sub, x, rho)): m for x, m in sums.items() if m}
     return DualWeylDecomposition(rd.gtype, terms, all(m >= 0 for m in terms.values()))
 
 

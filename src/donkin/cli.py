@@ -181,7 +181,7 @@ def char(ctx, gtype, lam):
                    "dimension": chi.dim(), "weights": _keyed(rd.rank, chi.support)},
           lambda: [f"type {rd.gtype}, highest weight {lam}",
                    f"dimension: {chi.dim()} (Weyl formula: {weyl_dim(rd, w)})"]
-          + _item_lines("  %s: %%d", rd.rank, chi.items_sorted()))
+          + _item_lines("  %s: %%d", rd.rank, chi.support.items()))
 
 
 def _read_text(path):

@@ -403,44 +403,66 @@ def _dominant(w: Weight, simple, columns) -> Weight:
             return w
 
 
-def weyl_orbit(rd: RootDatum, w: Weight) -> tuple[Weight, ...]:
-    """Full Weyl orbit of a dominant weight, canonically sorted.
+def weyl_orbit(rd: RootDatum, dominant: dict[Weight, int]) -> dict[Weight, int]:
+    """Every point of the Weyl orbits of the dominant weights ``{mu: m}``,
+    each with its orbit's m, in print order: descending height, ties by
+    ascending weight.
 
-    Walks Snow's orbit tree ("Weyl group orbits", ACM TOMS 16, 1990), which
-    needs no visited set.  Every orbit point u other than the dominant ``w``
+    Walks Snow's orbit trees ("Weyl group orbits", ACM TOMS 16, 1990), which
+    need no visited set.  Every orbit point u other than its dominant mu
     has a first negative simple coordinate i, and its parent is s_i u, a
     higher orbit point with (s_i u)[i] = -u[i] > 0.  From a point v the walk
     therefore keeps u = s_i v (for v[i] = c > 0) only when i is u's first
     negative simple coordinate, that is when u[j] = v[j] - c * a_ji >= 0 for
     every simple j < i; this is tested on v before u is built.  Each point
-    thus has exactly one parent, the parents climb to ``w`` (the
-    ``_dominant`` path), and every point is emitted once.
+    thus has exactly one parent, the parents climb to mu (the ``_dominant``
+    path), and every point is emitted once.
+
+    All trees are walked at once, one height level at a time.  Every simple
+    root has height 2 under ``height_functional`` (the sum of the positive
+    coroots, which is 2 rho-check), so a child s_i v lies 2 v[i] below its
+    parent.  A level's parents all lie on higher levels, so the level is
+    complete when the walk reaches it; it is sorted once and appended.
     """
-    rd.check_weight(w)
-    w = tuple(w)
-    if any(w[i] < 0 for i in rd._simple):
-        raise NotDominant(f"{w} is not dominant")
-    out = [w]
-    emit = out.append
-    for v in out:  # the list grows while it is walked
-        for i, moved, lower_unmoved, lower_moved in rd._orbit_plans:
-            c = v[i]
-            if c > 0:
-                for j in lower_unmoved:
-                    if v[j] < 0:
-                        break
-                else:
-                    for j, a in lower_moved:
-                        if v[j] < c * a:
+    heights = []
+    for w in dominant:
+        rd.check_weight(w)
+        if any(w[i] < 0 for i in rd._simple):
+            raise NotDominant(f"{w} is not dominant")
+        heights.append(rd.height(w))
+    if not heights:
+        return {}
+    top = max(heights)
+    # levels[k] holds the (point, m) pairs of height top - k
+    levels: list[list[tuple[Weight, int]] | None] = [[] for _ in range(2 * top + 1)]
+    for (w, m), h in zip(dominant.items(), heights):
+        levels[top - h].append((w, m))
+    plans = rd._orbit_plans
+    out: dict[Weight, int] = {}
+    for k, level in enumerate(levels):
+        if not level:
+            continue
+        levels[k] = None  # free its pairs: out holds its points from here on
+        level.sort()
+        out.update(level)
+        for v, m in level:
+            for i, moved, lower_unmoved, lower_moved in plans:
+                c = v[i]
+                if c > 0:
+                    for j in lower_unmoved:
+                        if v[j] < 0:
                             break
                     else:
-                        u = list(v)
-                        u[i] = -c
-                        for j, a in moved:
-                            u[j] -= c * a
-                        emit(tuple(u))
-    out.sort()
-    return tuple(out)
+                        for j, a in lower_moved:
+                            if v[j] < c * a:
+                                break
+                        else:
+                            u = list(v)
+                            u[i] = -c
+                            for j, a in moved:
+                                u[j] -= c * a
+                            levels[k + 2 * c].append((tuple(u), m))
+    return out
 
 
 def weyl_dim(rd: RootDatum, lam: Weight) -> int:

@@ -15,7 +15,7 @@ import pytest
 
 import donkin.characters as ch
 from donkin.characters import FormalCharacter, dual_weyl_character
-from donkin.errors import AmbientMismatch
+from donkin.errors import AmbientMismatch, NegativeInput
 from donkin.nilpotent import JordanType, parse_orbit_tables
 from donkin.rootsystem import (
     GroupType,
@@ -23,6 +23,7 @@ from donkin.rootsystem import (
     _classify_nodes,
     _dominant,
     normalize_type,
+    weyl_orbit,
 )
 
 
@@ -52,6 +53,11 @@ def dominant_representative(rd, w):
     """The dominant weight in the Weyl orbit of ``w``."""
     rd.check_weight(w)
     return _dominant(tuple(w), rd.simple_indices(), rd._columns)
+
+
+def orbit(rd, w):
+    """The Weyl orbit of the dominant weight ``w``, sorted."""
+    return tuple(sorted(weyl_orbit(rd, {tuple(w): 1})))
 
 
 def subdiagram_type(rd, nodes) -> GroupType:
@@ -91,6 +97,27 @@ def external_product(c1: FormalCharacter, c2: FormalCharacter) -> FormalCharacte
         for w2, m2 in c2.support.items():
             out[w1 + w2] = out.get(w1 + w2, 0) + m1 * m2
     return FormalCharacter(gt, out)
+
+
+def exterior_power(chi: FormalCharacter, k: int) -> FormalCharacter:
+    """k-th exterior power, by a graded subset expansion: after each weight
+    copy w, row j holds Lambda^j of the copies seen so far, and row j gains
+    row j-1 shifted by w.  An oracle for ``exterior_algebra``, the sum of
+    all of them."""
+    if k < 0:
+        raise NegativeInput("negative exterior power")
+    ch._check_genuine(chi)
+    if k > chi.dim():
+        return FormalCharacter(chi.ambient, {})
+    rows = [{(0,) * chi.ambient.rank: 1}] + [{} for _ in range(k)]
+    for w, mult in chi.support.items():
+        for _ in range(mult):
+            for j in range(k, 0, -1):
+                dst = rows[j]
+                for v, m in rows[j - 1].items():
+                    u = tuple([a + b for a, b in zip(v, w)])
+                    dst[u] = dst.get(u, 0) + m
+    return FormalCharacter(chi.ambient, rows[k])
 
 
 def decomposition_character(rd, dec) -> FormalCharacter:

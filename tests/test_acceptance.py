@@ -13,6 +13,7 @@ from conftest import (
     algebra_basis,
     check_form_invariance,
     commutant_dimension,
+    exterior_power,
     grading_element,
     jordan_type_of,
     nilpotent_with_form,
@@ -22,7 +23,6 @@ from donkin.characters import (
     decompose_dual_weyl,
     dual_weyl_character,
     exterior_algebra,
-    exterior_power,
     is_restricted,
 )
 from donkin.embeddings import EmbeddingStep, step_map

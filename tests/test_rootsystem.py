@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dominant_representative, subdiagram_type
+from conftest import dominant_representative, orbit, subdiagram_type
 from donkin.characters import dual_weyl_character
 from donkin.embeddings import (
     EmbeddingStep,
@@ -142,7 +142,7 @@ def test_dominant_representative():
     a2 = build_root_datum("A2")
     rep = dominant_representative(a2, (-1, 2))
     assert is_dominant(a2, rep)
-    assert rep in weyl_orbit(a2, rep)
+    assert rep in orbit(a2, rep)
     # idempotence on already-dominant weights
     assert dominant_representative(a2, (2, 1)) == (2, 1)
 
@@ -153,20 +153,20 @@ def test_dominant_representative():
 def test_dominant_representative_orbit_invariant(name, w):
     rd = build_root_datum(name)
     rep = dominant_representative(rd, w)
-    for v in weyl_orbit(rd, rep):
+    for v in orbit(rd, rep):
         assert dominant_representative(rd, v) == rep
     assert dominant_representative(rd, rep) == rep
 
 
 def test_weyl_orbits():
     a1 = build_root_datum("A1")
-    assert weyl_orbit(a1, (2,)) == ((-2,), (2,))
+    assert orbit(a1, (2,)) == ((-2,), (2,))
     a2 = build_root_datum("A2")
-    assert len(weyl_orbit(a2, (1, 1))) == 6
+    assert len(orbit(a2, (1, 1))) == 6
     g2 = build_root_datum("G2")
-    assert len(weyl_orbit(g2, (1, 0))) == 6
+    assert len(orbit(g2, (1, 0))) == 6
     with pytest.raises(NotDominant):
-        weyl_orbit(a2, (-1, 0))
+        orbit(a2, (-1, 0))
 
 
 def test_orbit_size_divides_weyl_order():
@@ -174,7 +174,7 @@ def test_orbit_size_divides_weyl_order():
     for name, order in orders.items():
         rd = build_root_datum(name)
         for w in [(1,) + (0,) * (rd.rank - 1), (1,) * rd.rank, (2, 1) + (0,) * (rd.rank - 2)]:
-            assert order % len(weyl_orbit(rd, w)) == 0
+            assert order % len(orbit(rd, w)) == 0
 
 
 def test_weyl_dim():
@@ -252,7 +252,7 @@ def test_dominant_representative_properties(name, w):
     rep = dominant_representative(rd, w)
     assert is_dominant(rd, rep)
     assert dominant_representative(rd, rep) == rep
-    assert w in weyl_orbit(rd, rep)
+    assert w in orbit(rd, rep)
 
 
 WEYL_ORDER = {"A": lambda n: math.factorial(n + 1),
@@ -283,8 +283,56 @@ def test_weyl_orbit_emits_each_point_once(name, lam):
     """|orbit| = |W| / |W_lam|, where W_lam is the parabolic subgroup of the
     zero nodes of lam, with no point emitted twice."""
     rd = build_root_datum(name)
-    orbit = weyl_orbit(rd, lam)
-    assert len(orbit) == len(set(orbit))
+    points = orbit(rd, lam)
+    assert len(points) == len(set(points))
     zero_nodes = [i + 1 for i in rd.simple_indices() if lam[i] == 0]
     stabiliser = subdiagram_type(rd, zero_nodes)
-    assert len(orbit) == weyl_group_order(rd.gtype) // weyl_group_order(stabiliser)
+    assert len(points) == weyl_group_order(rd.gtype) // weyl_group_order(stabiliser)
+
+
+@pytest.mark.parametrize("name", ALL_SIMPLE)
+def test_simple_roots_have_height_two(name):
+    """The level walk of weyl_orbit puts s_i v exactly 2 v[i] below v."""
+    rd = build_root_datum(name)
+    assert all(rd.height(rd._columns[i]) == 2 for i in rd.simple_indices())
+
+
+@st.composite
+def dominant_tables(draw, rd):
+    """{dominant weight: multiplicity}, keys in a drawn (not sorted) order."""
+    weight = st.tuples(*[st.integers(0, 2) if i in rd.simple_indices() else st.integers(-3, 3)
+                         for i in range(rd.rank)])
+    return draw(st.dictionaries(weight, st.integers(1, 5), min_size=1, max_size=6))
+
+
+ORBIT_TYPES = ["A2", "G2", "B2.T1", "A1.B3.T2"]
+
+
+@pytest.mark.parametrize("name", ORBIT_TYPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_weyl_orbit_ignores_the_order_of_its_input(name, data):
+    """The same dict in the same key order for the keys given in any order;
+    a cache file hands its entries over in ascending-weight order."""
+    rd = build_root_datum(name)
+    table = data.draw(dominant_tables(rd))
+    out = list(weyl_orbit(rd, table).items())
+    for keys in (reversed(table), sorted(table)):
+        assert list(weyl_orbit(rd, {mu: table[mu] for mu in keys}).items()) == out
+    assert sorted(out) == sorted((w, m) for mu, m in table.items() for w in orbit(rd, mu))
+
+
+@pytest.mark.parametrize("name", ORBIT_TYPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_weyl_orbit_rejects_any_non_dominant_key(name, data):
+    rd = build_root_datum(name)
+    items = list(data.draw(dominant_tables(rd)).items())
+    i = data.draw(st.sampled_from(rd.simple_indices()))
+    bad = [0] * rd.rank
+    bad[i] = -data.draw(st.integers(1, 3))
+    items.insert(data.draw(st.integers(0, len(items))), (tuple(bad), 1))
+    with pytest.raises(NotDominant):
+        weyl_orbit(rd, dict(items))
+    with pytest.raises(DimensionMismatch):
+        weyl_orbit(rd, {(0,) * (rd.rank + 1): 1})
