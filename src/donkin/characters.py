@@ -2,9 +2,12 @@
 into the dual-Weyl basis, and restrictedness tests.
 
 A formal character is a finite map from weights (fundamental-weight
-coordinates) to integer multiplicities.  Freudenthal's recursion gives the
-dominant multiplicities of dual Weyl modules, memoized and kept in a text
-cache file checked at first use against the Weyl dimension formula.  One
+coordinates) to integer multiplicities.  Freudenthal's recursion, in the
+orbit-sum form of Moody and Patera, gives the dominant multiplicities of dual
+Weyl modules: one root string per orbit of each dominant weight's stabilizer,
+each string cut short at the first dominant weight already done.  They are
+memoized and kept in a text cache file checked at first use against the Weyl
+dimension formula.  One
 Racah–Speiser pass over the support decomposes a W-invariant character
 (Humphreys §24), with no Freudenthal run.
 """
@@ -100,25 +103,77 @@ _LOCK = threading.Lock()
 
 
 def _dominant_weights_below(rd: RootDatum, lam: Weight) -> list[Weight]:
-    """All dominant weights of the dual Weyl module with highest weight lam.
+    """All dominant weights of the dual Weyl module with highest weight lam,
+    by descending height, ties by ascending weight.
 
     These are exactly the dominant mu <= lam; they are generated by repeatedly
     subtracting positive roots while staying dominant (covers in the dominance
-    order on dominant weights differ by a positive root).
+    order on dominant weights differ by a positive root).  mu - alpha is
+    dominant iff mu[i] >= alpha[i] wherever alpha[i] > 0, so only those
+    coordinates are tested.  The weights go into one bucket per height, as in
+    ``weyl_orbit``: a bucket is complete when the walk reaches it, since every
+    weight is found from a higher one.
     """
-    simple = rd.simple_indices()
-    found = {tuple(lam)}
-    frontier = [tuple(lam)]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for alpha in rd.positive_roots:
-                nu = tuple(m - a for m, a in zip(mu, alpha))
-                if nu not in found and all(nu[i] >= 0 for i in simple):
-                    found.add(nu)
-                    nxt.append(nu)
-        frontier = nxt
-    return sorted(found, key=lambda w: (-rd.height(w), w))
+    lam = tuple(lam)
+    top = rd.height(lam)
+    steps = [(alpha, rd.height(alpha), tuple((i, a) for i, a in enumerate(alpha) if a > 0))
+             for alpha in rd.positive_roots]
+    # levels[d] holds the weights of height top - d
+    levels: list[list[Weight] | None] = [[] for _ in range(top + 1)]
+    levels[0].append(lam)
+    found = {lam}
+    out: list[Weight] = []
+    for d, level in enumerate(levels):
+        if not level:
+            continue
+        levels[d] = None
+        level.sort()
+        out += level
+        for mu in level:
+            for alpha, h, above in steps:
+                for i, a in above:
+                    if mu[i] < a:
+                        break
+                else:
+                    nu = tuple([m - a for m, a in zip(mu, alpha)])
+                    if nu not in found:
+                        found.add(nu)
+                        levels[d + h].append(nu)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _root_orbits(rd: RootDatum, walls: tuple[int, ...]
+                 ) -> tuple[tuple[tuple[Weight, Weight, int, int], ...], dict[Weight, int]]:
+    """Moody–Patera's plan for a dominant mu whose zero simple coordinates
+    are ``walls`` (the set J): one (beta, G beta, <beta, beta>, weight) per
+    W_J-orbit O of roots that holds a positive root, and the position in the
+    plan of every root of those orbits.
+
+    W_J fixes mu and maps the positive roots outside Phi_J to themselves, so
+    the root string sum S(mu, alpha) is constant on O.  beta is O's
+    J-dominant member, which is positive.  The weight is 2|O| for O outside
+    Phi_J; an orbit inside Phi_J holds each of its roots with its negative,
+    and S(mu, -alpha) = S(mu, alpha) there, so its weight is |O|.  The
+    weights times S(mu, beta) sum to 2 * sum over alpha > 0 of S(mu, alpha).
+    """
+    positive = set(rd.positive_roots)
+    plan = []
+    orbit_of: dict[Weight, int] = {}
+    for alpha in rd.positive_roots:
+        if alpha in orbit_of:
+            continue
+        orbit = {alpha}
+        frontier = [alpha]
+        while frontier:
+            frontier = [u for v in frontier for j in walls
+                        if (u := rd.reflect(v, j)) not in orbit and not orbit.add(u)]
+        beta = next(v for v in orbit if all(v[j] >= 0 for j in walls))
+        g_beta = tuple(sum(map(mul, row, beta)) for row in rd.gram)
+        weight = len(orbit) if orbit - positive else 2 * len(orbit)
+        orbit_of.update(dict.fromkeys(orbit, len(plan)))
+        plan.append((beta, g_beta, sum(map(mul, beta, g_beta)), weight))
+    return tuple(plan), orbit_of
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,7 +203,20 @@ def _cached_entry_ok(rd: RootDatum, lam: Weight, mults: dict[Weight, int]) -> bo
 
 
 def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
-    """Dominant multiplicities of the dual Weyl module, by Freudenthal's recursion.
+    """Dominant multiplicities of the dual Weyl module, by Freudenthal's recursion
+    in the orbit-sum form of Moody and Patera ("Fast recursion formula for
+    weight multiplicities", Bull. AMS 7, 1982).
+
+    Freudenthal's formula reads
+    (|lam + rho|^2 - |mu + rho|^2) m(mu) = 2 sum_{alpha > 0} S(mu, alpha), with
+    S(mu, alpha) = sum_{k >= 1} m(mu + k alpha) <mu + k alpha, alpha>.  At a
+    dominant mu the right side is the sum over ``_root_orbits`` of
+    weight * S(mu, beta): one root string per orbit of mu's stabilizer
+    W_J, weighted 2|O| for an orbit outside Phi_J and |O| for one inside.
+    These S(mu, beta) are kept for every dominant mu.  A string from a lower
+    weight in the direction of a root gamma that reaches such a mu stops
+    there and adds S(mu, gamma), which is S(mu, beta) for the beta of
+    gamma's orbit in mu's plan.
 
     An entry read from the cache file is used if ``_cached_entry_ok`` passes
     it, else recomputed.  Runs on ints only: inner products are taken with
@@ -166,36 +234,44 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         mults = {tuple(lam): 1}
     else:
         simple, columns = rd.simple_indices(), rd._columns
-        # (alpha, G alpha, <alpha, alpha>): <mu + k alpha, alpha> = <mu, alpha> + k <alpha, alpha>
-        roots = []
-        for alpha in rd.positive_roots:
-            g_alpha = tuple(sum(map(mul, row, alpha)) for row in rd.gram)
-            roots.append((alpha, g_alpha, sum(map(mul, alpha, g_alpha))))
         order = _dominant_weights_below(rd, lam)
         lam_rho = tuple(a + r for a, r in zip(lam, rd.rho))
         clam = rd.scaled_inner(lam_rho, lam_rho)
         mults = {order[0]: 1}
-        # m(nu) of every nu = mu + k alpha looked up so far: the dominant
+        # m(nu) of every nu = mu + k beta looked up so far: the dominant
         # representative of nu lies above mu, so its multiplicity is already
         # final (computed, or 0 for a weight outside the module)
         folded: dict[Weight, int] = {}
+        # sums[mu] = (plan position of each root's orbit, S(mu, beta) per
+        # orbit) for the dominant mu done so far
+        sums: dict[Weight, tuple[dict[Weight, int], list[int]]] = {}
         for mu in order[1:]:
             mu_rho = tuple(m + r for m, r in zip(mu, rd.rho))
             denom = clam - rd.scaled_inner(mu_rho, mu_rho)
             total = 0
-            for alpha, g_alpha, aa in roots:
-                ip = sum(map(mul, mu, g_alpha))
+            plan, orbit_of = _root_orbits(rd, tuple(i for i in simple if not mu[i]))
+            row = []
+            for beta, g_beta, bb, weight in plan:
+                ip = sum(map(mul, mu, g_beta))
+                s = 0
                 nu = mu
                 while True:
-                    nu = tuple([x + a for x, a in zip(nu, alpha)])
+                    nu = tuple([x + b for x, b in zip(nu, beta)])
                     m_nu = folded.get(nu)
                     if m_nu is None:
                         m_nu = folded[nu] = mults.get(_dominant(nu, simple, columns), 0)
                     if m_nu == 0:
                         break
-                    ip += aa
-                    total += m_nu * ip
-            q, r = divmod(2 * total, denom)
+                    ip += bb
+                    s += m_nu * ip
+                    hit = sums.get(nu)
+                    if hit is not None:
+                        s += hit[1][hit[0][beta]]
+                        break
+                row.append(s)
+                total += weight * s
+            sums[mu] = (orbit_of, row)
+            q, r = divmod(total, denom)
             if r:
                 raise AssertionError("Freudenthal multiplicity not integral")
             if q:

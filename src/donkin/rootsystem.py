@@ -422,7 +422,9 @@ def weyl_orbit(rd: RootDatum, dominant: dict[Weight, int]) -> dict[Weight, int]:
     root has height 2 under ``height_functional`` (the sum of the positive
     coroots, which is 2 rho-check), so a child s_i v lies 2 v[i] below its
     parent.  A level's parents all lie on higher levels, so the level is
-    complete when the walk reaches it; it is sorted once and appended.
+    complete when the walk reaches it; it is sorted once and appended.  The
+    walk counts what it emits and raises AssertionError at the first level
+    that repeats a point.
     """
     heights = []
     for w in dominant:
@@ -439,12 +441,16 @@ def weyl_orbit(rd: RootDatum, dominant: dict[Weight, int]) -> dict[Weight, int]:
         levels[top - h].append((w, m))
     plans = rd._orbit_plans
     out: dict[Weight, int] = {}
+    emitted = 0
     for k, level in enumerate(levels):
         if not level:
             continue
         levels[k] = None  # free its pairs: out holds its points from here on
         level.sort()
         out.update(level)
+        emitted += len(level)
+        if emitted != len(out):
+            raise AssertionError(f"weyl_orbit emitted a point twice at height {top - k}")
         for v, m in level:
             for i, moved, lower_unmoved, lower_moved in plans:
                 c = v[i]

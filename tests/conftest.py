@@ -8,8 +8,10 @@ ad-x computed by exact rational elimination.
 """
 from __future__ import annotations
 
+import hashlib
 import importlib.resources as ir
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -118,6 +120,70 @@ def exterior_power(chi: FormalCharacter, k: int) -> FormalCharacter:
                     u = tuple([a + b for a, b in zip(v, w)])
                     dst[u] = dst.get(u, 0) + m
     return FormalCharacter(chi.ambient, rows[k])
+
+
+def dominant_weights_below(rd, lam):
+    """Oracle: the dominant mu <= lam, closed under subtracting positive roots
+    while staying dominant, by descending height, ties by ascending weight."""
+    found = {tuple(lam)}
+    frontier = [tuple(lam)]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for alpha in rd.positive_roots:
+                nu = tuple(m - a for m, a in zip(mu, alpha))
+                if nu not in found and all(nu[i] >= 0 for i in rd.simple_indices()):
+                    found.add(nu)
+                    nxt.append(nu)
+        frontier = nxt
+    return sorted(found, key=lambda w: (-rd.height(w), w))
+
+
+def string_freudenthal(rd, lam):
+    """Oracle: Freudenthal's recursion on the dominant weights with one root
+    string per positive root at every mu and no use of mu's stabilizer; each
+    string point is folded to the dominant chamber to read its multiplicity.
+
+    (|lam+rho|^2 - |mu+rho|^2) m(mu) = 2 sum_{alpha > 0} sum_{k >= 1}
+    m(mu + k alpha) <mu + k alpha, alpha>, in ints via ``rd.gram``.
+    """
+    lam = tuple(lam)
+    if not rd.positive_roots:
+        return {lam: 1}
+    simple, columns = rd.simple_indices(), rd._columns
+    roots = []
+    for alpha in rd.positive_roots:
+        g_alpha = tuple(sum(map(mul, row, alpha)) for row in rd.gram)
+        roots.append((alpha, g_alpha, sum(map(mul, alpha, g_alpha))))
+    order = dominant_weights_below(rd, lam)
+    lam_rho = tuple(a + r for a, r in zip(lam, rd.rho))
+    clam = rd.scaled_inner(lam_rho, lam_rho)
+    mults = {lam: 1}
+    for mu in order[1:]:
+        mu_rho = tuple(m + r for m, r in zip(mu, rd.rho))
+        total = 0
+        for alpha, g_alpha, aa in roots:
+            ip = sum(map(mul, mu, g_alpha))
+            nu = mu
+            while True:
+                nu = tuple(x + a for x, a in zip(nu, alpha))
+                m_nu = mults.get(_dominant(nu, simple, columns), 0)
+                if m_nu == 0:
+                    break
+                ip += aa
+                total += m_nu * ip
+        q, r = divmod(2 * total, clam - rd.scaled_inner(mu_rho, mu_rho))
+        assert r == 0, "Freudenthal multiplicity not integral"
+        if q:
+            mults[mu] = q
+    return mults
+
+
+def multiplicity_digest(mults) -> str:
+    """sha256 of the lines "mu:m" (mu comma-separated), one per dominant
+    weight in ascending weight order, each ending in a newline."""
+    text = "".join(",".join(map(str, mu)) + f":{m}\n" for mu, m in sorted(mults.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def decomposition_character(rd, dec) -> FormalCharacter:

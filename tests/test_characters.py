@@ -12,9 +12,12 @@ from conftest import (
     clear_memo,
     decomposition_character,
     dominant_representative,
+    dominant_weights_below,
     exterior_power,
     external_product,
+    multiplicity_digest,
     orbit,
+    string_freudenthal,
     tensor,
     trivial_character,
 )
@@ -140,11 +143,84 @@ def textbook_freudenthal(rd, lam):
 @pytest.mark.parametrize("name,lam", [
     ("G2", (3, 2)), ("B3", (1, 1, 1)), ("C3", (1, 0, 1)), ("D4", (1, 1, 1, 1)),
     ("F4", (0, 0, 1, 1)), ("E6", (1, 0, 0, 0, 0, 1)), ("A1.B2", (2, 0, 1)),
-    ("B2.T1", (1, 0, 5)),
+    ("B2.T1", (1, 0, 5)), ("E8", (0, 0, 0, 0, 0, 0, 0, 1)),
 ])
 def test_freudenthal_matches_textbook_oracle(name, lam):
     rd = build_root_datum(name)
     assert ch._freudenthal(rd, lam) == textbook_freudenthal(rd, lam)
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("E6", (1, 0, 0, 0, 0, 1)), ("E7", (0, 0, 0, 0, 0, 0, 1)),
+    ("E8", (0, 0, 0, 0, 0, 0, 0, 1)), ("D4", (0, 1, 0, 0)), ("F4", (0, 0, 0, 2)),
+    ("B5", (0, 0, 0, 0, 2)), ("A1.B3.T2", (2, 0, 0, 2, 1, -3)), ("B2.T1", (0, 2, 4)),
+    ("T1", (-2,)),
+])
+def test_freudenthal_matches_string_oracle(name, lam):
+    """Weights with large stabilizers W_J, whose root orbits are large, and
+    torus types: the orbit sums give what one string per positive root does."""
+    rd = build_root_datum(name)
+    assert ch._freudenthal(rd, lam) == string_freudenthal(rd, lam)
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("G2", (4, 3)), ("B3", (2, 0, 3)), ("D4", (2, 0, 1, 1)), ("F4", (1, 0, 1, 2)),
+    ("E7", (0, 1, 0, 0, 0, 0, 2)), ("A1.B3.T2", (2, 0, 0, 2, 1, -3)),
+])
+def test_dominant_weights_below_matches_the_sorted_closure(name, lam):
+    """The same list in the same order as a plain closure sorted by
+    descending height, ties by ascending weight."""
+    rd = build_root_datum(name)
+    assert ch._dominant_weights_below(rd, lam) == dominant_weights_below(rd, lam)
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "D4", "F4", "A1.B3.T2", "E6", "E8"])
+def test_root_orbits_plan(name):
+    """For every wall set J: each positive root's orbit has as its beta the
+    root's J-dominant fold under the s_j, j in J, every beta is positive, and
+    each orbit weighs twice its number of positive roots, so the weights add
+    up to 2 |Phi+|.  (A negative beta in Phi_J would give the same sums, as
+    S(mu, -beta) = S(mu, beta) there; only this test sees it.)"""
+    rd = build_root_datum(name)
+    simple = rd.simple_indices()
+    for walls in itertools.chain.from_iterable(
+            itertools.combinations(simple, r) for r in range(len(simple) + 1)):
+        plan, orbit_of = ch._root_orbits(rd, walls)
+        counts = [0] * len(plan)
+        for alpha in rd.positive_roots:
+            beta = alpha
+            while (j := next((j for j in walls if beta[j] < 0), None)) is not None:
+                beta = rd.reflect(beta, j)
+            assert plan[orbit_of[alpha]][0] == beta
+            counts[orbit_of[alpha]] += 1
+        assert all(beta in rd.positive_roots for beta, *_ in plan)
+        assert [weight for *_, weight in plan] == [2 * c for c in counts]
+
+
+# Every simple type of rank <= 4, plus G2, F4 and E6, each with a bound on
+# the coordinates of the highest weights drawn.
+SIMPLE_TYPES = [("A1", 8), ("A2", 4), ("A3", 2), ("A4", 1), ("B2", 4), ("B3", 2), ("B4", 1),
+                ("C3", 2), ("C4", 1), ("D4", 1), ("G2", 3), ("F4", 1), ("E6", 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_freudenthal_passes_the_weyl_dimension_check(data):
+    """sum of m(mu) |W mu| over the dominant mu is the Weyl dimension."""
+    name, bound = data.draw(st.sampled_from(SIMPLE_TYPES))
+    rd = build_root_datum(name)
+    lam = data.draw(_dominant_weights(rd, bound))
+    assert ch._cached_entry_ok(rd, lam, ch._freudenthal(rd, lam))
+
+
+def test_e7_rho_multiplicities_are_frozen():
+    """The 1,464 dominant multiplicities of nabla(rho) for E7, as the
+    one-string-per-root recursion gave them (E8 rho is checked in CI)."""
+    rd = build_root_datum("E7")
+    mults = ch._freudenthal(rd, rd.rho)
+    assert len(mults) == 1464
+    assert multiplicity_digest(mults) == (
+        "fea3bd1b0947b6817e0c4c703e21dad1b7c7e8dfb38d7e6e2782cf46234dd8fe")
 
 
 def reflection_bfs_orbit(rd, lam):
