@@ -7,9 +7,8 @@ orbit-sum form of Moody and Patera, gives the dominant multiplicities of dual
 Weyl modules: one root string per orbit of each dominant weight's stabilizer,
 each string cut short at the first dominant weight already done.  They are
 memoized and kept in a text cache file checked at first use against the Weyl
-dimension formula.  One
-Racah–Speiser pass over the support decomposes a W-invariant character
-(Humphreys §24), with no Freudenthal run.
+dimension formula.  One Racah–Speiser pass over the support decomposes a
+W-invariant character (Humphreys §24), with no Freudenthal run.
 """
 from __future__ import annotations
 
@@ -144,36 +143,26 @@ def _dominant_weights_below(rd: RootDatum, lam: Weight) -> list[Weight]:
 
 @functools.lru_cache(maxsize=None)
 def _root_orbits(rd: RootDatum, walls: tuple[int, ...]
-                 ) -> tuple[tuple[tuple[Weight, Weight, int, int], ...], dict[Weight, int]]:
+                 ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """Moody–Patera's plan for a dominant mu whose zero simple coordinates
-    are ``walls`` (the set J): one (beta, G beta, <beta, beta>, weight) per
-    W_J-orbit O of roots that holds a positive root, and the position in the
-    plan of every root of those orbits.
+    are ``walls`` (the set J): one (beta, weight) per W_J-orbit O of roots
+    that holds a positive root, and the plan position of each positive
+    root's orbit.  Roots are given by their index in ``rd.positive_roots``.
 
-    W_J fixes mu and maps the positive roots outside Phi_J to themselves, so
-    the root string sum S(mu, alpha) is constant on O.  beta is O's
-    J-dominant member, which is positive.  The weight is 2|O| for O outside
-    Phi_J; an orbit inside Phi_J holds each of its roots with its negative,
-    and S(mu, -alpha) = S(mu, alpha) there, so its weight is |O|.  The
-    weights times S(mu, beta) sum to 2 * sum over alpha > 0 of S(mu, alpha).
+    W_J fixes mu, so the root string sum S(mu, alpha) of ``_freudenthal`` is
+    constant on O.  beta is O's J-dominant member, the fold of each of its
+    positive roots under the s_j, j in J, and it is positive.  The weight is
+    twice the number of positive roots in O.  W_J maps the positive roots
+    outside Phi_J to themselves, so there it is 2|O|.  An orbit inside Phi_J
+    holds each of its roots with its negative, and S(mu, -alpha) =
+    S(mu, alpha) there, so it is |O|.  The weights times S(mu, beta) sum to
+    2 * sum over alpha > 0 of S(mu, alpha).
     """
-    positive = set(rd.positive_roots)
-    plan = []
-    orbit_of: dict[Weight, int] = {}
-    for alpha in rd.positive_roots:
-        if alpha in orbit_of:
-            continue
-        orbit = {alpha}
-        frontier = [alpha]
-        while frontier:
-            frontier = [u for v in frontier for j in walls
-                        if (u := rd.reflect(v, j)) not in orbit and not orbit.add(u)]
-        beta = next(v for v in orbit if all(v[j] >= 0 for j in walls))
-        g_beta = tuple(sum(map(mul, row, beta)) for row in rd.gram)
-        weight = len(orbit) if orbit - positive else 2 * len(orbit)
-        orbit_of.update(dict.fromkeys(orbit, len(plan)))
-        plan.append((beta, g_beta, sum(map(mul, beta, g_beta)), weight))
-    return tuple(plan), orbit_of
+    index = {alpha: n for n, alpha in enumerate(rd.positive_roots)}
+    position: dict[int, int] = {}
+    orbit_of = [position.setdefault(index[_dominant(alpha, walls, rd._columns)], len(position))
+                for alpha in rd.positive_roots]
+    return tuple((b, 2 * orbit_of.count(k)) for b, k in position.items()), tuple(orbit_of)
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,6 +223,11 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         mults = {tuple(lam): 1}
     else:
         simple, columns = rd.simple_indices(), rd._columns
+        # (alpha, G alpha, <alpha, alpha>): <mu + k alpha, alpha> = <mu, alpha> + k <alpha, alpha>
+        roots = []
+        for alpha in rd.positive_roots:
+            g_alpha = tuple(sum(map(mul, row, alpha)) for row in rd.gram)
+            roots.append((alpha, g_alpha, sum(map(mul, alpha, g_alpha))))
         order = _dominant_weights_below(rd, lam)
         lam_rho = tuple(a + r for a, r in zip(lam, rd.rho))
         clam = rd.scaled_inner(lam_rho, lam_rho)
@@ -242,21 +236,22 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         # representative of nu lies above mu, so its multiplicity is already
         # final (computed, or 0 for a weight outside the module)
         folded: dict[Weight, int] = {}
-        # sums[mu] = (plan position of each root's orbit, S(mu, beta) per
-        # orbit) for the dominant mu done so far
-        sums: dict[Weight, tuple[dict[Weight, int], list[int]]] = {}
+        # sums[mu] = (plan position of each positive root's orbit, S(mu, beta)
+        # per orbit) for the dominant mu done so far
+        sums: dict[Weight, tuple[tuple[int, ...], list[int]]] = {}
         for mu in order[1:]:
             mu_rho = tuple(m + r for m, r in zip(mu, rd.rho))
             denom = clam - rd.scaled_inner(mu_rho, mu_rho)
             total = 0
             plan, orbit_of = _root_orbits(rd, tuple(i for i in simple if not mu[i]))
             row = []
-            for beta, g_beta, bb, weight in plan:
+            for b, weight in plan:
+                beta, g_beta, bb = roots[b]
                 ip = sum(map(mul, mu, g_beta))
                 s = 0
                 nu = mu
                 while True:
-                    nu = tuple([x + b for x, b in zip(nu, beta)])
+                    nu = tuple([x + y for x, y in zip(nu, beta)])
                     m_nu = folded.get(nu)
                     if m_nu is None:
                         m_nu = folded[nu] = mults.get(_dominant(nu, simple, columns), 0)
@@ -266,7 +261,7 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
                     s += m_nu * ip
                     hit = sums.get(nu)
                     if hit is not None:
-                        s += hit[1][hit[0][beta]]
+                        s += hit[1][hit[0][b]]
                         break
                 row.append(s)
                 total += weight * s

@@ -176,25 +176,31 @@ def test_dominant_weights_below_matches_the_sorted_closure(name, lam):
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "D4", "F4", "A1.B3.T2", "E6", "E8"])
 def test_root_orbits_plan(name):
-    """For every wall set J: each positive root's orbit has as its beta the
-    root's J-dominant fold under the s_j, j in J, every beta is positive, and
-    each orbit weighs twice its number of positive roots, so the weights add
-    up to 2 |Phi+|.  (A negative beta in Phi_J would give the same sums, as
-    S(mu, -beta) = S(mu, beta) there; only this test sees it.)"""
+    """For every wall set J, against the W_J-orbits of all roots closed under
+    the s_j, j in J: one plan entry per orbit that holds a positive root,
+    its beta the orbit's J-dominant member, weighted |O| inside Phi_J (an
+    orbit with a negative root) and 2|O| outside."""
     rd = build_root_datum(name)
+    roots = rd.positive_roots
     simple = rd.simple_indices()
     for walls in itertools.chain.from_iterable(
             itertools.combinations(simple, r) for r in range(len(simple) + 1)):
         plan, orbit_of = ch._root_orbits(rd, walls)
-        counts = [0] * len(plan)
-        for alpha in rd.positive_roots:
-            beta = alpha
-            while (j := next((j for j in walls if beta[j] < 0), None)) is not None:
-                beta = rd.reflect(beta, j)
-            assert plan[orbit_of[alpha]][0] == beta
-            counts[orbit_of[alpha]] += 1
-        assert all(beta in rd.positive_roots for beta, *_ in plan)
-        assert [weight for *_, weight in plan] == [2 * c for c in counts]
+        seen = set()
+        for n, alpha in enumerate(roots):
+            if alpha in seen:
+                continue
+            orbit = {alpha}
+            frontier = [alpha]
+            while frontier:
+                frontier = [u for v in frontier for j in walls
+                            if (u := rd.reflect(v, j)) not in orbit and not orbit.add(u)]
+            seen |= orbit
+            b, weight = plan[orbit_of[n]]
+            assert roots[b] in orbit and all(roots[b][j] >= 0 for j in walls)
+            assert {orbit_of[k] for k, v in enumerate(roots) if v in orbit} == {orbit_of[n]}
+            assert weight == (len(orbit) if orbit - set(roots) else 2 * len(orbit))
+        assert sorted(set(orbit_of)) == list(range(len(plan)))
 
 
 # Every simple type of rank <= 4, plus G2, F4 and E6, each with a bound on

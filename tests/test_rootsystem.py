@@ -281,7 +281,8 @@ def weyl_group_order(gtype):
 ])
 def test_weyl_orbit_emits_each_point_once(name, lam):
     """|orbit| = |W| / |W_lam|, where W_lam is the parabolic subgroup of the
-    zero nodes of lam, with no point emitted twice."""
+    zero nodes of lam, with no point emitted twice: ``weyl_orbit`` counts its
+    emissions and raises AssertionError at a repeated point."""
     rd = build_root_datum(name)
     points = orbit(rd, lam)
     assert len(points) == len(set(points))
