@@ -190,11 +190,7 @@ def test_root_orbits_plan(name):
         for n, alpha in enumerate(roots):
             if alpha in seen:
                 continue
-            orbit = {alpha}
-            frontier = [alpha]
-            while frontier:
-                frontier = [u for v in frontier for j in walls
-                            if (u := rd.reflect(v, j)) not in orbit and not orbit.add(u)]
+            orbit = reflection_bfs_orbit(rd, alpha, walls)
             seen |= orbit
             b, weight = plan[orbit_of[n]]
             assert roots[b] in orbit and all(roots[b][j] >= 0 for j in walls)
@@ -229,12 +225,14 @@ def test_e7_rho_multiplicities_are_frozen():
         "fea3bd1b0947b6817e0c4c703e21dad1b7c7e8dfb38d7e6e2782cf46234dd8fe")
 
 
-def reflection_bfs_orbit(rd, lam):
-    """Oracle: close {lam} under every simple reflection."""
+def reflection_bfs_orbit(rd, lam, indices=None):
+    """Oracle: close {lam} under the simple reflections s_i, i in ``indices``
+    (every simple reflection by default)."""
+    indices = rd.simple_indices() if indices is None else indices
     seen = {tuple(lam)}
     frontier = [tuple(lam)]
     while frontier:
-        frontier = [u for v in frontier for i in rd.simple_indices()
+        frontier = [u for v in frontier for i in indices
                     if (u := rd.reflect(v, i)) not in seen and not seen.add(u)]
     return seen
 
