@@ -59,38 +59,8 @@ class FormalCharacter:
     def dim(self) -> int:
         return sum(self.support.values())
 
-    def __eq__(self, other):
-        return (isinstance(other, FormalCharacter)
-                and self.ambient == other.ambient
-                and self.support == other.support)
-
     def __repr__(self):
         return f"FormalCharacter({self.ambient}, {len(self.support)} weights, dim {self.dim()})"
-
-
-def _by_height(ambient: GroupType, mults: dict[Weight, int]) -> list[tuple[Weight, int]]:
-    """The (weight, multiplicity) pairs by descending height, ties by weight:
-    the print order of a decomposition's terms.
-
-    The weights go into one bucket per height, the heights are visited in
-    descending order, and each bucket is sorted on its own.  (A dual Weyl
-    character needs no such pass: ``weyl_orbit`` builds it in this order.)
-    """
-    hf = build_root_datum(ambient).height_functional
-    buckets: dict[int, list[Weight]] = {}
-    for w in mults:
-        h = sum(map(mul, hf, w))
-        bucket = buckets.get(h)
-        if bucket is None:
-            buckets[h] = [w]
-        else:
-            bucket.append(w)
-    out: list[tuple[Weight, int]] = []
-    for h in sorted(buckets, reverse=True):
-        bucket = buckets[h]
-        bucket.sort()
-        out += [(w, mults[w]) for w in bucket]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +294,9 @@ class DualWeylDecomposition:
     exact: bool
 
     def items_sorted(self):
-        return _by_height(self.ambient, self.terms)
+        """The terms by descending height, ties by weight: their print order."""
+        height = build_root_datum(self.ambient).height
+        return sorted(self.terms.items(), key=lambda t: (-height(t[0]), t[0]))
 
 
 def _check_symmetric(rd: RootDatum, support: dict[Weight, int]) -> None:

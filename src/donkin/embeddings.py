@@ -21,7 +21,9 @@ SL/Sp), ``max`` (maximal-rank subgroups of exceptional groups; type-level
 only, so its builder is None), ``resirr`` (restricted irreducible
 representations), ``tensor`` (tensor-product embeddings), ``alias``
 (respelling).  The clauses over product groups share one factor search,
-:func:`_grouped_assignments`, and one block assembler, :func:`_assemble`.
+:func:`_grouped_assignments`, and one block assembler, :func:`_assemble`;
+``auto``, ``resirr`` and ``tensor`` pair the factors one to one, so each is a
+row of one factory, :func:`_paired`, from a pair test and a block function.
 """
 from __future__ import annotations
 
@@ -283,13 +285,27 @@ def _product_verdict(sub: GroupType, amb: GroupType, group_ok, reasons) -> StepM
     return StepMatch(True, legal, max(p for _, _, p in assign), tuple(assign))
 
 
-def _paired_verdict(sub: GroupType, amb: GroupType, pair_ok, reasons) -> StepMatch:
-    """:func:`_product_verdict` with every amb factor given one sub factor."""
-    if len(sub.factors) != len(amb.factors):
-        return StepMatch(False, "factor counts differ")
-    return _product_verdict(
-        sub, amb, lambda subs, a: pair_ok(subs[0], a) if len(subs) == 1 else None,
-        reasons)
+def _paired(pair_ok, block, *reasons):
+    """(matcher, builder) of a clause that gives every amb factor one sub
+    factor: ``pair_ok(s, a)`` returns ("spectator", 1), (payload, p_min) or
+    None, and ``block(s, a, payload)`` is the pair's block in the map; a
+    spectator's is the identity.  Each clause's matcher has its own cache.
+    """
+    @functools.lru_cache(maxsize=None)
+    def match(sub: GroupType, amb: GroupType) -> StepMatch:
+        if len(sub.factors) != len(amb.factors):
+            return StepMatch(False, "factor counts differ")
+        return _product_verdict(
+            sub, amb, lambda subs, a: pair_ok(subs[0], a) if len(subs) == 1 else None,
+            reasons)
+
+    def build(sub: GroupType, amb: GroupType, assign) -> WeightMap:
+        return _export(sub, amb, _assemble(sub, amb, [
+            (si, ai, None if got == "spectator"
+             else block(sub.factors[si], amb.factors[ai], got))
+            for ai, ((si,), got, _) in enumerate(assign)]))
+
+    return match, build
 
 
 def _offsets(gtype: GroupType) -> list[int]:
@@ -437,28 +453,15 @@ def _fold_pair_ok(s: SimpleType, a: SimpleType):
     return None
 
 
-@functools.lru_cache(maxsize=None)
-def _match_auto(sub: GroupType, amb: GroupType) -> StepMatch:
-    return _paired_verdict(sub, amb, _fold_pair_ok, (
-        "no diagram-folding matching", "no factor is actually folded",
-        "diagram folding"))
-
-
-def _auto_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
-    """Factorwise folding: a folded factor's rows sum the ambient coordinates
-    over each node orbit, moved from the folded vocabulary to the sub factor's
-    spelling (no folded ambient factor is an alias spelling)."""
-    blocks = []
-    for ai, ((si,), fold, _) in enumerate(assign):
-        if fold == "spectator":
-            blocks.append((si, ai, None))
-            continue
-        vocab, orbits = fold
-        core = [[int(j + 1 in orb) for j in range(amb.factors[ai].rank)] for orb in orbits]
-        blocks.append((si, ai, linalg.mat_mul(
-            _denormalization_rows(GroupType((sub.factors[si],))),
-            linalg.mat_mul(normalization_map(GroupType.parse(vocab)).matrix, core))))
-    return _export(sub, amb, _assemble(sub, amb, blocks))
+def _fold_block(s: SimpleType, a: SimpleType, fold):
+    """A folded factor's rows sum the ambient coordinates over each node
+    orbit, moved from the folded vocabulary to the sub factor's spelling (no
+    folded ambient factor is an alias spelling)."""
+    vocab, orbits = fold
+    core = [[int(j + 1 in orb) for j in range(a.rank)] for orb in orbits]
+    return linalg.mat_mul(
+        _denormalization_rows(GroupType((s,))),
+        linalg.mat_mul(normalization_map(GroupType.parse(vocab)).matrix, core))
 
 
 # ---------------------------------------------------------------------------
@@ -602,30 +605,15 @@ def _resirr_pair_ok(s: SimpleType, a: SimpleType):
     return got
 
 
-@functools.lru_cache(maxsize=None)
-def _match_resirr(sub: GroupType, amb: GroupType) -> StepMatch:
-    return _paired_verdict(sub, amb, _resirr_pair_ok, (
-        "no restricted-irreducible matching", "no factor is actually embedded",
-        "restricted irreducible"))
-
-
-def _resirr_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
-    """Weight map determined by the ordered weight list of the defining module."""
-    blocks = []
-    for ai, ((si,), weights, _) in enumerate(assign):
-        if weights == "spectator":
-            blocks.append((si, ai, None))
-            continue
-        f, af = sub.factors[si], amb.factors[ai]
-        # the j-th ambient fundamental weight restricts to the sum of the
-        # first j module weights (the gl lift kills (1..1))
-        partial = list(itertools.accumulate(weights, lambda u, v: tuple(map(add, u, v))))
-        if any(partial[-1]):
-            raise AssertionError("module weights do not sum to zero")
-        inv = _denormalization_rows(GroupType((f,)))
-        cols = [linalg.mat_vec(inv, w) for w in partial[:af.rank]]
-        blocks.append((si, ai, list(zip(*cols))))
-    return _export(sub, amb, _assemble(sub, amb, blocks))
+def _resirr_block(s: SimpleType, a: SimpleType, weights):
+    """The block determined by the ordered weight list of the defining module:
+    the j-th ambient fundamental weight restricts to the sum of the first j
+    module weights (the gl lift kills (1..1))."""
+    partial = list(itertools.accumulate(weights, lambda u, v: tuple(map(add, u, v))))
+    if any(partial[-1]):
+        raise AssertionError("module weights do not sum to zero")
+    inv = _denormalization_rows(GroupType((s,)))
+    return list(zip(*(linalg.mat_vec(inv, w) for w in partial[:a.rank])))
 
 
 # ---------------------------------------------------------------------------
@@ -652,36 +640,19 @@ def _tensor_pair_ok(s: SimpleType, a: SimpleType):
     return None
 
 
-@functools.lru_cache(maxsize=None)
-def _match_tensor(sub: GroupType, amb: GroupType) -> StepMatch:
-    return _paired_verdict(sub, amb, _tensor_pair_ok, (
-        "no tensor-embedding matching", "no factor is actually tensored",
-        "tensor embedding"))
-
-
-def _tensor_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
-    """Weight map for a tensor-product embedding: the retained factor's
-    epsilon coordinates each absorb s ambient axes.
+def _tensor_block(s: SimpleType, a: SimpleType, copies):
+    """The retained factor's epsilon coordinates each absorb ``copies``
+    ambient axes.
 
     A retained SO2 factor (written D1) sits under the ambient spin group as a
     double-cover torus, so its row is rescaled to the primitive character of
     that cover; this only relabels central characters.
     """
-    blocks = []
-    for ai, ((si,), copies, _) in enumerate(assign):
-        if copies == "spectator":
-            blocks.append((si, ai, None))
-            continue
-        f, af = sub.factors[si], amb.factors[ai]
-        amb_f2e = _fw_to_eps(af.letter, af.rank)
-        axes = [[sum(col) for col in zip(*amb_f2e[k * copies:(k + 1) * copies])]
-                for k in range(f.rank)]
-        blocks.append((si, ai, _eps_block(f, axes)))
-    core = _assemble(sub, amb, blocks)
-    for off, f in zip(_offsets(sub), sub.factors):
-        if f == _SO2:
-            core[off] = _primitive_row(core[off])
-    return _export(sub, amb, core)
+    amb_f2e = _fw_to_eps(a.letter, a.rank)
+    axes = [[sum(col) for col in zip(*amb_f2e[k * copies:(k + 1) * copies])]
+            for k in range(s.rank)]
+    block = _eps_block(s, axes)
+    return [_primitive_row(block[0])] if s == _SO2 else block
 
 
 def _primitive_row(row):
@@ -699,11 +670,14 @@ _CLAUSES = {
     "alias": (_match_alias, _alias_map),
     "levi": (_match_levi, _levi_map),
     "diag": (_match_diag, _diag_map),
-    "auto": (_match_auto, _auto_map),
+    "auto": _paired(_fold_pair_ok, _fold_block, "no diagram-folding matching",
+                    "no factor is actually folded", "diagram folding"),
     "class": (_match_class, _class_map),
     "max": (_match_max, None),
-    "resirr": (_match_resirr, _resirr_map),
-    "tensor": (_match_tensor, _tensor_map),
+    "resirr": _paired(_resirr_pair_ok, _resirr_block, "no restricted-irreducible matching",
+                      "no factor is actually embedded", "restricted irreducible"),
+    "tensor": _paired(_tensor_pair_ok, _tensor_block, "no tensor-embedding matching",
+                      "no factor is actually tensored", "tensor embedding"),
 }
 
 
