@@ -3,15 +3,17 @@ batch verification of orbit tables.
 
 Output is deterministic; ``--format jsonl`` emits one JSON object per line
 with a ``schema`` version field.  Exit status: 0 on success / all-pass, 1 on
-verification failure, 2 on usage or parse errors.
+verification failure, 2 on usage or parse errors.  One standard-library
+``argparse`` parser reads the command line; each command is a function of
+the parsed namespace that returns its exit status.
 """
 from __future__ import annotations
 
+import argparse
 import importlib.util
+import os
 import sys
 import time
-
-import click
 
 from .errors import DonkinError, TableSyntaxError
 from .rootsystem import (
@@ -49,13 +51,18 @@ verifier = _on_demand("verifier")
 SCHEMA = 1
 
 
+class UsageError(Exception):
+    """A usage error found after parsing: the command's usage line, then
+    ``Error: MESSAGE`` on stderr, and exit status 2."""
+
+
 def _parse_weight(text: str, rank: int):
     try:
         coords = tuple(int(c) for c in text.split(","))
     except ValueError:
-        raise click.UsageError(f"bad weight {text!r}; expected comma-separated integers")
+        raise UsageError(f"bad weight {text!r}; expected comma-separated integers")
     if len(coords) != rank:
-        raise click.UsageError(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
+        raise UsageError(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
     return coords
 
 
@@ -81,22 +88,22 @@ def _parse_group(text: str) -> GroupType:
     try:
         return GroupType.parse(text)
     except DonkinError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
 def _emit(fmt, kind, payload, lines):
     """Print one jsonl record or the text lines.  ``payload`` and ``lines``
     are zero-argument callables and only the one ``fmt`` asks for is called,
     so a command builds only the form it prints."""
+    write = sys.stdout.write
     if fmt == "jsonl":
         import json
-        click.echo(json.dumps({"schema": SCHEMA, "kind": kind, **payload()},
-                              sort_keys=True))
+        write(json.dumps({"schema": SCHEMA, "kind": kind, **payload()}, sort_keys=True) + "\n")
     else:
         text_lines = lines()
         # a few large writes, not one per line; chunks keep the joined copy small
         for start in range(0, len(text_lines), 1024):
-            click.echo("\n".join(text_lines[start:start + 1024]))
+            write("\n".join(text_lines[start:start + 1024]) + "\n")
 
 
 def _save_cache():
@@ -106,44 +113,10 @@ def _save_cache():
         pass  # cache is best-effort only
 
 
-class _Main(click.Group):
-    """The top-level group; the one place a DonkinError becomes exit status 2."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except DonkinError as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(2)
-
-
-@click.group(cls=_Main)
-@click.option("--format", "fmt", type=click.Choice(["text", "jsonl"]),
-              default="text", show_default=True, help="Output format.")
-@click.option("--timing", is_flag=True, help="Append a wall-clock timing line.")
-@click.pass_context
-def main(ctx, fmt, timing):
-    """Exact root-system and character computations, plus table verification."""
-    ctx.ensure_object(dict)
-    ctx.obj["fmt"] = fmt
-    ctx.obj["timing"] = timing
-    ctx.obj["t0"] = time.perf_counter()
-    ctx.call_on_close(lambda: _finish(ctx))
-
-
-def _finish(ctx):
-    if ctx.obj.get("timing"):
-        dt = time.perf_counter() - ctx.obj["t0"]
-        click.echo(f"# elapsed {dt:.3f}s", err=True)
-
-
-@main.command()
-@click.argument("gtype")
-@click.pass_context
-def roots(ctx, gtype):
+def roots(ns):
     """Positive-root count and the highest root of each simple factor of
     TYPE (e.g. E8 or A1.B6)."""
-    gt = _parse_group(gtype)
+    gt = _parse_group(ns.type)
     rd = build_root_datum(gt)
     hrs = highest_roots(rd)
 
@@ -156,7 +129,7 @@ def roots(ctx, gtype):
             out["highest_roots"] = [list(hr) for hr in hrs]
         return out
 
-    _emit(ctx.obj["fmt"], "roots", payload,
+    _emit(ns.fmt, "roots", payload,
           lambda: [f"type {rd.gtype} (rank {rd.rank})",
                    f"positive roots: {len(rd.positive_roots)}",
                    f"highest root{'s' if len(hrs) > 1 else ''}: "
@@ -164,37 +137,32 @@ def roots(ctx, gtype):
                    f"group dimension: {rd.group_dimension()}"])
 
 
-@main.command()
-@click.argument("gtype")
-@click.argument("lam")
-@click.pass_context
-def char(ctx, gtype, lam):
+def char(ns):
     """Dual Weyl character of TYPE at highest weight LAM (comma-separated)."""
-    gt = _parse_group(gtype)
+    gt = _parse_group(ns.type)
     rd = build_root_datum(gt)
-    w = _parse_weight(lam, rd.rank)
+    w = _parse_weight(ns.lam, rd.rank)
     ch.load_cache_file()
     chi = ch.dual_weyl_character(rd, w)
     _save_cache()
-    _emit(ctx.obj["fmt"], "char",
+    _emit(ns.fmt, "char",
           lambda: {"type": str(rd.gtype), "highest_weight": list(w),
                    "dimension": chi.dim(), "weights": _keyed(rd.rank, chi.support)},
-          lambda: [f"type {rd.gtype}, highest weight {lam}",
+          lambda: [f"type {rd.gtype}, highest weight {ns.lam}",
                    f"dimension: {chi.dim()} (Weyl formula: {weyl_dim(rd, w)})"]
           + _item_lines("  %s: %%d", rd.rank, chi.support.items()))
 
 
 def _read_text(path):
-    """The UTF-8 text of an input file; one error line and exit 2 if it
-    cannot be read or decoded."""
+    """The UTF-8 text of an input file; a DonkinError, so one error line and
+    exit 2, if it cannot be read or decoded."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
+        raise DonkinError(str(exc)) from None
     except UnicodeDecodeError as exc:
-        click.echo(f"error: {path}: {exc}", err=True)
-    sys.exit(2)
+        raise DonkinError(f"{path}: {exc}") from None
 
 
 def _read_character(rd, path):
@@ -209,29 +177,25 @@ def _read_character(rd, path):
             mult = int(mult_text)
             w = tuple(int(c) for c in coords_text.split(","))
         except ValueError:
-            raise click.UsageError(f"{path}:{lineno}: expected 'MULT c1,c2,...'")
+            raise UsageError(f"{path}:{lineno}: expected 'MULT c1,c2,...'")
         if len(w) != rd.rank:
-            raise click.UsageError(f"{path}:{lineno}: weight has wrong length")
+            raise UsageError(f"{path}:{lineno}: weight has wrong length")
         support[w] = support.get(w, 0) + mult
     return ch.FormalCharacter(rd.gtype, support)
 
 
-@main.command()
-@click.argument("gtype")
-@click.argument("source")
-@click.pass_context
-def decompose(ctx, gtype, source):
+def decompose(ns):
     """Decompose a character into dual Weyl characters.
 
     SOURCE is @FILE with lines 'MULT c1,c2,...' over TYPE's coordinates.
     """
-    gt = _parse_group(gtype)
+    gt = _parse_group(ns.type)
     rd = build_root_datum(gt)
-    if not source.startswith("@"):
-        raise click.UsageError("SOURCE must be @FILE")
-    chi = _read_character(rd, source[1:])
+    if not ns.source.startswith("@"):
+        raise UsageError("SOURCE must be @FILE")
+    chi = _read_character(rd, ns.source[1:])
     dec = ch.decompose_dual_weyl(rd, chi)
-    _emit(ctx.obj["fmt"], "decompose",
+    _emit(ns.fmt, "decompose",
           lambda: {"type": str(rd.gtype), "dimension": chi.dim(), "exact": dec.exact,
                    "terms": _keyed(rd.rank, dec.terms)},
           lambda: [f"type {rd.gtype}, dimension {chi.dim()}",
@@ -239,20 +203,15 @@ def decompose(ctx, gtype, source):
           + _item_lines("  nabla(%s): %%d", rd.rank, dec.items_sorted()))
 
 
-@main.command()
-@click.argument("gtype")
-@click.argument("lam")
-@click.option("--p", "prime", type=int, default=None,
-              help="Report restrictedness of every highest weight at this prime.")
-@click.pass_context
-def exterior(ctx, gtype, lam, prime):
+def exterior(ns):
     """Exterior algebra of the dual Weyl module: decomposition and, with
     --p, a restrictedness report (exit 1 if some weight is not restricted)."""
+    prime = ns.prime
     if prime is not None and ch.min_prime_greater(prime - 1) != prime:
-        raise click.UsageError(f"--p {prime} is not a prime")
-    gt = _parse_group(gtype)
+        raise UsageError(f"--p {prime} is not a prime")
+    gt = _parse_group(ns.type)
     rd = build_root_datum(gt)
-    w = _parse_weight(lam, rd.rank)
+    w = _parse_weight(ns.lam, rd.rank)
     ch.load_cache_file()
     chi = ch.dual_weyl_character(rd, w)
     ea = ch.exterior_algebra(chi)
@@ -283,16 +242,11 @@ def exterior(ctx, gtype, lam, prime):
                 + (f" (unrestricted: {['|'.join(map(str, b)) for b in bad]})" if bad else ""))
         return out
 
-    _emit(ctx.obj["fmt"], "exterior", payload, lines)
-    if not ok:
-        sys.exit(1)
+    _emit(ns.fmt, "exterior", payload, lines)
+    return 0 if ok else 1
 
 
-@main.command()
-@click.argument("chain")
-@click.argument("lam")
-@click.pass_context
-def restrict(ctx, chain, lam):
+def restrict(ns):
     """Restrict a dual Weyl character down a chain.
 
     CHAIN uses the table grammar, e.g. "B2 -[auto]-> A3"; LAM is a dominant
@@ -300,55 +254,45 @@ def restrict(ctx, chain, lam):
     character's decomposition in the chain-start group.
     """
     try:
-        steps = nilpotent.parse_chain(chain)
+        steps = nilpotent.parse_chain(ns.chain)
     except ValueError as exc:
-        raise click.UsageError(f"bad chain: {exc}")
+        raise UsageError(f"bad chain: {exc}")
     total = embeddings.chain_restriction_map(steps)
     if total is None:
-        raise click.UsageError("chain contains a map-less max-rank step")
+        raise UsageError("chain contains a map-less max-rank step")
     amb_rd = build_root_datum(normalize_type(steps[-1].amb))
-    w = _parse_weight(lam, amb_rd.rank)
+    w = _parse_weight(ns.lam, amb_rd.rank)
     ch.load_cache_file()
     chi = ch.dual_weyl_character(amb_rd, w)
     restricted = embeddings.restrict_character(chi, total)
     sub_rd = build_root_datum(normalize_type(total.target))
     dec = ch.decompose_dual_weyl(sub_rd, restricted)
     _save_cache()
-    _emit(ctx.obj["fmt"], "restrict",
+    _emit(ns.fmt, "restrict",
           lambda: {"ambient": str(amb_rd.gtype), "subgroup": str(sub_rd.gtype),
                    "highest_weight": list(w), "dimension": chi.dim(),
                    "exact": dec.exact, "terms": _keyed(sub_rd.rank, dec.terms)},
-          lambda: [f"restrict {amb_rd.gtype} nabla({lam}) (dim {chi.dim()}) "
+          lambda: [f"restrict {amb_rd.gtype} nabla({ns.lam}) (dim {chi.dim()}) "
                    f"to {sub_rd.gtype}",
                    f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
           + _item_lines("  nabla(%s): %%d", sub_rd.rank, dec.items_sorted()))
 
 
-@main.group()
-def orbit():
-    """Nilpotent orbit queries."""
-
-
-@orbit.command("classical")
-@click.argument("kind", type=click.Choice(["GL", "Sp", "SO"]))
-@click.argument("partition")
-@click.pass_context
-def orbit_classical(ctx, kind, partition):
+def orbit_classical(ns):
     """Validity, centralizer type, and centralizer dimension of a Jordan type."""
+    kind = ns.kind
     try:
-        parts = [int(p) for p in partition.split(",")]
+        parts = [int(p) for p in ns.partition.split(",")]
     except ValueError:
-        raise click.UsageError("PARTITION must be comma-separated integers")
+        raise UsageError("PARTITION must be comma-separated integers")
     jt = nilpotent.JordanType.from_partition(kind, parts)
-    valid = nilpotent.validate_jordan(jt, jt.n)
-    fmt = ctx.parent.parent.obj["fmt"]
-    if not valid:
-        _emit(fmt, "orbit",
+    if not nilpotent.validate_jordan(jt, jt.n):
+        _emit(ns.fmt, "orbit",
               lambda: {"kind": kind, "partition": parts, "valid": False},
               lambda: [f"{jt}: not a valid nilpotent Jordan type"])
-        sys.exit(1)
+        return 1
     labels = nilpotent.centralizer_factor_labels(jt)
-    _emit(fmt, "orbit",
+    _emit(ns.fmt, "orbit",
           lambda: {"kind": kind, "partition": parts, "valid": True,
                    "centralizer_factors": list(labels),
                    "centralizer_type": str(nilpotent.reductive_centralizer(jt)),
@@ -368,19 +312,14 @@ def _read_tables(paths):
         try:
             out.append((path, nilpotent.parse_orbit_tables(text)))
         except TableSyntaxError as exc:
-            click.echo(f"error: {path}: {exc}", err=True)
-            sys.exit(2)
+            raise DonkinError(f"{path}: {exc}") from None
     return out
 
 
-@main.command("verify-tables")
-@click.argument("files", nargs=-1, required=True, type=click.Path())
-@click.pass_context
-def verify_tables(ctx, files):
+def verify_tables(ns):
     """Verify every record of the given table files; exit 1 on any failure."""
-    fmt = ctx.obj["fmt"]
     total_pass = total_fail = 0
-    for path, recs in _read_tables(files):
+    for path, recs in _read_tables(ns.files):
         reports = [verifier.verify_record(r) for r in recs]
         for rep in reports:
             status = "PASS" if rep.passed else "FAIL"
@@ -388,44 +327,102 @@ def verify_tables(ctx, files):
                     f"p_min={rep.p_min}, bound={rep.good_bound}")
             if rep.notes:
                 line += " -- " + "; ".join(rep.notes)
-            _emit(fmt, "verify", lambda: {"file": path, **rep.as_dict()}, lambda: [line])
+            _emit(ns.fmt, "verify", lambda: {"file": path, **rep.as_dict()}, lambda: [line])
         failed = sum(not rep.passed for rep in reports)
         total_pass += len(reports) - failed
         total_fail += failed
-    _emit(fmt, "verify-summary",
+    _emit(ns.fmt, "verify-summary",
           lambda: {"passed": total_pass, "failed": total_fail},
           lambda: [f"summary: {total_pass} passed, {total_fail} failed"])
-    if total_fail:
-        sys.exit(1)
+    return 1 if total_fail else 0
 
 
-@main.command("spot-check")
-@click.argument("files", nargs=-1, required=True, type=click.Path())
-@click.option("--lambda", "lam", required=True,
-              help="Dominant weight of the ambient group, comma-separated.")
-@click.pass_context
-def spot_check_cmd(ctx, files, lam):
+def spot_check(ns):
     """Character-level spot check of every chain; exit 1 on any failure."""
-    fmt = ctx.obj["fmt"]
     ch.load_cache_file()
     failed = 0
-    for path, recs in _read_tables(files):
+    for path, recs in _read_tables(ns.files):
         if not recs:
             continue
         ambient = next((r.ambient for r in recs if r.ambient), None)
         if ambient is None:
-            click.echo(f"error: {path}: cannot infer the ambient group", err=True)
-            sys.exit(2)
+            raise DonkinError(f"{path}: cannot infer the ambient group")
         rd = build_root_datum(ambient)
-        w = _parse_weight(lam, rd.rank)
+        w = _parse_weight(ns.lam, rd.rank)
         for rec in recs:
             v = verifier.spot_check(rec, w)
             failed += v.status == "FAIL"
-            _emit(fmt, "spot-check", lambda: {"file": path, **v.as_dict()},
+            _emit(ns.fmt, "spot-check", lambda: {"file": path, **v.as_dict()},
                   lambda: [f"{v.status} {rec.label} ({ambient}): {v.detail}"])
     _save_cache()
-    if failed:
-        sys.exit(1)
+    return 1 if failed else 0
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The parser of every command line; a command's namespace carries its
+    function as ``run`` and its usage line as ``usage()``."""
+    parser = argparse.ArgumentParser(
+        prog=prog, description="Exact root-system and character computations, "
+                               "plus table verification.")
+    parser.add_argument("--format", dest="fmt", choices=("text", "jsonl"), default="text",
+                        help="output format (default: text)")
+    parser.add_argument("--timing", action="store_true",
+                        help="append a wall-clock timing line to stderr")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, name, run, *positionals):
+        sub = group.add_parser(name, help=run.__doc__.split("\n\n")[0], description=run.__doc__)
+        for meta in positionals:
+            sub.add_argument(meta.lower(), metavar=meta)
+        sub.set_defaults(run=run, usage=sub.format_usage)
+        return sub
+
+    command(commands, "roots", roots, "TYPE")
+    command(commands, "char", char, "TYPE", "LAM")
+    command(commands, "decompose", decompose, "TYPE", "SOURCE")
+    command(commands, "exterior", exterior, "TYPE", "LAM").add_argument(
+        "--p", dest="prime", type=int, metavar="P",
+        help="report restrictedness of every highest weight at this prime")
+    command(commands, "restrict", restrict, "CHAIN", "LAM")
+    orbit = commands.add_parser("orbit", help="Nilpotent orbit queries.",
+                                description="Nilpotent orbit queries.")
+    classical = command(orbit.add_subparsers(metavar="QUERY", required=True),
+                        "classical", orbit_classical)
+    classical.add_argument("kind", choices=("GL", "Sp", "SO"))
+    classical.add_argument("partition", metavar="PARTITION")
+    command(commands, "verify-tables", verify_tables).add_argument(
+        "files", nargs="+", metavar="FILE")
+    spot = command(commands, "spot-check", spot_check)
+    spot.add_argument("files", nargs="+", metavar="FILE")
+    spot.add_argument("--lambda", dest="lam", required=True, metavar="LAM",
+                      help="dominant weight of the ambient group, comma-separated")
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Run one command line (``sys.argv[1:]`` when ``args`` is None) and
+    exit with its status; a parse error exits 2 from argparse itself."""
+    ns = _parser(prog_name or "donkin").parse_args(args)
+    t0 = time.perf_counter()
+    message = ""
+    try:
+        try:
+            code = ns.run(ns) or 0
+        except UsageError as exc:
+            code, message = 2, f"{ns.usage()}Error: {exc}\n"
+        except DonkinError as exc:
+            code, message = 2, f"error: {exc}\n"
+        # stdout before the stderr lines; a reader gone early shows here at the latest
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as after '| head': exit 1, no traceback, and stdout's unwritten
+        # bytes go to /dev/null when the interpreter flushes it at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if ns.timing:
+        message += f"# elapsed {time.perf_counter() - t0:.3f}s\n"
+    sys.stderr.write(message)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

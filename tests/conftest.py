@@ -8,15 +8,19 @@ ad-x computed by exact rational elimination.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib.resources as ir
+import io
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 import pytest
 
 import donkin.characters as ch
 from donkin.characters import FormalCharacter, dual_weyl_character
+from donkin.cli import main
 from donkin.errors import AmbientMismatch, NegativeInput
 from donkin.nilpotent import JordanType, parse_orbit_tables
 from donkin.rootsystem import (
@@ -41,6 +45,38 @@ def cache_dir(tmp_path, monkeypatch):
     path = tmp_path / "donkin-cache"
     monkeypatch.setenv("DONKIN_CACHE_DIR", str(path))
     return path
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved, as a terminal shows them
+
+
+class _Capture(io.StringIO):
+    """One stream's text, also copied to the shared ``output`` stream."""
+
+    def __init__(self, output):
+        super().__init__()
+        self.output = output
+
+    def write(self, text):
+        self.output.write(text)
+        return super().write(text)
+
+
+def run_cli(args) -> CliResult:
+    """Run ``donkin.cli.main`` on ``args`` in this process, with stdout and
+    stderr captured, and return its exit status and what it printed."""
+    output = io.StringIO()
+    out, err = _Capture(output), _Capture(output)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args, prog_name="donkin")
+        except SystemExit as exc:
+            code = exc.code
+    return CliResult(code, out.getvalue(), err.getvalue(), output.getvalue())
 
 
 @pytest.fixture(scope="session")

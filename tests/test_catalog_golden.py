@@ -13,9 +13,8 @@ import itertools
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from donkin.cli import main
+from conftest import run_cli
 from donkin.embeddings import EmbeddingStep, chain_restriction_map, match_step, step_map
 from donkin.rootsystem import GroupType
 
@@ -84,9 +83,9 @@ def chain_map_lines(tables):
 def test_verify_tables_jsonl_digest(monkeypatch):
     monkeypatch.chdir(REPO)
     files = [f"src/donkin/data/{name}.tbl" for name in TABLES]
-    result = CliRunner().invoke(main, ["--format", "jsonl", "verify-tables", *files])
+    result = run_cli(["--format", "jsonl", "verify-tables", *files])
     assert result.exit_code == 0
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == VERIFY_JSONL_SHA256
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == VERIFY_JSONL_SHA256
 
 
 def test_chain_restriction_maps_digest(shipped_tables):

@@ -1,81 +1,133 @@
 import hashlib
 import importlib.resources as ir
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from conftest import clear_memo
+from conftest import clear_memo, run_cli
 from donkin.characters import dual_weyl_character
-from donkin.cli import main
 from donkin.rootsystem import build_root_datum, weyl_dim
 
-REFERENCE_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "reference_digests.json"
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_DIGESTS = ROOT / "perfbench" / "reference_digests.json"
 
 
 def data_path(name):
     return str(ir.files("donkin") / "data" / f"{name}.tbl")
 
 
-def test_roots(runner):
-    result = runner.invoke(main, ["roots", "E8"])
+def test_roots():
+    result = run_cli(["roots", "E8"])
     assert result.exit_code == 0
     assert "positive roots: 120" in result.output
     assert "group dimension: 248" in result.output
 
 
-def test_roots_bad_type(runner):
-    result = runner.invoke(main, ["roots", "E9"])
+def test_roots_bad_type():
+    result = run_cli(["roots", "E9"])
     assert result.exit_code == 2
 
 
-def test_unknown_flag_is_an_error(runner):
-    result = runner.invoke(main, ["roots", "--bogus", "E8"])
+def test_unknown_flag_is_an_error():
+    result = run_cli(["roots", "--bogus", "E8"])
     assert result.exit_code == 2
 
 
-def test_char(runner):
-    result = runner.invoke(main, ["char", "G2", "1,0"])
+@pytest.mark.parametrize("args, code, shown", [
+    ([], 2, ""),
+    (["bogus"], 2, ""),
+    (["roots"], 2, ""),
+    (["--format", "xml", "roots", "A1"], 2, ""),
+    (["spot-check", str(ROOT / "src" / "donkin" / "data" / "f4.tbl")], 2, ""),
+    (["exterior", "A1", "1", "--p", "x"], 2, ""),
+    (["orbit", "classical", "XX", "1"], 2, ""),
+    (["--help"], 0, "spot-check"),
+    (["char", "--help"], 0, "highest weight LAM"),
+    (["char", "T1", "--", "-3"], 0, "\n  -3: 1\n"),
+])
+def test_exit_code_contract(args, code, shown):
+    """Parse errors exit 2 and print nothing on stdout; help exits 0; after
+    ``--`` a negative weight is an argument, not an option."""
+    result = run_cli(args)
+    assert result.exit_code == code
+    if shown:
+        assert shown in result.stdout
+    else:
+        assert result.stdout == ""
+
+
+def run_donkin(*args):
+    """A fresh ``python -m donkin.cli`` process; the test's cache dir is in
+    ``os.environ``."""
+    return subprocess.Popen([sys.executable, "-m", "donkin.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    """As in '| head -1': the reader goes after one line of a 1.4 MB output,
+    and the job exits 1 with nothing on stderr."""
+    proc = run_donkin("char", "E8", "1,0,0,0,0,0,0,1")
+    assert proc.stdout.readline() == b"type E8, highest weight 1,0,0,0,0,0,0,1\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == b""
+
+
+@pytest.mark.parametrize("args, code", [
+    (["roots", "A1"], 0),
+    (["orbit", "classical", "Sp", "3"], 1),
+])
+def test_timing_appends_one_line(args, code):
+    proc = run_donkin("--timing", *args)
+    stdout, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == code
+    assert stdout
+    assert re.fullmatch(rb"# elapsed \d+\.\d{3}s\n", stderr)
+
+
+def test_char():
+    result = run_cli(["char", "G2", "1,0"])
     assert result.exit_code == 0
     assert "dimension: 7" in result.output
 
 
-def test_char_wrong_rank(runner):
-    result = runner.invoke(main, ["char", "G2", "1,0,0"])
+def test_char_wrong_rank():
+    result = run_cli(["char", "G2", "1,0,0"])
     assert result.exit_code == 2
 
 
-def test_exterior_pass(runner):
-    result = runner.invoke(main, ["exterior", "G2", "1,0", "--p", "5"])
+def test_exterior_pass():
+    result = run_cli(["exterior", "G2", "1,0", "--p", "5"])
     assert result.exit_code == 0
     assert "PASS" in result.output
 
 
-def test_exterior_fail_exit_code(runner):
+def test_exterior_fail_exit_code():
     # at p = 2 the weight (2,0) of the exterior algebra is not restricted
-    result = runner.invoke(main, ["exterior", "G2", "1,0", "--p", "2"])
+    result = run_cli(["exterior", "G2", "1,0", "--p", "2"])
     assert result.exit_code == 1
     assert "FAIL" in result.output
 
 
 @pytest.mark.parametrize("prime", ["4", "1", "0", "-3"])
-def test_exterior_non_prime_is_a_usage_error(runner, prime):
-    result = runner.invoke(main, ["exterior", "G2", "1,0", "--p", prime])
+def test_exterior_non_prime_is_a_usage_error(prime):
+    result = run_cli(["exterior", "G2", "1,0", "--p", prime])
     assert result.exit_code == 2
     assert f"--p {prime} is not a prime" in result.stderr
     assert result.stdout == ""
 
 
-def test_decompose_from_file(runner, tmp_path, cache_dir):
+def test_decompose_from_file(tmp_path, cache_dir):
     src = tmp_path / "char.txt"
     src.write_text("# three-dimensional module plus a trivial\n1 2\n2 0\n1 -2\n")
-    result = runner.invoke(main, ["decompose", "A1", f"@{src}"])
+    result = run_cli(["decompose", "A1", f"@{src}"])
     assert result.exit_code == 0
     assert "nabla(2): 1" in result.output
     assert "nabla(0): 1" in result.output
@@ -83,10 +135,10 @@ def test_decompose_from_file(runner, tmp_path, cache_dir):
     assert not cache_dir.exists()
 
 
-def test_decompose_non_invariant_file_names_the_weights(runner, tmp_path):
+def test_decompose_non_invariant_file_names_the_weights(tmp_path):
     src = tmp_path / "char.txt"
     src.write_text("1 2\n2 0\n")
-    result = runner.invoke(main, ["decompose", "A1", f"@{src}"])
+    result = run_cli(["decompose", "A1", f"@{src}"])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == ("error: not Weyl-invariant: (2,) has multiplicity 1 "
@@ -97,7 +149,7 @@ def test_decompose_non_invariant_file_names_the_weights(runner, tmp_path):
     "decompose missing", "decompose directory", "decompose non-utf8",
     "verify-tables non-utf8", "spot-check non-utf8",
 ])
-def test_unreadable_input_is_a_usage_error(runner, tmp_path, case):
+def test_unreadable_input_is_a_usage_error(tmp_path, case):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes(b"# caf\xe9\n1 2\n")
     args = {
@@ -107,14 +159,14 @@ def test_unreadable_input_is_a_usage_error(runner, tmp_path, case):
         "verify-tables non-utf8": ["verify-tables", str(latin1)],
         "spot-check non-utf8": ["spot-check", str(latin1), "--lambda", "1,0"],
     }[case]
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
-def test_restrict(runner):
-    result = runner.invoke(main, ["restrict", "B2 -[auto]-> A3", "0,1,0"])
+def test_restrict():
+    result = run_cli(["restrict", "B2 -[auto]-> A3", "0,1,0"])
     assert result.exit_code == 0
     assert "exact: yes" in result.output
 
@@ -125,43 +177,43 @@ def test_restrict(runner):
     # the prefix of the shipped e8 row A3A1^2 up to its max step
     ("A1.B2 -[alias]-> B1.C2 -[tensor,p>2]-> B1.D4", "1,1,0,0,0", "  nabla(1,0,1): 2"),
 ])
-def test_restrict_through_alias(runner, chain, lam, term):
+def test_restrict_through_alias(chain, lam, term):
     """A respelling step is the identity on normalized coordinates, so the
     restricted character stays Weyl-invariant and decomposes exactly."""
-    result = runner.invoke(main, ["restrict", chain, lam])
+    result = run_cli(["restrict", chain, lam])
     assert result.exit_code == 0, result.stderr
     assert result.stdout.splitlines()[1:] == ["exact: yes", term]
 
 
-def test_restrict_max_chain_rejected(runner):
-    result = runner.invoke(main, ["restrict", "D8 -[max]-> E8", "1,0,0,0,0,0,0,0"])
+def test_restrict_max_chain_rejected():
+    result = run_cli(["restrict", "D8 -[max]-> E8", "1,0,0,0,0,0,0,0"])
     assert result.exit_code == 2
 
 
-def test_restrict_donkin_error_is_a_usage_error(runner):
+def test_restrict_donkin_error_is_a_usage_error():
     # no Levi subdiagram of G2 has type A1.A1: a DonkinError, not a failed verification
-    result = runner.invoke(main, ["restrict", "A1.A1 -[levi]-> G2", "1,0"])
+    result = run_cli(["restrict", "A1.A1 -[levi]-> G2", "1,0"])
     assert result.exit_code == 2
     assert result.stderr == "error: (A1.A1, G2): no Levi subdiagram matches\n"
     assert result.stdout == ""
 
 
-def test_restrict_split_so2_is_a_usage_error(runner):
-    result = runner.invoke(main, ["restrict", "D1 -[class]-> B1", "2"])
+def test_restrict_split_so2_is_a_usage_error():
+    result = run_cli(["restrict", "D1 -[class]-> B1", "2"])
     assert result.exit_code == 2
     assert result.stderr == "error: (D1, B1): a split SO2 factor lifts to a double-cover torus\n"
     assert result.stdout == ""
 
 
-def test_restrict_illegal_max_step_is_an_error(runner):
-    result = runner.invoke(main, ["restrict", "A1 -[max]-> G2", "1,0"])
+def test_restrict_illegal_max_step_is_an_error():
+    result = run_cli(["restrict", "A1 -[max]-> G2", "1,0"])
     assert result.exit_code == 2
     assert result.stderr == "error: (A1, G2): not a listed maximal-rank pair\n"
     assert result.stdout == ""
 
 
-def test_restrict_names_an_illegal_step_under_a_max_step(runner):
-    result = runner.invoke(main, ["restrict", "A1 -[class]-> A1.A1 -[max]-> G2", "1,0"])
+def test_restrict_names_an_illegal_step_under_a_max_step():
+    result = run_cli(["restrict", "A1 -[class]-> A1.A1 -[max]-> G2", "1,0"])
     assert result.exit_code == 2
     assert result.stderr == "error: (A1, A1.A1): no classical block split matches\n"
     assert result.stdout == ""
@@ -171,61 +223,61 @@ def test_restrict_names_an_illegal_step_under_a_max_step(runner):
     ("A1 -[foo]-> A2", "bad chain: unknown tag 'foo'"),
     ("A1 -[levi]-> Q9", "bad chain: bad type 'Q9'"),
 ])
-def test_restrict_bad_chain_names_no_position(runner, chain, message):
-    result = runner.invoke(main, ["restrict", chain, "1,0"])
+def test_restrict_bad_chain_names_no_position(chain, message):
+    result = run_cli(["restrict", chain, "1,0"])
     assert result.exit_code == 2
     assert result.stderr.splitlines()[-1] == f"Error: {message}"
 
 
-def test_orbit_classical(runner):
-    result = runner.invoke(main, ["orbit", "classical", "GL", "3,1"])
+def test_orbit_classical():
+    result = run_cli(["orbit", "classical", "GL", "3,1"])
     assert result.exit_code == 0
     assert "GL1.GL1" in result.output
     assert "centralizer dimension: 6" in result.output
 
 
-def test_orbit_invalid_partition(runner):
-    result = runner.invoke(main, ["orbit", "classical", "Sp", "3,1"])
+def test_orbit_invalid_partition():
+    result = run_cli(["orbit", "classical", "Sp", "3,1"])
     assert result.exit_code == 1
     assert "not a valid" in result.output
 
 
-def test_verify_tables_all_pass(runner):
+def test_verify_tables_all_pass():
     files = [data_path(n) for n in ("e8", "e7", "e6", "f4", "g2")]
-    result = runner.invoke(main, ["verify-tables", *files])
+    result = run_cli(["verify-tables", *files])
     assert result.exit_code == 0
     assert "summary: 126 passed, 0 failed" in result.output
 
 
-def test_verify_tables_failure_exit(runner, tmp_path):
+def test_verify_tables_failure_exit(tmp_path):
     bad = tmp_path / "bad.tbl"
     bad.write_text("X\tG2\tG2 -[levi]-> E8\nY\tE7\tE7 -[levi]-> E8\n")
-    result = runner.invoke(main, ["verify-tables", str(bad)])
+    result = run_cli(["verify-tables", str(bad)])
     assert result.exit_code == 1
     assert "FAIL X" in result.output
 
 
-def test_verify_tables_parse_error_exit(runner, tmp_path):
+def test_verify_tables_parse_error_exit(tmp_path):
     bad = tmp_path / "bad.tbl"
     bad.write_text("not a table\n")
-    result = runner.invoke(main, ["verify-tables", str(bad)])
+    result = run_cli(["verify-tables", str(bad)])
     assert result.exit_code == 2
 
 
-def test_spot_check_cli(runner):
-    result = runner.invoke(main, ["spot-check", data_path("f4"), "--lambda", "0,0,0,1"])
+def test_spot_check_cli():
+    result = run_cli(["spot-check", data_path("f4"), "--lambda", "0,0,0,1"])
     assert result.exit_code == 0
     assert "PASS" in result.output and "SKIPPED" in result.output
 
 
-def test_spot_check_fails_bad_rows_and_runs_on(runner, tmp_path):
+def test_spot_check_fails_bad_rows_and_runs_on(tmp_path):
     """An illegal step and a chain that ends elsewhere are FAILs naming their
     cause; the rows after them still run."""
     table = tmp_path / "three.tbl"
     table.write_text("P\tA1.T1\tA1.T1 -[levi]-> G2\n"
                      "X\tA1\tA1 -[class]-> G2\n"
                      "Y\tA1\tA1 -[levi]-> A2\n")
-    result = runner.invoke(main, ["spot-check", str(table), "--lambda", "1,0"])
+    result = run_cli(["spot-check", str(table), "--lambda", "1,0"])
     assert result.exit_code == 1
     assert result.stdout.splitlines() == [
         "PASS P (G2): exact decomposition with 3 terms in A1.T1",
@@ -235,7 +287,7 @@ def test_spot_check_fails_bad_rows_and_runs_on(runner, tmp_path):
     assert result.stderr == ""
 
 
-def test_verify_tables_and_spot_check_fail_the_same_rows(runner, tmp_path):
+def test_verify_tables_and_spot_check_fail_the_same_rows(tmp_path):
     """Both commands run one gate per row: they FAIL the same rows with the
     same causes, an illegal step under a max step included, and exit 1."""
     table = tmp_path / "five.tbl"
@@ -250,8 +302,8 @@ def test_verify_tables_and_spot_check_fail_the_same_rows(runner, tmp_path):
         "A": "illegal step (A1.T1, G2): annotated p>3 disagrees with the catalog "
              "bound (minimal prime 1)",
     }
-    verified = runner.invoke(main, ["verify-tables", str(table)])
-    spot = runner.invoke(main, ["spot-check", str(table), "--lambda", "1,0"])
+    verified = run_cli(["verify-tables", str(table)])
+    spot = run_cli(["spot-check", str(table), "--lambda", "1,0"])
     assert (verified.exit_code, spot.exit_code) == (1, 1)
     assert [line for line in verified.stdout.splitlines() if line.startswith("FAIL")] == [
         f"FAIL {label} (G2): p_min=1, bound=5 -- {cause}" for label, cause in causes.items()]
@@ -261,8 +313,8 @@ def test_verify_tables_and_spot_check_fail_the_same_rows(runner, tmp_path):
     assert spot.stdout.count("PASS") == 2
 
 
-def test_jsonl_schema(runner):
-    result = runner.invoke(main, ["--format", "jsonl", "verify-tables", data_path("g2")])
+def test_jsonl_schema():
+    result = run_cli(["--format", "jsonl", "verify-tables", data_path("g2")])
     assert result.exit_code == 0
     lines = [json.loads(line) for line in result.output.strip().split("\n")]
     assert all(obj["schema"] == 1 for obj in lines)
@@ -274,8 +326,8 @@ def jsonl_line(kind, **payload):
     return json.dumps({"schema": 1, "kind": kind, **payload}, sort_keys=True) + "\n"
 
 
-def test_roots_jsonl_payload(runner):
-    result = runner.invoke(main, ["--format", "jsonl", "roots", "A2"])
+def test_roots_jsonl_payload():
+    result = run_cli(["--format", "jsonl", "roots", "A2"])
     assert result.exit_code == 0
     assert result.stdout == jsonl_line("roots", type="A2", rank=2, positive_roots=3,
                                        highest_root=[1, 1], group_dimension=8)
@@ -291,19 +343,19 @@ def test_roots_jsonl_payload(runner):
     ("T2", "highest root: (none)",
      dict(type="T2", rank=2, positive_roots=0, highest_root=None, group_dimension=2)),
 ])
-def test_roots_product_types(runner, gtype, text, payload):
-    result = runner.invoke(main, ["roots", gtype])
+def test_roots_product_types(gtype, text, payload):
+    result = run_cli(["roots", gtype])
     assert result.exit_code == 0
     assert result.stdout.split("\n")[2] == text
-    result = runner.invoke(main, ["--format", "jsonl", "roots", gtype])
+    result = run_cli(["--format", "jsonl", "roots", gtype])
     assert result.exit_code == 0
     assert result.stdout == jsonl_line("roots", **payload)
 
 
-def test_decompose_jsonl_payload(runner, tmp_path):
+def test_decompose_jsonl_payload(tmp_path):
     src = tmp_path / "char.txt"
     src.write_text("1 2\n2 0\n1 -2\n")
-    result = runner.invoke(main, ["--format", "jsonl", "decompose", "A1", f"@{src}"])
+    result = run_cli(["--format", "jsonl", "decompose", "A1", f"@{src}"])
     assert result.exit_code == 0
     assert result.stdout == jsonl_line("decompose", type="A1", dimension=4, exact=True,
                                        terms={"2": 1, "0": 1})
@@ -316,38 +368,38 @@ def test_decompose_jsonl_payload(runner, tmp_path):
     # Lambda(L(2)) = 1 + L(2) + L(2) + 1 for SL2; 2 is not 2-restricted
     ("A1", "2", "2", 1, dict(module_dim=3, algebra_dim=8, terms={"0": 2, "2": 2})),
 ])
-def test_exterior_jsonl_payload(runner, name, lam, prime, code, extra):
-    result = runner.invoke(main, ["--format", "jsonl", "exterior", name, lam, "--p", prime])
+def test_exterior_jsonl_payload(name, lam, prime, code, extra):
+    result = run_cli(["--format", "jsonl", "exterior", name, lam, "--p", prime])
     assert result.exit_code == code
     assert result.stdout == jsonl_line(
         "exterior", type=name, exact=True, p=int(prime), all_restricted=not code,
         verdict="FAIL" if code else "PASS", **extra)
 
 
-def test_restrict_jsonl_payload(runner):
+def test_restrict_jsonl_payload():
     # the adjoint of SL4 on Sp4 (written B2): its adjoint nabla(0,2) plus the
     # 5-dimensional nabla(1,0)
-    result = runner.invoke(main, ["--format", "jsonl", "restrict", "C2 -[auto]-> A3", "1,0,1"])
+    result = run_cli(["--format", "jsonl", "restrict", "C2 -[auto]-> A3", "1,0,1"])
     assert result.exit_code == 0
     assert result.stdout == jsonl_line(
         "restrict", ambient="A3", subgroup="B2", highest_weight=[1, 0, 1], dimension=15,
         exact=True, terms={"1,0": 1, "0,2": 1})
 
 
-def test_byte_identical_runs(runner):
+def test_byte_identical_runs():
     args = ["char", "B2", "1,1"]
-    out1 = runner.invoke(main, args).output
-    out2 = runner.invoke(main, args).output
+    out1 = run_cli(args).output
+    out2 = run_cli(args).output
     assert out1 == out2
 
 
-def test_cache_dir_env(runner, cache_dir):
-    result = runner.invoke(main, ["char", "A2", "2,2"])
+def test_cache_dir_env(cache_dir):
+    result = run_cli(["char", "A2", "2,2"])
     assert result.exit_code == 0
     assert "A2 2,2 0,0:3 0,3:1 1,1:2 2,2:1 3,0:1" in (
         cache_dir / "characters.txt").read_text(encoding="utf-8").splitlines()
     # a second run picks the cache up and agrees
-    again = runner.invoke(main, ["char", "A2", "2,2"])
+    again = run_cli(["char", "A2", "2,2"])
     assert again.output == result.output
 
 
@@ -359,16 +411,16 @@ def test_cache_dir_env(runner, cache_dir):
     ("G2 1,0 1,0:2 0,0:1", ["exterior", "G2", "1,0"],
      ["exact: yes", "  nabla(0,0): 4"]),
 ])
-def test_wrong_cache_entry_changes_no_answer(runner, cache_dir, entry, args, expected):
+def test_wrong_cache_entry_changes_no_answer(cache_dir, entry, args, expected):
     clear_memo()
-    true = runner.invoke(main, args).output
+    true = run_cli(args).output
     path = cache_dir / "characters.txt"
     lines = path.read_text(encoding="utf-8").splitlines()
     key = " ".join(entry.split()[:2]) + " "
     right = next(line for line in lines if line.startswith(key))
     path.write_text(f"donkin character cache 2\n{entry}\n", encoding="utf-8")
     clear_memo()
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 0
     assert result.output == true
     assert set(expected) <= set(result.output.splitlines())
@@ -378,7 +430,7 @@ def test_wrong_cache_entry_changes_no_answer(runner, cache_dir, entry, args, exp
 
 
 @pytest.mark.parametrize("name,lam", [("A1", (4,)), ("G2", (2, 1)), ("B2.T1", (1, 0, -5))])
-def test_char_output_matches_independent_rendering(runner, name, lam):
+def test_char_output_matches_independent_rendering(name, lam):
     """Weights by descending height, ties by weight, each printed as 'c1,c2,...'."""
     rd = build_root_datum(name)
     chi = dual_weyl_character(rd, lam)
@@ -388,12 +440,12 @@ def test_char_output_matches_independent_rendering(runner, name, lam):
     lines = [f"type {rd.gtype}, highest weight {text}",
              f"dimension: {chi.dim()} (Weyl formula: {weyl_dim(rd, lam)})"]
     lines += [f"  {k}: {m}" for k, m in weights.items()]
-    result = runner.invoke(main, ["char", name, text])
+    result = run_cli(["char", name, text])
     assert result.exit_code == 0
     assert result.stdout == "\n".join(lines) + "\n"
     payload = {"schema": 1, "kind": "char", "type": str(rd.gtype),
                "highest_weight": list(lam), "dimension": chi.dim(), "weights": weights}
-    result = runner.invoke(main, ["--format", "jsonl", "char", name, text])
+    result = run_cli(["--format", "jsonl", "char", name, text])
     assert result.exit_code == 0
     assert result.stdout == json.dumps(payload, sort_keys=True) + "\n"
 
@@ -403,9 +455,9 @@ def test_char_output_matches_independent_rendering(runner, name, lam):
     "exterior A2 2,2", "exterior B2 1,1", "exterior B2 2,0", "exterior B4 0,0,0,1",
     "exterior G2 0,1", "exterior G2 1,0",
 ])
-def test_output_matches_reference_digest(runner, job):
+def test_output_matches_reference_digest(job):
     """stdout is byte-identical to the benchmark's recorded reference output."""
     digests = json.loads(REFERENCE_DIGESTS.read_text())
-    result = runner.invoke(main, job.split())
+    result = run_cli(job.split())
     assert result.exit_code == 0
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digests[job]
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digests[job]

@@ -20,7 +20,11 @@ F4 = str(ROOT / "src" / "donkin" / "data" / "f4.tbl")
 PROBE = """
 import sys, types
 import donkin.cli
-donkin.cli.main(sys.argv[1:], standalone_mode=False)
+try:
+    donkin.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print("click:", "click" in sys.modules)
 names = ("characters", "embeddings", "nilpotent", "verifier")
 print("ran:", *(n for n in names if type(sys.modules["donkin." + n]) is types.ModuleType))
 """
@@ -44,9 +48,12 @@ def run_python(*args, cwd=ROOT):
     (["verify-tables", F4], "characters embeddings nilpotent verifier"),
 ])
 def test_command_runs_only_the_modules_it_uses(args, ran):
+    """Each command runs the modules it reads from, and no job imports
+    click: the command line is parsed by the standard library."""
     proc = run_python("-c", PROBE, *args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split()[1:] == ran.split()
+    assert proc.stdout.splitlines()[-2] == "click: False"
 
 
 def test_modules_stay_importable():
