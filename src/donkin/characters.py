@@ -189,8 +189,6 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         return cached
     if on_disk is not None and _cached_entry_ok(rd, key[1], on_disk):
         mults = on_disk
-    elif not rd.positive_roots:
-        mults = {tuple(lam): 1}
     else:
         simple, columns = rd.simple_indices(), rd._columns
         # (alpha, G alpha, <alpha, alpha>): <mu + k alpha, alpha> = <mu, alpha> + k <alpha, alpha>

@@ -14,16 +14,19 @@ names the same group under two spellings, so its map is the identity.
 The catalog is one clause table, ``_CLAUSES``, from each chain tag to a
 cached matcher (legality verdict, minimal prime and payload,
 :func:`match_step`) and a builder, which takes the matcher's payload and
-checks nothing: :func:`step_map` is the one legality gate.  Tags: ``diag``
-(diagonal into a power), ``levi`` (Levi subgroup up to central torus), ``auto``
-(diagram-folding fixed points), ``class`` (same-form block splits and SL/SO,
-SL/Sp), ``max`` (maximal-rank subgroups of exceptional groups; type-level
-only, so its builder is None), ``resirr`` (restricted irreducible
-representations), ``tensor`` (tensor-product embeddings), ``alias``
-(respelling).  The clauses over product groups share one factor search,
-:func:`_grouped_assignments`, and one block assembler, :func:`_assemble`;
-``auto``, ``resirr`` and ``tensor`` pair the factors one to one, so each is a
-row of one factory, :func:`_paired`, from a pair test and a block function.
+checks nothing.  :func:`check_step` is the one legality gate: it adds the
+check of a step's ``p>k`` annotation against the matcher's minimal prime,
+and :func:`step_map`, :func:`chain_restriction_map` and the verifier all
+read its verdict.  Tags: ``diag`` (diagonal into a power), ``levi`` (Levi
+subgroup up to central torus), ``auto`` (diagram-folding fixed points),
+``class`` (same-form block splits and SL/SO, SL/Sp), ``max`` (maximal-rank
+subgroups of exceptional groups; type-level only, so its builder is None),
+``resirr`` (restricted irreducible representations), ``tensor``
+(tensor-product embeddings), ``alias`` (respelling).  The clauses over
+product groups share one factor search, :func:`_grouped_assignments`, and
+one block assembler, :func:`_assemble`; ``auto``, ``resirr`` and ``tensor``
+pair the factors one to one, so each is a row of one factory,
+:func:`_paired`, from a pair test and a block function.
 """
 from __future__ import annotations
 
@@ -144,7 +147,7 @@ class EmbeddingStep:
         return f"{self.sub} -[{self.tag}{ann}]-> {self.amb}"
 
 
-@dataclass
+@dataclass(frozen=True)  # a cached matcher hands one instance to every caller
 class StepMatch:
     legal: bool
     reason: str
@@ -158,29 +161,21 @@ class StepMatch:
 def _eps_to_fw(letter: str, n: int) -> list[list[int]]:
     """Fundamental-weight coordinates of a classical weight given in
     epsilon coordinates (for A, the input has n+1 entries)."""
-    if letter == "A":
-        return [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n + 1)]
-                for i in range(n)]
+    if letter not in ("A", "B", "C", "D"):
+        raise AssertionError(f"no epsilon coordinates for {letter}{n}")
+    if letter == "D" and n == 1:  # SO2: a torus; its character lattice is Z epsilon
+        return [[1]]
+    width = n + 1 if letter == "A" else n
+    # the rows e_i - e_{i+1} that every type shares
+    rows = [[1 if j == i else -1 if j == i + 1 else 0 for j in range(width)]
+            for i in range(width - 1)]
     if letter == "B":
-        rows = [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n)]
-                for i in range(n - 1)]
         rows.append([2 if j == n - 1 else 0 for j in range(n)])
-        return rows
-    if letter == "C":
-        rows = [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n)]
-                for i in range(n - 1)]
+    elif letter == "C":
         rows.append([1 if j == n - 1 else 0 for j in range(n)])
-        return rows
-    if letter == "D":
-        if n == 1:  # SO2: a torus; its character lattice is Z epsilon
-            return [[1]]
-        rows = [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n)]
-                for i in range(n - 1)]
-        rows[n - 2] = [0] * n
-        rows[n - 2][n - 2], rows[n - 2][n - 1] = 1, -1
+    elif letter == "D":
         rows.append([1 if j >= n - 2 else 0 for j in range(n)])
-        return rows
-    raise AssertionError(f"no epsilon coordinates for {letter}{n}")
+    return rows
 
 
 def _fw_to_eps(letter: str, n: int) -> list[list[Fraction]]:
@@ -689,19 +684,23 @@ def match_step(sub: GroupType, amb: GroupType, tag: str) -> StepMatch:
     return clause[0](sub, amb)
 
 
-def _legal_match(step: EmbeddingStep) -> StepMatch:
-    """The step's legal verdict; a step its clause rejects, or with an
-    unknown tag, raises IllegalStep."""
+def check_step(step: EmbeddingStep) -> StepMatch:
+    """The one legality gate for a chain step: the clause's verdict, unless
+    the step's ``p>k`` annotation disagrees with the clause's minimal prime;
+    transcriptions are validated, not trusted."""
     m = match_step(step.sub, step.amb, step.tag)
-    if not m.legal:
-        raise IllegalStep(f"({step.sub}, {step.amb}): {m.reason}")
+    if m.legal and step.p_bound is not None and min_prime_greater(step.p_bound) != m.p_min:
+        return StepMatch(False, f"annotated p>{step.p_bound} disagrees with the catalog "
+                                f"bound (minimal prime {m.p_min})", m.p_min)
     return m
 
 
 def step_map(step: EmbeddingStep) -> WeightMap | None:
     """Weight map realizing one chain step, or None for a map-less max step;
-    an illegal step raises IllegalStep."""
-    m = _legal_match(step)
+    a step that :func:`check_step` rejects raises IllegalStep."""
+    m = check_step(step)
+    if not m.legal:
+        raise IllegalStep(f"({step.sub}, {step.amb}): {m.reason}")
     build = _CLAUSES[step.tag][1]
     return None if build is None else build(step.sub, step.amb, m.payload)
 
@@ -710,7 +709,8 @@ def chain_restriction_map(steps) -> WeightMap | None:
     """Composed restriction map from the chain's ambient end to its start.
 
     Returns None if any step carries no weight map (max-rank steps); the
-    steps under it build no map, but an illegal one still raises IllegalStep.
+    steps under it build no map, but one that :func:`check_step` rejects
+    still raises IllegalStep.
     """
     steps = list(steps)
     total: WeightMap | None = None
@@ -718,7 +718,9 @@ def chain_restriction_map(steps) -> WeightMap | None:
         m = step_map(steps.pop())
         if m is None:
             for step in reversed(steps):
-                _legal_match(step)
+                verdict = check_step(step)
+                if not verdict.legal:
+                    raise IllegalStep(f"({step.sub}, {step.amb}): {verdict.reason}")
             return None
         total = m if total is None else compose(total, m)
     return total

@@ -19,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .embeddings import _CLAUSES, EmbeddingStep
+from . import embeddings
 from .errors import InvalidJordanType, TableSyntaxError
 from .rootsystem import GroupType, SimpleType, normalize_type
 
@@ -101,22 +101,17 @@ def centralizer_factor_labels(jt: JordanType) -> tuple[str, ...]:
 
 
 def _label_to_factors(label: str) -> tuple[SimpleType, ...]:
+    """The label's factors in table spelling (Sp2 is C1, SO2 is D1, ...);
+    :func:`normalize_type` resolves the aliases."""
     kind, r = label[:2], int(label[2:])
     if kind == "GL":
         return ((SimpleType("A", r - 1), SimpleType("T", 1)) if r >= 2
                 else (SimpleType("T", 1),))
     if kind == "Sp":
-        return (SimpleType("C", r // 2) if r >= 6 else
-                {2: SimpleType("A", 1), 4: SimpleType("B", 2)}[r],)
-    # SO: SO1 is trivial and dropped, SO2 is a torus
-    if r == 1:
+        return (SimpleType("C", r // 2),)
+    if r == 1:  # SO1 is trivial and dropped
         return ()
-    if r == 2:
-        return (SimpleType("T", 1),)
-    return ((SimpleType("B", (r - 1) // 2),) if r % 2 else
-            (SimpleType("D", r // 2),) if r >= 8 else
-            {4: (SimpleType("A", 1), SimpleType("A", 1)),
-             6: (SimpleType("A", 3),)}[r])
+    return (SimpleType("B" if r % 2 else "D", r // 2),)
 
 
 def label_dimension(label: str) -> int:
@@ -167,7 +162,7 @@ class OrbitRecord:
 
     label: str
     centralizer: GroupType
-    chain: tuple[EmbeddingStep, ...] | None  # None encodes the TORUS marker
+    chain: tuple[embeddings.EmbeddingStep, ...] | None  # None encodes the TORUS marker
     ambient: GroupType | None = None
 
     @property
@@ -188,20 +183,20 @@ def _parse_type(text: str) -> GroupType:
         raise ValueError(f"bad type {text!r}") from None
 
 
-def parse_chain(text: str) -> tuple[EmbeddingStep, ...]:
+def parse_chain(text: str) -> tuple[embeddings.EmbeddingStep, ...]:
     """The steps of one chain cell; a ValueError names what is malformed."""
     pieces = _ARROW_RE.split(text)
     # pieces: type, (tag, p, type)*
     if len(pieces) % 3 != 1:
         raise ValueError("malformed chain")
     types = [_parse_type(pieces[0])]
-    steps: list[EmbeddingStep] = []
+    steps: list[embeddings.EmbeddingStep] = []
     for k in range(1, len(pieces), 3):
         tag, p_text, ttext = pieces[k], pieces[k + 1], pieces[k + 2]
-        if tag not in _CLAUSES:
+        if tag not in embeddings._CLAUSES:
             raise ValueError(f"unknown tag {tag!r}")
         target = _parse_type(ttext)
-        steps.append(EmbeddingStep(
+        steps.append(embeddings.EmbeddingStep(
             tag, types[-1], target, int(p_text) if p_text else None))
         types.append(target)
     if not steps:

@@ -1,5 +1,6 @@
-"""Validation of orbit records: step legality, endpoint matching,
-prime-bound composition, and character-level spot checks.
+"""Validation of orbit records: step legality (by the catalog's one step
+gate, ``embeddings.check_step``), endpoint matching, prime-bound
+composition, and character-level spot checks.
 
 Verdicts are data, not exceptions, so a run over a whole table reports every
 failure.  :func:`verify_record` is the one gate for a row, and
@@ -10,18 +11,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .characters import (
-    FormalCharacter,
-    decompose_dual_weyl,
-    dual_weyl_character,
-    min_prime_greater,
-)
-from .embeddings import (
-    EmbeddingStep,
-    chain_restriction_map,
-    match_step,
-    restrict_character,
-)
+from .characters import FormalCharacter, decompose_dual_weyl, dual_weyl_character
+from .embeddings import StepMatch, chain_restriction_map, check_step, restrict_character
 from .errors import UnknownType
 from .nilpotent import OrbitRecord
 from .rootsystem import GroupType, build_root_datum, is_dominant, normalize_type
@@ -44,38 +35,9 @@ def good_prime_bound(g: GroupType) -> int:
 
 
 @dataclass(frozen=True)
-class StepVerdict:
-    step: EmbeddingStep
-    legal: bool
-    reason: str
-    p_min: int = 1
-
-    def as_dict(self):
-        return {"step": str(self.step), "legal": self.legal,
-                "reason": self.reason, "p_min": self.p_min}
-
-
-def check_step(step: EmbeddingStep) -> StepVerdict:
-    """Legality of one chain step against the clause catalog.
-
-    An annotated ``p>k`` bound must agree with the catalog's own constraint;
-    transcriptions are validated, not trusted.
-    """
-    m = match_step(step.sub, step.amb, step.tag)
-    if not m.legal:
-        return StepVerdict(step, False, m.reason)
-    if step.p_bound is not None and min_prime_greater(step.p_bound) != m.p_min:
-        return StepVerdict(
-            step, False,
-            f"annotated p>{step.p_bound} disagrees with the catalog bound "
-            f"(minimal prime {m.p_min})", m.p_min)
-    return StepVerdict(step, True, m.reason, m.p_min)
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     record: OrbitRecord
-    steps: tuple[StepVerdict, ...]
+    steps: tuple[StepMatch, ...]  # one verdict per step of record.chain
     p_min: int
     good_bound: int | None
     start_ok: bool
@@ -92,7 +54,9 @@ class VerificationReport:
             "good_bound": self.good_bound,
             "start_ok": self.start_ok,
             "end_ok": self.end_ok,
-            "steps": [s.as_dict() for s in self.steps],
+            "steps": [{"step": str(step), "legal": v.legal, "reason": v.reason,
+                       "p_min": v.p_min}
+                      for step, v in zip(self.record.chain or (), self.steps)],
             "notes": list(self.notes),
         }
 
@@ -111,8 +75,8 @@ def verify_record(rec: OrbitRecord) -> VerificationReport:
         return VerificationReport(rec, (), 1, bound, True, True, True,
                                   ("torus centralizer",))
     verdicts = tuple(check_step(s) for s in rec.chain)
-    notes = [f"illegal step ({v.step.sub}, {v.step.amb}): {v.reason}"
-             for v in verdicts if not v.legal]
+    notes = [f"illegal step ({step.sub}, {step.amb}): {v.reason}"
+             for step, v in zip(rec.chain, verdicts) if not v.legal]
     p_min = max((v.p_min for v in verdicts), default=1)
     start_ok = normalize_type(rec.chain[0].sub) == normalize_type(rec.centralizer)
     if not start_ok:

@@ -219,6 +219,14 @@ def test_restrict_names_an_illegal_step_under_a_max_step():
     assert result.stdout == ""
 
 
+def test_restrict_rejects_an_annotation_the_catalog_disagrees_with():
+    result = run_cli(["restrict", "C2 -[auto,p>7]-> A3", "1,0,1"])
+    assert result.exit_code == 2
+    assert result.stderr == ("error: (C2, A3): annotated p>7 disagrees with the "
+                             "catalog bound (minimal prime 1)\n")
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("chain, message", [
     ("A1 -[foo]-> A2", "bad chain: unknown tag 'foo'"),
     ("A1 -[levi]-> Q9", "bad chain: bad type 'Q9'"),

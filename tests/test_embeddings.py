@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -17,6 +18,7 @@ from donkin.embeddings import (
     EmbeddingStep,
     WeightMap,
     chain_restriction_map,
+    check_step,
     compose,
     match_step,
     normalization_map,
@@ -610,9 +612,38 @@ def test_levi_skips_unknown_subdiagrams(monkeypatch, fresh_levi_cache):
     ("bogus", "A1", "A1"),
 ])
 def test_step_map_illegal_step_per_tag(tag, sub, amb):
-    """step_map is the one legality gate: a rejected step of every clause, an
-    unlisted max pair and an unknown tag raise IllegalStep with its reason."""
+    """step_map raises from the one legality gate, check_step: a rejected step
+    of every clause, an unlisted max pair and an unknown tag raise IllegalStep
+    with its reason."""
     reason = match_step(G(sub), G(amb), tag).reason
     with pytest.raises(IllegalStep) as exc:
         step(tag, sub, amb)
     assert str(exc.value) == f"({sub}, {amb}): {reason}"
+
+
+@pytest.mark.parametrize("chain", [
+    (EmbeddingStep("auto", G("C2"), G("A3"), 7),),
+    # under a max step, where no map is built
+    (EmbeddingStep("class", G("B1.B6"), G("D8"), 4), EmbeddingStep("max", G("D8"), G("E8"), 2)),
+])
+def test_annotation_disagreeing_with_the_catalog_is_illegal(chain):
+    """check_step rejects a p>k annotation whose least prime is not the
+    clause's minimal prime, and the map builders raise from that verdict."""
+    bad = chain[0]
+    verdict = check_step(bad)
+    assert not verdict.legal
+    message = (f"({bad.sub}, {bad.amb}): annotated p>{bad.p_bound} disagrees "
+               f"with the catalog bound (minimal prime {verdict.p_min})")
+    with pytest.raises(IllegalStep) as exc:
+        chain_restriction_map(chain)
+    assert str(exc.value) == message
+    with pytest.raises(IllegalStep):
+        step_map(bad)
+
+
+def test_cached_step_match_is_frozen():
+    """The cached matchers hand one StepMatch to every caller."""
+    m = match_step(G("C2"), G("A3"), "auto")
+    assert m is match_step(G("C2"), G("A3"), "auto")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.legal = False

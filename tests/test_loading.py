@@ -42,7 +42,7 @@ def run_python(*args, cwd=ROOT):
     (["--format", "jsonl", "roots", "E8"], ""),
     (["char", "A1", "1"], "characters"),
     (["exterior", "G2", "1,0"], "characters"),
-    (["orbit", "classical", "GL", "2,1"], "characters embeddings nilpotent"),
+    (["orbit", "classical", "GL", "2,1"], "nilpotent"),
     (["restrict", "C2 -[auto]-> A3", "1,0,1"], "characters embeddings nilpotent"),
     (["spot-check", F4, "--lambda", "0,0,0,1"], "characters embeddings nilpotent verifier"),
     (["verify-tables", F4], "characters embeddings nilpotent verifier"),

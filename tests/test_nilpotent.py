@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -105,6 +106,23 @@ def test_reductive_centralizer_examples():
     assert str(reductive_centralizer(JordanType.from_partition("GL", [3, 1]))) == "T2"
     with pytest.raises(InvalidJordanType):
         reductive_centralizer(JordanType.from_partition("Sp", [3, 1]))
+
+
+# sha256 of "JT TYPE" lines, one per valid Jordan type of GL, Sp and SO with
+# n <= 16 (1,484 types), TYPE the reductive centralizer
+REDUCTIVE_CENTRALIZERS_SHA256 = \
+    "5251fa05e54c4c20bc3ae9b996b3aa73ce1510b0a88e3fee78955feb44384f12"
+
+
+def test_reductive_centralizer_golden():
+    """The labels are written in table spelling (Sp2 as C1, SO4 as D2, ...)
+    and the alias table resolves them; the digest pins every small type."""
+    lines = [f"{jt} {reductive_centralizer(jt)}"
+             for kind in ("GL", "Sp", "SO") for n in range(1, 17)
+             for jt in valid_partitions(kind, n)]
+    assert len(lines) == 1484
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == REDUCTIVE_CENTRALIZERS_SHA256
 
 
 def test_centralizer_dimension_examples():

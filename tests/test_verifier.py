@@ -2,13 +2,12 @@ import dataclasses
 
 import pytest
 
-from donkin.embeddings import _CLAUSES, EmbeddingStep, match_step
+from donkin.embeddings import _CLAUSES, EmbeddingStep, check_step, match_step
 from donkin.errors import UnknownType
 from donkin.nilpotent import OrbitRecord, parse_orbit_tables
 from donkin.rootsystem import GroupType, SimpleType
 from donkin.verifier import (
     _ambient_character,
-    check_step,
     good_prime_bound,
     spot_check,
     verify_record,
