@@ -16,7 +16,7 @@ import functools
 import os
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import add, mul, sub
 
 from .errors import (
@@ -38,8 +38,7 @@ from .rootsystem import (
 )
 
 
-@dataclass(frozen=True)
-class FormalCharacter:
+class FormalCharacter(namedtuple("FormalCharacter", "ambient support")):
     """Finite weight -> multiplicity map over a fixed ambient group type.
 
     The character owns the dict it is given: it is kept as ``support``, not
@@ -47,14 +46,12 @@ class FormalCharacter:
     Callers hand over a fresh dict and do not change it afterwards.
     """
 
-    ambient: GroupType
-    support: dict[Weight, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "ambient", normalize_type(self.ambient))
-        if 0 in self.support.values():
-            object.__setattr__(
-                self, "support", {w: m for w, m in self.support.items() if m})
+    def __new__(cls, ambient: GroupType, support: dict[Weight, int]):
+        if 0 in support.values():
+            support = {w: m for w, m in support.items() if m}
+        return super().__new__(cls, normalize_type(ambient), support)
 
     def dim(self) -> int:
         return sum(self.support.values())
@@ -283,13 +280,10 @@ def exterior_algebra(chi: FormalCharacter) -> FormalCharacter:
 # ---------------------------------------------------------------------------
 # Decomposition into the dual-Weyl basis
 
-@dataclass(frozen=True)
-class DualWeylDecomposition:
+class DualWeylDecomposition(namedtuple("DualWeylDecomposition", "ambient terms exact")):
     """Multiplicities of dual Weyl characters; exact iff all nonnegative."""
 
-    ambient: GroupType
-    terms: dict[Weight, int]
-    exact: bool
+    __slots__ = ()
 
     def items_sorted(self):
         """The terms by descending height, ties by weight: their print order."""

@@ -33,8 +33,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, itemgetter, sub as subtract
 
@@ -53,22 +53,19 @@ from .rootsystem import (
 )
 
 
-@dataclass(frozen=True)
 class WeightMap:
     """Integer-matrix restriction map between weight lattices."""
 
-    source: GroupType
-    target: GroupType
-    matrix: tuple[tuple[int, ...], ...]
-    _source_rank: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("source", "target", "matrix", "_source_rank")
 
-    def __post_init__(self):
-        if len(self.matrix) != normalize_type(self.target).rank:
+    def __init__(self, source: GroupType, target: GroupType,
+                 matrix: tuple[tuple[int, ...], ...]):
+        if len(matrix) != normalize_type(target).rank:
             raise TypeMismatch("matrix rows do not match target rank")
-        rank = normalize_type(self.source).rank
-        if self.matrix and len(self.matrix[0]) != rank:
+        rank = normalize_type(source).rank
+        if matrix and len(matrix[0]) != rank:
             raise TypeMismatch("matrix columns do not match source rank")
-        object.__setattr__(self, "_source_rank", rank)
+        self.source, self.target, self.matrix, self._source_rank = source, target, matrix, rank
 
     def images(self, weights) -> Iterator[Weight]:
         """Images of ``weights`` (a sized, re-iterable collection), in order.
@@ -104,10 +101,6 @@ class WeightMap:
             rows.append(stream)
         return zip(*rows)
 
-    def apply(self, w: Weight) -> Weight:
-        """Image of one weight."""
-        return next(self.images((w,)))
-
 
 def compose(m1: WeightMap, m2: WeightMap) -> WeightMap:
     """First restrict along ``m1``, then along ``m2``."""
@@ -133,26 +126,20 @@ def restrict_character(chi: FormalCharacter, wmap: WeightMap) -> FormalCharacter
     return FormalCharacter(normalize_type(wmap.target), out)
 
 
-@dataclass(frozen=True)
-class EmbeddingStep:
-    """One arrow of a table chain, with its optional transcription p-bound."""
+class EmbeddingStep(namedtuple("EmbeddingStep", "tag sub amb p_bound", defaults=(None,))):
+    """One arrow of a table chain, with its optional transcription p-bound
+    (as written: the constraint "p > p_bound")."""
 
-    tag: str
-    sub: GroupType
-    amb: GroupType
-    p_bound: int | None = None  # as written: constraint "p > p_bound"
+    __slots__ = ()
 
     def __str__(self):
         ann = f",p>{self.p_bound}" if self.p_bound is not None else ""
         return f"{self.sub} -[{self.tag}{ann}]-> {self.amb}"
 
 
-@dataclass(frozen=True)  # a cached matcher hands one instance to every caller
-class StepMatch:
-    legal: bool
-    reason: str
-    p_min: int = 1
-    payload: object = None
+# immutable, as a cached matcher hands one instance to every caller
+class StepMatch(namedtuple("StepMatch", "legal reason p_min payload", defaults=(1, None))):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +170,8 @@ def _fw_to_eps(letter: str, n: int) -> list[list[Fraction]]:
     if letter == "A":
         return [[Fraction(1) if j >= i else Fraction(0) for j in range(n)]
                 for i in range(n + 1)]
-    square = _eps_to_fw(letter, n)
-    return [list(row) for row in linalg.rational_inverse(square)]
+    det, adj = linalg.adjugate(_eps_to_fw(letter, n))
+    return [[Fraction(x, det) for x in row] for row in adj]
 
 
 def _eps_block(f: SimpleType, axes) -> tuple[tuple[Fraction, ...], ...]:
@@ -689,7 +676,9 @@ def check_step(step: EmbeddingStep) -> StepMatch:
     the step's ``p>k`` annotation disagrees with the clause's minimal prime;
     transcriptions are validated, not trusted."""
     m = match_step(step.sub, step.amb, step.tag)
-    if m.legal and step.p_bound is not None and min_prime_greater(step.p_bound) != m.p_min:
+    # p_min 1 means no bound, which p>1 (and p>0) also say: every prime is > 1
+    if m.legal and step.p_bound is not None and (
+            min_prime_greater(step.p_bound) != max(m.p_min, 2)):
         return StepMatch(False, f"annotated p>{step.p_bound} disagrees with the catalog "
                                 f"bound (minimal prime {m.p_min})", m.p_min)
     return m

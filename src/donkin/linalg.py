@@ -1,11 +1,9 @@
-"""Small exact linear-algebra helpers over the integers and rationals.
+"""Small exact linear-algebra helpers over the integers.
 
 Everything here works on tuples-of-tuples so results can be stored on
-frozen dataclasses and used as dict keys.
+immutable records and used as dict keys.
 """
 from __future__ import annotations
-
-from fractions import Fraction
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -30,23 +28,33 @@ def identity(n: int) -> IntMatrix:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def rational_inverse(mat) -> tuple[tuple[Fraction, ...], ...]:
-    """Inverse of a square matrix by fraction-exact Gauss-Jordan."""
+def adjugate(mat) -> tuple[int, IntMatrix]:
+    """(det, adj) of a square integer matrix, with mat @ adj == det * I, by
+    fraction-free (Bareiss) Gauss-Jordan on [mat | I].
+
+    After the k-th pivot every entry is a (k+1)-minor (Sylvester's identity),
+    so each division by the previous pivot is exact, and at the end the left
+    half is p * I and the right half p * mat^-1 for the last pivot p, which is
+    det up to the sign of the row swaps.
+    """
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
+    aug = [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    prev, sign = 1, 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            sign = -sign
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], top)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in aug)
 
 
 def left_integer_kernel(mat: IntMatrix) -> list[tuple[int, ...]]:

@@ -16,8 +16,7 @@ Table files are UTF-8, line oriented, ``#`` comments, LF endings::
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import embeddings
 from .errors import InvalidJordanType, TableSyntaxError
@@ -26,21 +25,21 @@ from .rootsystem import GroupType, SimpleType, normalize_type
 KINDS = ("GL", "Sp", "SO")
 
 
-@dataclass(frozen=True)
-class JordanType:
-    """Block sizes with multiplicities, strictly decreasing sizes."""
+class JordanType(namedtuple("JordanType", "kind parts")):
+    """Block sizes with multiplicities, strictly decreasing sizes: ``parts``
+    holds (size, multiplicity) pairs."""
 
-    kind: str
-    parts: tuple[tuple[int, int], ...]  # (size, multiplicity)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidJordanType(f"unknown kind {self.kind!r}")
-        sizes = [s for s, _ in self.parts]
+    def __new__(cls, kind: str, parts: tuple[tuple[int, int], ...]):
+        if kind not in KINDS:
+            raise InvalidJordanType(f"unknown kind {kind!r}")
+        sizes = [s for s, _ in parts]
         if sizes != sorted(sizes, reverse=True) or len(set(sizes)) != len(sizes):
             raise InvalidJordanType("sizes must be strictly decreasing")
-        if any(s < 1 or r < 1 for s, r in self.parts):
+        if any(s < 1 or r < 1 for s, r in parts):
             raise InvalidJordanType("sizes and multiplicities must be positive")
+        return super().__new__(cls, kind, parts)
 
     @classmethod
     def from_partition(cls, kind: str, partition) -> "JordanType":
@@ -156,14 +155,13 @@ def unipotent_dimension(jt: JordanType) -> int:
 # ---------------------------------------------------------------------------
 # orbit tables
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    """One table row: orbit label, centralizer type, embedding chain."""
+class OrbitRecord(namedtuple("OrbitRecord", "label centralizer chain ambient",
+                             defaults=(None,))):
+    """One table row: orbit label, centralizer type, embedding chain (a tuple
+    of ``embeddings.EmbeddingStep``, or None for the TORUS marker), and the
+    ambient group if known."""
 
-    label: str
-    centralizer: GroupType
-    chain: tuple[embeddings.EmbeddingStep, ...] | None  # None encodes the TORUS marker
-    ambient: GroupType | None = None
+    __slots__ = ()
 
     @property
     def is_torus(self) -> bool:

@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from operator import mul
 
 from . import linalg
@@ -66,8 +65,7 @@ def _is_canonical(letter: str, rank: int) -> bool:
     }.get(letter, False)
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
+class SimpleType(namedtuple("SimpleType", "letter rank")):
     """One factor of a group type: a simple-type letter plus rank.
 
     ``T`` denotes a central torus factor whose rank is its dimension.
@@ -75,12 +73,12 @@ class SimpleType:
     :func:`normalize_type` resolves.
     """
 
-    letter: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (_is_canonical(self.letter, self.rank) or (self.letter, self.rank) in _ALIASES):
-            raise UnknownType(f"bad simple type {self.letter}{self.rank}")
+    def __new__(cls, letter: str, rank: int):
+        if not (_is_canonical(letter, rank) or (letter, rank) in _ALIASES):
+            raise UnknownType(f"bad simple type {letter}{rank}")
+        return super().__new__(cls, letter, rank)
 
     @property
     def is_torus(self) -> bool:
@@ -97,11 +95,10 @@ class SimpleType:
         return cls(m.group(1), int(m.group(2)))
 
 
-@dataclass(frozen=True)
-class GroupType:
+class GroupType(namedtuple("GroupType", "factors")):
     """An ordered product of simple and torus factors, e.g. ``A1.B6``."""
 
-    factors: tuple[SimpleType, ...]
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str) -> "GroupType":
@@ -272,7 +269,9 @@ class RootDatum:
     The W-invariant inner product on fw coordinates is G = (A^{-1})^T D per
     semisimple block, zero on torus coordinates.  It is kept as the integer
     matrix ``gram`` = L * G, where ``gram_scale`` L is the lcm of the
-    denominators of G.
+    denominators of G.  A block is adj(A)^T D / det(A) (``linalg.adjugate``),
+    whose reduced denominator is det(A) over the gcd of det(A) and the
+    numerators.
     """
 
     def __init__(self, gtype: GroupType):
@@ -282,7 +281,7 @@ class RootDatum:
         n = self.rank
         self.cartan = cartan = cartan_matrix(gtype)
         self.torus = torus = tuple(row[i] == 0 for i, row in enumerate(cartan))
-        gram = [[Fraction(0)] * n for _ in range(n)]
+        blocks = []  # (offset, numerators of G's block, det A) per semisimple factor
         pos_roots: list[Weight] = []
         pos_coroots: list[Weight] = []
         offset = 0
@@ -292,10 +291,9 @@ class RootDatum:
                 offset += r
                 continue
             block, d = _simple_cartan(fac.letter, fac.rank)
-            inv = linalg.rational_inverse(block)
-            for i in range(r):
-                for j in range(r):
-                    gram[offset + i][offset + j] = inv[j][i] * d[j]
+            det, adj = linalg.adjugate(block)
+            nums = [[adj[j][i] * d[j] for j in range(r)] for i in range(r)]
+            blocks.append((offset, nums, det))
             for rc in _simple_positive_roots(fac.letter, fac.rank):
                 fw = [0] * n
                 for i in range(r):
@@ -313,8 +311,13 @@ class RootDatum:
             offset += r
         self.positive_roots = tuple(pos_roots)
         self.positive_coroots = tuple(pos_coroots)
-        self.gram_scale = math.lcm(*(x.denominator for row in gram for x in row))
-        self.gram = tuple(tuple(int(x * self.gram_scale) for x in row) for row in gram)
+        self.gram_scale = scale = math.lcm(*(
+            det // math.gcd(det, *(x for row in nums for x in row)) for _, nums, det in blocks))
+        gram = [[0] * n for _ in range(n)]
+        for offset, nums, det in blocks:
+            for i, row in enumerate(nums):
+                gram[offset + i][offset:offset + len(row)] = [x * scale // det for x in row]
+        self.gram = tuple(map(tuple, gram))
         self.rho: Weight = tuple(0 if torus[i] else 1 for i in range(n))
         self._simple = tuple(i for i in range(n) if not torus[i])
         # column i of the Cartan matrix = alpha_i in fw coordinates

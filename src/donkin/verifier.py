@@ -9,10 +9,10 @@ failure.  :func:`verify_record` is the one gate for a row, and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .characters import FormalCharacter, decompose_dual_weyl, dual_weyl_character
-from .embeddings import StepMatch, chain_restriction_map, check_step, restrict_character
+from .embeddings import chain_restriction_map, check_step, restrict_character
 from .errors import UnknownType
 from .nilpotent import OrbitRecord
 from .rootsystem import GroupType, build_root_datum, is_dominant, normalize_type
@@ -34,16 +34,11 @@ def good_prime_bound(g: GroupType) -> int:
     return bound
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    record: OrbitRecord
-    steps: tuple[StepMatch, ...]  # one verdict per step of record.chain
-    p_min: int
-    good_bound: int | None
-    start_ok: bool
-    end_ok: bool
-    passed: bool
-    notes: tuple[str, ...] = ()
+# steps holds one embeddings.StepMatch per step of record.chain
+class VerificationReport(namedtuple(
+        "VerificationReport",
+        "record steps p_min good_bound start_ok end_ok passed notes", defaults=((),))):
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -93,12 +88,9 @@ def verify_record(rec: OrbitRecord) -> VerificationReport:
                               not notes, tuple(notes))
 
 
-@dataclass(frozen=True)
-class SpotVerdict:
-    record: OrbitRecord
-    status: str  # "PASS" | "FAIL" | "SKIPPED"
-    detail: str
-    terms: dict | None = None
+# status is "PASS", "FAIL" or "SKIPPED"
+class SpotVerdict(namedtuple("SpotVerdict", "record status detail terms", defaults=(None,))):
+    __slots__ = ()
 
     def as_dict(self):
         return {"label": self.record.label, "status": self.status,

@@ -98,6 +98,11 @@ def orbit(rd, w):
     return tuple(sorted(weyl_orbit(rd, {tuple(w): 1})))
 
 
+def image(wmap, w):
+    """Image of one weight under a ``WeightMap``, by its one kernel ``images``."""
+    return next(wmap.images((w,)))
+
+
 def subdiagram_type(rd, nodes) -> GroupType:
     """Group type of the induced Dynkin subdiagram plus a torus of the corank."""
     facs = [st for st, _ in _classify_nodes(rd.cartan, nodes)]

@@ -15,6 +15,7 @@ from conftest import (
     commutant_dimension,
     exterior_power,
     grading_element,
+    image,
     jordan_type_of,
     nilpotent_with_form,
     valid_partitions,
@@ -121,7 +122,7 @@ def test_criterion_5_levi_fundamental_weights():
         images = []
         for i in range(sub_rank):
             w = tuple(int(j == i) for j in range(8))
-            images.append(m.apply(w)[:sub_rank])
+            images.append(image(m, w)[:sub_rank])
         expected = [tuple(int(j == i) for j in range(sub_rank))
                     for i in range(sub_rank)]
         assert images == expected

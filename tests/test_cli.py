@@ -227,6 +227,16 @@ def test_restrict_rejects_an_annotation_the_catalog_disagrees_with():
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("bound", ["0", "1"])
+def test_restrict_accepts_an_annotation_that_bounds_no_prime(bound):
+    """p>0 and p>1 hold for every prime, as the clause's minimal prime 1
+    (no bound) does, so the step restricts as if it had no annotation."""
+    plain = run_cli(["restrict", "C2 -[auto]-> A3", "1,0,1"])
+    result = run_cli(["restrict", f"C2 -[auto,p>{bound}]-> A3", "1,0,1"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout == plain.stdout
+
+
 @pytest.mark.parametrize("chain, message", [
     ("A1 -[foo]-> A2", "bad chain: unknown tag 'foo'"),
     ("A1 -[levi]-> Q9", "bad chain: bad type 'Q9'"),

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import strategies as st
 
 import donkin.embeddings as emb
 import donkin.rootsystem as rootsystem
-from conftest import external_product
+from conftest import external_product, image
 from donkin.characters import (
     FormalCharacter,
     decompose_dual_weyl,
@@ -61,15 +60,15 @@ def diag(sub, amb):
 def test_levi_e8_e7_fundamental_weights():
     m, target = levi("E7.T1", "E8")
     assert str(target) == "E7.T1"
-    images = [m.apply(fw(8, i))[:7] for i in range(7)]
+    images = [image(m, fw(8, i))[:7] for i in range(7)]
     assert images == [fw(7, i) for i in range(7)]
-    assert m.apply(fw(8, 7))[:7] == (0,) * 7
+    assert image(m, fw(8, 7))[:7] == (0,) * 7
 
 
 def test_levi_e8_e6_fundamental_weights():
     m, target = levi("E6.T2", "E8")
     assert str(target) == "E6.T2"
-    images = [m.apply(fw(8, i))[:6] for i in range(6)]
+    images = [image(m, fw(8, i))[:6] for i in range(6)]
     assert images == [fw(6, i) for i in range(6)]
 
 
@@ -104,7 +103,7 @@ def test_levi_written_d1_takes_a_torus_slot(amb):
 def test_diag_examples():
     assert diag("A1", "A1").matrix == ((1,),)
     d = diag("A1", "A1.A1")
-    assert d.apply((3, 4)) == (7,)
+    assert image(d, (3, 4)) == (7,)
     b2 = build_root_datum("B2")
     chi = dual_weyl_character(b2, (1, 0))
     ext = external_product(chi, chi)
@@ -120,15 +119,15 @@ def test_folding_a3_c2():
     # both outer nodes restrict to the first C2 fundamental weight, which is
     # the spin coordinate once Sp4 is normalized to B2
     conv = normalization_map(G("C2"))
-    c2_w1 = conv.apply((1, 0))
-    assert m.apply((1, 0, 0)) == m.apply((0, 0, 1)) == c2_w1
+    c2_w1 = image(conv, (1, 0))
+    assert image(m, (1, 0, 0)) == image(m, (0, 0, 1)) == c2_w1
 
 
 def test_folding_d4_g2_triality():
     m = step("auto", "G2", "D4")
-    outer = [m.apply(fw(4, i)) for i in (0, 2, 3)]
+    outer = [image(m, fw(4, i)) for i in (0, 2, 3)]
     assert outer == [(1, 0)] * 3
-    assert m.apply(fw(4, 1)) == (0, 1)
+    assert image(m, fw(4, 1)) == (0, 1)
 
 
 def test_folding_e6_f4():
@@ -180,7 +179,7 @@ def test_classical_sp_split():
     m = step("class", "C1.C1", "C2")
     c2 = build_root_datum("B2")  # normalized Sp4
     conv = normalization_map(G("C2"))
-    nat = dual_weyl_character(c2, conv.apply((1, 0)))
+    nat = dual_weyl_character(c2, image(conv, (1, 0)))
     r = restrict_character(nat, m)
     assert r.dim() == 4
     dec = decompose_dual_weyl(build_root_datum("A1.A1"), r)
@@ -320,7 +319,7 @@ def test_tensor_sp4_in_so16():
     r = restrict_character(dual_weyl_character(d8, fw(8, 0)), m)
     dec = decompose_dual_weyl(build_root_datum("B2"), r)
     conv = normalization_map(G("C2"))
-    assert dec.terms == {conv.apply((1, 0)): 4} and dec.exact
+    assert dec.terms == {image(conv, (1, 0)): 4} and dec.exact
 
 
 def test_tensor_rejects():
@@ -411,7 +410,7 @@ def test_chain_restriction_map():
 def test_restriction_rejects_wrong_ambient():
     m = identity_map(G("A2"))
     with pytest.raises(AmbientMismatch):
-        m.apply((1, 0, 0))
+        image(m, (1, 0, 0))
     short = FormalCharacter(G("A2"), {(1, 0, 0): 1})
     with pytest.raises(AmbientMismatch):
         restrict_character(short, m)
@@ -430,9 +429,10 @@ def _pushforward(matrix, support):
 
 
 def _check_kernel(m, support):
-    """``images``, ``apply`` and ``restrict_character`` against ``mat_vec``."""
+    """``images``, the one-weight helper ``image`` and ``restrict_character``
+    against ``mat_vec``."""
     assert list(m.images(support)) == [mat_vec(m.matrix, w) for w in support]
-    assert [m.apply(w) for w in support] == [mat_vec(m.matrix, w) for w in support]
+    assert [image(m, w) for w in support] == [mat_vec(m.matrix, w) for w in support]
     expected = _pushforward(m.matrix, support)
     got = restrict_character(FormalCharacter(m.source, dict(support)), m).support
     assert list(got.items()) == list(expected.items())
@@ -456,7 +456,7 @@ def test_images_matches_mat_vec(matrix):
 def test_images_of_a_map_onto_rank_zero():
     m = WeightMap(G("T3"), GroupType(()), ())
     assert list(m.images(KERNEL_SUPPORT)) == [()] * len(KERNEL_SUPPORT)
-    assert m.apply((1, 2, 3)) == ()
+    assert image(m, (1, 2, 3)) == ()
 
 
 def test_images_of_no_weights():
@@ -481,7 +481,7 @@ def test_kernel_rejects_shorter_and_longer_weights(bad):
     m = WeightMap(G("T3"), G("T2"), ((1, 0, 0), (0, -1, 2)))
     message = f"weight of length {len(bad)} under a map from T3"
     with pytest.raises(AmbientMismatch, match=message):
-        m.apply(bad)
+        image(m, bad)
     with pytest.raises(AmbientMismatch, match=message):
         list(m.images([(0, 0, 0), bad]))
     with pytest.raises(AmbientMismatch, match=message):
@@ -623,6 +623,8 @@ def test_step_map_illegal_step_per_tag(tag, sub, amb):
 
 @pytest.mark.parametrize("chain", [
     (EmbeddingStep("auto", G("C2"), G("A3"), 7),),
+    # p>2 names the prime 3, but the clause has no bound (minimal prime 1)
+    (EmbeddingStep("auto", G("C2"), G("A3"), 2),),
     # under a max step, where no map is built
     (EmbeddingStep("class", G("B1.B6"), G("D8"), 4), EmbeddingStep("max", G("D8"), G("E8"), 2)),
 ])
@@ -645,5 +647,5 @@ def test_cached_step_match_is_frozen():
     """The cached matchers hand one StepMatch to every caller."""
     m = match_step(G("C2"), G("A3"), "auto")
     assert m is match_step(G("C2"), G("A3"), "auto")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         m.legal = False

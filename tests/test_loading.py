@@ -1,4 +1,5 @@
-"""Which donkin modules a CLI command runs, and the tracer that relies on it.
+"""Which donkin modules a CLI command runs, which heavy standard-library
+modules it imports, and the tracer that relies on the first.
 
 ``donkin.cli`` enters ``characters``, ``embeddings``, ``nilpotent`` and
 ``verifier`` in ``sys.modules`` without running them; each runs when a
@@ -24,7 +25,8 @@ try:
     donkin.cli.main(sys.argv[1:])
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print("click:", "click" in sys.modules)
+heavy = ("click", "dataclasses", "inspect", "fractions")
+print("loaded:", *(n for n in heavy if n in sys.modules))
 names = ("characters", "embeddings", "nilpotent", "verifier")
 print("ran:", *(n for n in names if type(sys.modules["donkin." + n]) is types.ModuleType))
 """
@@ -48,12 +50,16 @@ def run_python(*args, cwd=ROOT):
     (["verify-tables", F4], "characters embeddings nilpotent verifier"),
 ])
 def test_command_runs_only_the_modules_it_uses(args, ran):
-    """Each command runs the modules it reads from, and no job imports
-    click: the command line is parsed by the standard library."""
+    """Each command runs the modules it reads from.  No job imports click
+    (the command line is parsed by the standard library), dataclasses or
+    inspect (the records are named tuples), and only a job that runs
+    ``embeddings`` imports fractions, for its epsilon coordinates."""
     proc = run_python("-c", PROBE, *args)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split()[1:] == ran.split()
-    assert proc.stdout.splitlines()[-2] == "click: False"
+    *_, loaded, ran_line = proc.stdout.splitlines()
+    assert ran_line.split()[1:] == ran.split()
+    allowed = {"fractions"} if "embeddings" in ran.split() else set()
+    assert set(loaded.split()[1:]) <= allowed, loaded
 
 
 def test_modules_stay_importable():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +9,17 @@ from conftest import dominant_representative, orbit, subdiagram_type
 from donkin.characters import dual_weyl_character
 from donkin.embeddings import (
     EmbeddingStep,
+    _eps_to_fw,
     normalization_map,
     restrict_character,
     step_map,
 )
 from donkin.errors import BadIndex, DimensionMismatch, NotDominant, UnknownType
+from donkin.linalg import adjugate, mat_mul
 from donkin.rootsystem import (
     GroupType,
     SimpleType,
+    _simple_cartan,
     build_root_datum,
     highest_roots,
     is_dominant,
@@ -337,3 +341,69 @@ def test_weyl_orbit_rejects_any_non_dominant_key(name, data):
         weyl_orbit(rd, dict(items))
     with pytest.raises(DimensionMismatch):
         weyl_orbit(rd, {(0,) * (rd.rank + 1): 1})
+
+
+# ---------------------------------------------------------------------------
+# the Gram matrix from the integer adjugate
+
+def fraction_inverse(mat):
+    """Oracle: the inverse by Gauss-Jordan in Fractions."""
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+@pytest.mark.parametrize("name", ALL_SIMPLE + ["A1.B3.T2"])
+def test_gram_matches_a_fraction_oracle(name):
+    """``gram`` and ``gram_scale``: G = (A^-1)^T D on each semisimple block,
+    zero on the torus, scaled by the lcm of G's denominators."""
+    rd = build_root_datum(name)
+    g = [[Fraction(0)] * rd.rank for _ in range(rd.rank)]
+    offset = 0
+    for f in rd.gtype.factors:
+        if not f.is_torus:
+            block, d = _simple_cartan(f.letter, f.rank)
+            inv = fraction_inverse(block)
+            for i in range(f.rank):
+                for j in range(f.rank):
+                    g[offset + i][offset + j] = inv[j][i] * d[j]
+        offset += f.rank
+    scale = math.lcm(*(x.denominator for row in g for x in row))
+    assert rd.gram_scale == scale
+    assert rd.gram == tuple(tuple(int(x * scale) for x in row) for row in g)
+
+
+CARTAN_DET = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2, "D": lambda n: 4,
+              "E": lambda n: 9 - n, "F": lambda n: 1, "G": lambda n: 1}
+
+
+@pytest.mark.parametrize("mat, det", [
+    *((_simple_cartan(t[0], int(t[1:]))[0], CARTAN_DET[t[0]](int(t[1:]))) for t in ALL_SIMPLE),
+    # the squares of the epsilon-to-fundamental-weight maps of B, C and D
+    *((_eps_to_fw(letter, n), None) for letter in "BCD" for n in range(1, 9)),
+    # a zero pivot: one row swap, which flips the sign
+    (((0, 1), (1, 0)), -1),
+])
+def test_adjugate(mat, det):
+    """mat @ adj == det * I, with the known Cartan determinants."""
+    got, adj = adjugate(mat)
+    assert got != 0 and det in (None, got)
+    n = len(mat)
+    assert mat_mul(tuple(map(tuple, mat)), adj) == tuple(
+        tuple(got * (i == j) for j in range(n)) for i in range(n))
+    assert all(Fraction(a, got) == x for row_a, row_x in zip(adj, fraction_inverse(mat))
+               for a, x in zip(row_a, row_x))
+
+
+def test_adjugate_rejects_a_singular_matrix():
+    with pytest.raises(ValueError):
+        adjugate(((1, 2), (2, 4)))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from donkin.embeddings import _CLAUSES, EmbeddingStep, check_step, match_step
@@ -64,7 +62,7 @@ def test_verify_torus_record():
 
 def test_endpoint_mismatch_fails():
     rec = parse_orbit_tables("A1\tA1\tA1 -[levi]-> E7\n")[0]
-    rep = verify_record(dataclasses.replace(rec, ambient=G("E8")))
+    rep = verify_record(rec._replace(ambient=G("E8")))
     assert not rep.passed and not rep.end_ok
     assert rep.notes == ("chain ends at E7, ambient is E8",)
 
@@ -120,14 +118,13 @@ def _mutations(rec):
     torus = GroupType(rec.centralizer.factors + (SimpleType("T", 1),))
     tag = next(t for t in sorted(_CLAUSES)
                if not match_step(first.sub, first.amb, t).legal)
-    # p>k names the least prime above k, never k itself
-    p_bound = check_step(last).p_min
+    # p>k names the least prime above k, never k itself; p>1 is no bound,
+    # as minimal prime 1 is, so a step with no bound gets p>2
+    p_bound = max(check_step(last).p_min, 2)
     return [
-        dataclasses.replace(rec, centralizer=torus),
-        dataclasses.replace(rec, chain=(dataclasses.replace(first, tag=tag),
-                                        *rec.chain[1:])),
-        dataclasses.replace(rec, chain=(*rec.chain[:-1],
-                                        dataclasses.replace(last, p_bound=p_bound))),
+        rec._replace(centralizer=torus),
+        rec._replace(chain=(first._replace(tag=tag), *rec.chain[1:])),
+        rec._replace(chain=(*rec.chain[:-1], last._replace(p_bound=p_bound))),
     ]
 
 
