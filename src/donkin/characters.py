@@ -53,6 +53,11 @@ class FormalCharacter(namedtuple("FormalCharacter", "ambient support")):
             support = {w: m for w, m in support.items() if m}
         return super().__new__(cls, normalize_type(ambient), support)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
+
     def dim(self) -> int:
         return sum(self.support.values())
 

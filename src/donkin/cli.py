@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import os
 import sys
 import time
@@ -71,11 +72,19 @@ def _weight_format(rank: int) -> str:
     return ",".join(["%d"] * rank)
 
 
-def _item_lines(pattern: str, rank: int, items) -> list[str]:
-    """One line per (weight, multiplicity) pair, from one %-template: the
-    ``%s`` of ``pattern`` becomes the weight's fields, e.g. '  %s: %%d'."""
+def _item_lines(pattern: str, rank: int, items):
+    """One line per (weight, multiplicity) pair, yielded in blocks of at most
+    1024 lines joined by newlines, so no more than one block is held at a
+    time.  The ``%s`` of ``pattern`` becomes the weight's fields, e.g.
+    '  %s: %%d', and a block is one ``%`` over that row template repeated."""
     template = pattern % _weight_format(rank)
-    return [template % (*w, m) for w, m in items]
+    items = iter(items)
+    while chunk := list(itertools.islice(items, 1024)):
+        flat = []
+        for w, m in chunk:
+            flat += w
+            flat.append(m)
+        yield "\n".join([template] * len(chunk)) % tuple(flat)
 
 
 def _keyed(rank: int, mults: dict) -> dict[str, int]:
@@ -94,16 +103,16 @@ def _parse_group(text: str) -> GroupType:
 def _emit(fmt, kind, payload, lines):
     """Print one jsonl record or the text lines.  ``payload`` and ``lines``
     are zero-argument callables and only the one ``fmt`` asks for is called,
-    so a command builds only the form it prints."""
+    so a command builds only the form it prints.  ``lines()`` is an iterable
+    of lines or blocks of lines (see :func:`_item_lines`), each written as it
+    is produced, so a long output is never held whole."""
     write = sys.stdout.write
     if fmt == "jsonl":
         import json
         write(json.dumps({"schema": SCHEMA, "kind": kind, **payload()}, sort_keys=True) + "\n")
     else:
-        text_lines = lines()
-        # a few large writes, not one per line; chunks keep the joined copy small
-        for start in range(0, len(text_lines), 1024):
-            write("\n".join(text_lines[start:start + 1024]) + "\n")
+        for text in lines():
+            write(text + "\n")
 
 
 def _save_cache():
@@ -148,9 +157,10 @@ def char(ns):
     _emit(ns.fmt, "char",
           lambda: {"type": str(rd.gtype), "highest_weight": list(w),
                    "dimension": chi.dim(), "weights": _keyed(rd.rank, chi.support)},
-          lambda: [f"type {rd.gtype}, highest weight {ns.lam}",
-                   f"dimension: {chi.dim()} (Weyl formula: {weyl_dim(rd, w)})"]
-          + _item_lines("  %s: %%d", rd.rank, chi.support.items()))
+          lambda: itertools.chain(
+              [f"type {rd.gtype}, highest weight {ns.lam}",
+               f"dimension: {chi.dim()} (Weyl formula: {weyl_dim(rd, w)})"],
+              _item_lines("  %s: %%d", rd.rank, chi.support.items())))
 
 
 def _read_text(path):
@@ -198,9 +208,10 @@ def decompose(ns):
     _emit(ns.fmt, "decompose",
           lambda: {"type": str(rd.gtype), "dimension": chi.dim(), "exact": dec.exact,
                    "terms": _keyed(rd.rank, dec.terms)},
-          lambda: [f"type {rd.gtype}, dimension {chi.dim()}",
-                   f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
-          + _item_lines("  nabla(%s): %%d", rd.rank, dec.items_sorted()))
+          lambda: itertools.chain(
+              [f"type {rd.gtype}, dimension {chi.dim()}",
+               f"exact: {'yes' if dec.exact else 'NO (virtual)'}"],
+              _item_lines("  nabla(%s): %%d", rd.rank, dec.items_sorted())))
 
 
 def exterior(ns):
@@ -231,16 +242,14 @@ def exterior(ns):
         return out
 
     def lines():
-        out = [f"type {rd.gtype}, module dimension {chi.dim()}, "
-               f"exterior algebra dimension {ea.dim()}",
-               f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
-        out += _item_lines("  nabla(%s): %%d", rd.rank, items)
+        yield (f"type {rd.gtype}, module dimension {chi.dim()}, "
+               f"exterior algebra dimension {ea.dim()}")
+        yield f"exact: {'yes' if dec.exact else 'NO (virtual)'}"
+        yield from _item_lines("  nabla(%s): %%d", rd.rank, items)
         if prime is not None:
-            out.append(
-                f"all highest weights restricted at p={prime}: "
-                f"{'PASS' if ok else 'FAIL'}"
-                + (f" (unrestricted: {['|'.join(map(str, b)) for b in bad]})" if bad else ""))
-        return out
+            yield (f"all highest weights restricted at p={prime}: "
+                   f"{'PASS' if ok else 'FAIL'}"
+                   + (f" (unrestricted: {['|'.join(map(str, b)) for b in bad]})" if bad else ""))
 
     _emit(ns.fmt, "exterior", payload, lines)
     return 0 if ok else 1
@@ -272,10 +281,11 @@ def restrict(ns):
           lambda: {"ambient": str(amb_rd.gtype), "subgroup": str(sub_rd.gtype),
                    "highest_weight": list(w), "dimension": chi.dim(),
                    "exact": dec.exact, "terms": _keyed(sub_rd.rank, dec.terms)},
-          lambda: [f"restrict {amb_rd.gtype} nabla({ns.lam}) (dim {chi.dim()}) "
-                   f"to {sub_rd.gtype}",
-                   f"exact: {'yes' if dec.exact else 'NO (virtual)'}"]
-          + _item_lines("  nabla(%s): %%d", sub_rd.rank, dec.items_sorted()))
+          lambda: itertools.chain(
+              [f"restrict {amb_rd.gtype} nabla({ns.lam}) (dim {chi.dim()}) "
+               f"to {sub_rd.gtype}",
+               f"exact: {'yes' if dec.exact else 'NO (virtual)'}"],
+              _item_lines("  nabla(%s): %%d", sub_rd.rank, dec.items_sorted())))
 
 
 def orbit_classical(ns):

@@ -35,7 +35,6 @@ import itertools
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from operator import add, itemgetter, sub as subtract
 
 from . import linalg
@@ -165,19 +164,27 @@ def _eps_to_fw(letter: str, n: int) -> list[list[int]]:
     return rows
 
 
-def _fw_to_eps(letter: str, n: int) -> list[list[Fraction]]:
-    """Section of :func:`_eps_to_fw`; for A it is the gl-lift with eps_{n+1}=0."""
+def _fw_to_eps(letter: str, n: int) -> tuple[int, linalg.IntMatrix]:
+    """(det, rows) with ``rows / det`` a section of :func:`_eps_to_fw`: its
+    adjugate over its determinant, which is 1 or 2.  For A it is the gl-lift
+    with eps_{n+1}=0, over 1."""
     if letter == "A":
-        return [[Fraction(1) if j >= i else Fraction(0) for j in range(n)]
-                for i in range(n + 1)]
-    det, adj = linalg.adjugate(_eps_to_fw(letter, n))
-    return [[Fraction(x, det) for x in row] for row in adj]
+        return 1, [[int(j >= i) for j in range(n)] for i in range(n + 1)]
+    return linalg.adjugate(_eps_to_fw(letter, n))
 
 
-def _eps_block(f: SimpleType, axes) -> tuple[tuple[Fraction, ...], ...]:
+def _eps_block(f: SimpleType, axes) -> linalg.IntMatrix:
     """Block of a classical sub factor whose k-th epsilon coordinate restricts
-    from ``axes[k]``, a row of ambient fundamental-weight coordinates."""
+    from ``axes[k]``, a row of ambient fundamental-weight coordinates (times
+    the ``det`` of :func:`_fw_to_eps` they were taken from)."""
     return linalg.mat_mul(_eps_to_fw(f.letter, f.rank), axes)
+
+
+def _divide(block, det: int) -> list[list[int]]:
+    """``block / det``, which must be an integer matrix."""
+    if any(x % det for row in block for x in row):
+        raise AssertionError("non-integral restriction matrix")
+    return [[x // det for x in row] for row in block]
 
 
 def _so_dim(f: SimpleType) -> int | None:
@@ -212,11 +219,7 @@ def _denormalization_rows(gtype: GroupType) -> tuple[tuple[int, ...], ...]:
 
 
 def _export(sub: GroupType, amb: GroupType, core) -> WeightMap:
-    """Wrap a written-vocabulary core matrix into normalized semantics; its
-    entries (ints, or Fractions from epsilon coordinates) must be integers."""
-    if any(x.denominator != 1 for row in core for x in row):
-        raise AssertionError("non-integral restriction matrix")
-    core = tuple(tuple(map(int, row)) for row in core)
+    """Wrap a written-vocabulary integer core matrix into normalized semantics."""
     mat = linalg.mat_mul(normalization_map(sub).matrix,
                          linalg.mat_mul(core, _denormalization_rows(amb)))
     return WeightMap(amb, sub, mat)
@@ -505,15 +508,16 @@ def _class_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
         elif kind in ("so_split", "sp_split"):
             # the sub factors take consecutive ambient epsilon axes; the
             # remaining axes restrict to zero
-            amb_f2e = _fw_to_eps(af.letter, af.rank)
+            det, amb_f2e = _fw_to_eps(af.letter, af.rank)
             axis = 0
             for si in combo:
                 f = sub.factors[si]
-                blocks.append((si, ai, _eps_block(f, amb_f2e[axis:axis + f.rank])))
+                block = _eps_block(f, amb_f2e[axis:axis + f.rank])
+                blocks.append((si, ai, _divide(block, det)))
                 axis += f.rank
         else:  # sl_so / sl_sp: ambient eps_k restricts to +eps_k, eps_{r+1-k} to -eps_k
             f = sub.factors[combo[0]]
-            amb_f2e = _fw_to_eps("A", af.rank)  # af.rank + 1 rows (gl lift)
+            _, amb_f2e = _fw_to_eps("A", af.rank)  # af.rank + 1 rows (gl lift), over 1
             axes = [[x - y for x, y in zip(amb_f2e[k], amb_f2e[af.rank - k])]
                     for k in range(f.rank)]
             blocks.append((combo[0], ai, _eps_block(f, axes)))
@@ -630,19 +634,18 @@ def _tensor_block(s: SimpleType, a: SimpleType, copies):
     double-cover torus, so its row is rescaled to the primitive character of
     that cover; this only relabels central characters.
     """
-    amb_f2e = _fw_to_eps(a.letter, a.rank)
+    det, amb_f2e = _fw_to_eps(a.letter, a.rank)
     axes = [[sum(col) for col in zip(*amb_f2e[k * copies:(k + 1) * copies])]
             for k in range(s.rank)]
     block = _eps_block(s, axes)
-    return [_primitive_row(block[0])] if s == _SO2 else block
+    return [_primitive_row(block[0])] if s == _SO2 else _divide(block, det)
 
 
 def _primitive_row(row):
-    """The primitive integral row on the ray of a rational row."""
-    scale = math.lcm(*(Fraction(x).denominator for x in row))
-    scaled = [Fraction(x) * scale for x in row]
-    g = math.gcd(*(int(x) for x in scaled))
-    return [x / g for x in scaled] if g > 1 else scaled
+    """The primitive integral row on the ray of an integer row; the ray of
+    ``row / det`` too, as ``det`` is positive."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 # ---------------------------------------------------------------------------

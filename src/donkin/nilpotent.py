@@ -42,6 +42,11 @@ class JordanType(namedtuple("JordanType", "kind parts")):
         return super().__new__(cls, kind, parts)
 
     @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
+
+    @classmethod
     def from_partition(cls, kind: str, partition) -> "JordanType":
         counts = Counter(int(p) for p in partition)
         return cls(kind, tuple(sorted(counts.items(), reverse=True)))

@@ -80,6 +80,11 @@ class SimpleType(namedtuple("SimpleType", "letter rank")):
             raise UnknownType(f"bad simple type {letter}{rank}")
         return super().__new__(cls, letter, rank)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, would skip __new__
+        return cls(*iterable)
+
     @property
     def is_torus(self) -> bool:
         return self.letter == "T"

@@ -616,6 +616,9 @@ def test_zero_multiplicities_are_dropped():
     assert chi.support == {(1,): 1}
     assert chi.dim() == 1
     assert chi == FormalCharacter(a1, {(1,): 1})
+    # _make, and _replace through it, drop them too
+    assert chi._replace(support={(3,): 0, (1,): 2}).support == {(1,): 2}
+    assert FormalCharacter._make((a1, {(0,): 0, (2,): 1})).support == {(2,): 1}
 
 
 def test_no_zero_multiplicity_in_computed_characters():

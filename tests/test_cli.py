@@ -5,13 +5,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import donkin.characters as ch
 from conftest import clear_memo, run_cli
 from donkin.characters import dual_weyl_character
-from donkin.rootsystem import build_root_datum, weyl_dim
+from donkin.cli import main
+from donkin.rootsystem import build_root_datum, weyl_dim, weyl_orbit
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_DIGESTS = ROOT / "perfbench" / "reference_digests.json"
@@ -479,3 +482,83 @@ def test_output_matches_reference_digest(job):
     result = run_cli(job.split())
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digests[job]
+
+
+class _ByteCount:
+    """A stdout that keeps only the number of UTF-8 bytes written to it."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_char_text_is_written_as_it_is_made(monkeypatch):
+    """char D4 3,3,3,3 prints 31,897 weight lines (0.53 MB).  Its text goes
+    out in blocks as it is formatted, so, with the dominant multiplicities
+    already known, the job's traced peak stays under its own weyl_orbit dict
+    (4.3 MB) plus 1 MB; holding every line until the end takes 2.4 MB more."""
+    rd = build_root_datum("D4")
+    lam = (3, 3, 3, 3)
+    clear_memo()
+    dominant = ch._freudenthal(rd, lam)
+    sink = _ByteCount()
+    tracemalloc.start()
+    try:
+        orbit = weyl_orbit(rd, dominant)
+        orbit_size = tracemalloc.get_traced_memory()[0]
+        del orbit
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(sys, "stdout", sink)
+        with pytest.raises(SystemExit) as exc:
+            main(["char", "D4", "3,3,3,3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 0
+    assert sink.bytes == 533626
+    assert peak < orbit_size + 2**20, (peak, orbit_size)
+
+
+def _torus_terms(n, rank):
+    """``n`` distinct weights of a rank-``rank`` torus, with negative
+    coordinates, and nonzero multiplicities of both signs."""
+    return {(i - 1000, *[(-1) ** k * (i % (k + 2)) for k in range(rank - 1)]):
+            (-1) ** i * (i + 1) for i in range(n)}
+
+
+@pytest.mark.parametrize("rank", [1, 8])
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("command", ["char", "decompose", "exterior", "restrict"])
+def test_item_blocks_match_line_by_line_rendering(monkeypatch, tmp_path, command, n, rank):
+    """The weight lines, written in blocks of 1024, are byte for byte the
+    lines ``template % (*w, m)`` of the items in print order, on each side of
+    the block boundaries."""
+    terms = _torus_terms(n, rank)
+    gtype = f"T{rank}"
+    lam = ",".join(["1"] + ["-1"] * (rank - 1))
+    if command == "char":
+        monkeypatch.setattr(ch, "dual_weyl_character",
+                            lambda rd, w: ch.FormalCharacter(rd.gtype, terms))
+        args, pattern, items = ["char", gtype, lam], "  %s: %%d", terms.items()
+    else:
+        # a torus has no roots, so the terms print in weight order
+        monkeypatch.setattr(ch, "decompose_dual_weyl",
+                            lambda rd, chi: ch.DualWeylDecomposition(rd.gtype, terms, False))
+        pattern, items = "  nabla(%s): %%d", sorted(terms.items())
+        source = tmp_path / "chi.txt"
+        source.write_text(f"1 {lam}\n")
+        args = {"decompose": ["decompose", gtype, f"@{source}"],
+                "exterior": ["exterior", gtype, lam],
+                "restrict": ["restrict", f"{gtype} -[alias]-> {gtype}", lam]}[command]
+    template = pattern % ",".join(["%d"] * rank)
+    result = run_cli(args)
+    assert result.exit_code == 0
+    head = result.stdout.split("\n")[:2]
+    assert result.stdout == "".join(line + "\n" for line in
+                                    head + [template % (*w, m) for w, m in items])

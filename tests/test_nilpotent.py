@@ -47,6 +47,13 @@ def test_jordan_type_constructor():
     jt = JordanType.from_partition("Sp", [4, 2, 2, 2])
     assert jt.parts == ((4, 1), (2, 3))
     assert jt.n == 10
+    # _make, and _replace through it, check as the constructor does
+    assert jt._replace(kind="GL") == JordanType("GL", ((4, 1), (2, 3)))
+    assert JordanType._make(("SO", ((3, 1),))) == JordanType("SO", ((3, 1),))
+    with pytest.raises(InvalidJordanType):
+        JordanType("GL", ((2, 1),))._replace(parts=((0, 1),))
+    with pytest.raises(InvalidJordanType):
+        JordanType._make(("XX", ((2, 1),)))
 
 
 def test_parity_rule_pinned_by_enumeration():

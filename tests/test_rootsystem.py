@@ -248,6 +248,15 @@ def test_parse_roundtrip():
     assert SimpleType.parse("B12") == SimpleType("B", 12)
 
 
+def test_simple_type_make_and_replace_check_the_type():
+    assert SimpleType._make(("B", 3)) == SimpleType("B", 3)
+    assert SimpleType("A", 1)._replace(rank=5) == SimpleType("A", 5)
+    with pytest.raises(UnknownType):
+        SimpleType("A", 1)._replace(rank=0)
+    with pytest.raises(UnknownType):
+        SimpleType._make(("Q", 3))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["A2", "B2", "G2", "A1.A1"]),
        st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
