@@ -241,17 +241,3 @@ def parse_orbit_tables(text: str) -> list[OrbitRecord]:
                    for r in records]
     return records
 
-
-def serialize_orbit_tables(records) -> str:
-    lines = []
-    for rec in records:
-        if rec.is_torus:
-            chain = "TORUS"
-        else:
-            bits = [str(rec.chain[0].sub)]
-            for step in rec.chain:
-                ann = f",p>{step.p_bound}" if step.p_bound is not None else ""
-                bits.append(f" -[{step.tag}{ann}]-> {step.amb}")
-            chain = "".join(bits)
-        lines.append(f"{rec.label}\t{rec.centralizer}\t{chain}")
-    return "\n".join(lines) + "\n"

@@ -226,50 +226,43 @@ def cartan_matrix(gtype: GroupType) -> linalg.IntMatrix:
     return tuple(map(tuple, cartan))
 
 
-def _simple_positive_roots(letter: str, rank: int) -> list[tuple[int, ...]]:
-    """Positive roots in root coordinates, by root-string closure."""
-    if letter == "T":
-        return []
-    cartan, _ = _simple_cartan(letter, rank)
-    n = rank
-    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    layer = list(simple)
-    while layer:
-        nxt = []
-        for beta in layer:
-            for i in range(n):
-                # <beta, alpha_i^vee> is the i-th fw coordinate of beta
-                m = sum(cartan[i][j] * beta[j] for j in range(n))
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) in roots:
-                        p += 1
-                    else:
-                        break
-                if p - m > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
-        layer = nxt
-    expected = _POSITIVE_ROOT_COUNTS[letter](rank)
-    if len(roots) != expected:
-        raise AssertionError(f"{letter}{rank}: got {len(roots)} roots, expected {expected}")
-    return sorted(roots, key=lambda r: (sum(r), r))
+def _positive_roots(columns, simple) -> list[tuple[Weight, Weight]]:
+    """(root in fw coordinates, coroot) for each positive root spanned by the
+    simple roots ``simple``, by height, ties by root coordinates; ``columns``
+    are the Cartan matrix's columns.
+
+    One upward reflection walk: s_i permutes the positive roots other than
+    alpha_i (Humphreys, *Introduction to Lie Algebras and Representation
+    Theory*, §10.2, Lemma B), so every positive root is reached from a simple
+    root by steps beta -> s_i beta = beta - c alpha_i with c = <beta, alpha_i^vee>
+    < 0.  The coroot steps to beta^vee - <alpha_i, beta^vee> alpha_i^vee.
+    """
+    n = len(columns)
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    found = {unit[i]: (columns[i], unit[i]) for i in simple}
+    queue = list(found)
+    for rc in queue:
+        fw, cv = found[rc]
+        for i in simple:
+            c = fw[i]
+            if c < 0:
+                up = rc[:i] + (rc[i] - c,) + rc[i + 1:]
+                if up not in found:
+                    k = sum(map(mul, cv, columns[i]))
+                    found[up] = (tuple(x - c * a for x, a in zip(fw, columns[i])),
+                                 cv[:i] + (cv[i] - k,) + cv[i + 1:])
+                    queue.append(up)
+    return [found[rc] for rc in sorted(found, key=lambda rc: (sum(rc), rc))]
 
 
 class RootDatum:
     """Immutable root/coroot data for a normalized group type.
 
-    Positive roots and coroots are stored as full-length vectors: roots in
-    fundamental-weight coordinates, coroots as integer functionals on those
-    coordinates (coefficients on the simple coroots).  Torus coordinates carry
-    no roots and zero Cartan rows.
+    Positive roots and coroots come together from one reflection walk over
+    the Cartan matrix (``_positive_roots``), factor by factor.  They are
+    full-length vectors: roots in fundamental-weight coordinates, coroots as
+    integer functionals on those coordinates (coefficients on the simple
+    coroots).  Torus coordinates carry no roots and zero Cartan rows.
 
     The W-invariant inner product on fw coordinates is G = (A^{-1})^T D per
     semisimple block, zero on torus coordinates.  It is kept as the integer
@@ -286,36 +279,25 @@ class RootDatum:
         n = self.rank
         self.cartan = cartan = cartan_matrix(gtype)
         self.torus = torus = tuple(row[i] == 0 for i, row in enumerate(cartan))
+        # column i of the Cartan matrix = alpha_i in fw coordinates
+        self._columns = columns = tuple(zip(*cartan))
         blocks = []  # (offset, numerators of G's block, det A) per semisimple factor
-        pos_roots: list[Weight] = []
-        pos_coroots: list[Weight] = []
+        roots: list[tuple[Weight, Weight]] = []  # (root, coroot), factor by factor
         offset = 0
         for fac in gtype.factors:
             r = fac.rank
-            if fac.is_torus:
-                offset += r
-                continue
-            block, d = _simple_cartan(fac.letter, fac.rank)
-            det, adj = linalg.adjugate(block)
-            nums = [[adj[j][i] * d[j] for j in range(r)] for i in range(r)]
-            blocks.append((offset, nums, det))
-            for rc in _simple_positive_roots(fac.letter, fac.rank):
-                fw = [0] * n
-                for i in range(r):
-                    fw[offset + i] = sum(block[i][j] * rc[j] for j in range(r))
-                norm2 = sum(rc[i] * rc[j] * d[i] * block[i][j]
-                            for i in range(r) for j in range(r))
-                cv = [0] * n
-                for j in range(r):
-                    num = 2 * rc[j] * d[j]
-                    if num % norm2:
-                        raise AssertionError("non-integral coroot coefficient")
-                    cv[offset + j] = num // norm2
-                pos_roots.append(tuple(fw))
-                pos_coroots.append(tuple(cv))
+            if not fac.is_torus:
+                block, d = _simple_cartan(fac.letter, r)
+                det, adj = linalg.adjugate(block)
+                nums = [[adj[j][i] * d[j] for j in range(r)] for i in range(r)]
+                blocks.append((offset, nums, det))
+                roots += _positive_roots(columns, range(offset, offset + r))
             offset += r
-        self.positive_roots = tuple(pos_roots)
-        self.positive_coroots = tuple(pos_coroots)
+        expected = sum(_POSITIVE_ROOT_COUNTS[f.letter](f.rank) for f in gtype.factors)
+        if len(roots) != expected:
+            raise AssertionError(f"{gtype}: got {len(roots)} roots, expected {expected}")
+        self.positive_roots = tuple(root for root, _ in roots)
+        self.positive_coroots = tuple(coroot for _, coroot in roots)
         self.gram_scale = scale = math.lcm(*(
             det // math.gcd(det, *(x for row in nums for x in row)) for _, nums, det in blocks))
         gram = [[0] * n for _ in range(n)]
@@ -325,8 +307,6 @@ class RootDatum:
         self.gram = tuple(map(tuple, gram))
         self.rho: Weight = tuple(0 if torus[i] else 1 for i in range(n))
         self._simple = tuple(i for i in range(n) if not torus[i])
-        # column i of the Cartan matrix = alpha_i in fw coordinates
-        self._columns = tuple(tuple(cartan[r][i] for r in range(n)) for i in range(n))
         # per-i plan of weyl_orbit and of the decomposition's symmetry check: s_i
         # moves coordinate i and i's Dynkin neighbours j (by -c * a_ji); the
         # simple j < i are split into the unmoved and the moved, with their
@@ -341,7 +321,7 @@ class RootDatum:
         self._orbit_plans = tuple(plans)
         # sum of positive coroots; any dominance-compatible height functional
         self.height_functional: Weight = tuple(
-            sum(cv[i] for cv in pos_coroots) for i in range(n))
+            sum(cv[i] for cv in self.positive_coroots) for i in range(n))
 
     # -- basics ------------------------------------------------------------
 
@@ -380,15 +360,13 @@ class RootDatum:
 
 
 @functools.lru_cache(maxsize=None)
-def _datum_cache(key: str) -> RootDatum:
-    return RootDatum(GroupType.parse(key))
+def _datum_cache(gtype: GroupType) -> RootDatum:
+    return RootDatum(gtype)
 
 
 def build_root_datum(gtype) -> RootDatum:
     """Root datum for a (normalizable) group type; cached and immutable."""
-    if isinstance(gtype, str):
-        gtype = GroupType.parse(gtype)
-    return _datum_cache(str(normalize_type(gtype)))
+    return _datum_cache(normalize_type(gtype))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,20 @@ def shipped_tables():
     return {name: load_table(name) for name in ("e8", "e7", "e6", "f4", "g2")}
 
 
+def serialize_orbit_tables(records) -> str:
+    """Table-file text of ``records``, which ``parse_orbit_tables`` reads back.
+    Each step's ``str`` writes its arrow and ``p>`` annotation; a chain is the
+    first step's text, then each step's text after its source type."""
+    lines = []
+    for rec in records:
+        chain = "TORUS"
+        if not rec.is_torus:
+            chain = str(rec.chain[0].sub) + "".join(
+                str(step)[len(str(step.sub)):] for step in rec.chain)
+        lines.append(f"{rec.label}\t{rec.centralizer}\t{chain}")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # root-system helpers
 
@@ -218,6 +232,22 @@ def string_freudenthal(rd, lam):
         if q:
             mults[mu] = q
     return mults
+
+
+def fraction_inverse(mat):
+    """Oracle: the inverse by Gauss-Jordan in Fractions."""
+    n = len(mat)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def multiplicity_digest(mults) -> str:

@@ -15,8 +15,17 @@ from pathlib import Path
 import pytest
 
 from conftest import run_cli
-from donkin.embeddings import EmbeddingStep, chain_restriction_map, match_step, step_map
-from donkin.rootsystem import GroupType
+from donkin.characters import FormalCharacter, decompose_dual_weyl
+from donkin.embeddings import (
+    EmbeddingStep,
+    WeightMap,
+    chain_restriction_map,
+    match_step,
+    restrict_character,
+    step_map,
+)
+from donkin.errors import NotSymmetric
+from donkin.rootsystem import GroupType, build_root_datum
 
 REPO = Path(__file__).resolve().parents[1]
 TABLES = ("e8", "e7", "e6", "f4", "g2")
@@ -101,6 +110,38 @@ def test_every_legal_grid_step_builds():
     broken = [(tag, sub, amb, built) for tag, sub, amb, m, built in grid()
               if m.legal and isinstance(built, str)]
     assert broken == []
+
+
+def adjoint_character(rd) -> FormalCharacter:
+    """ad(G): the rank at weight 0 and each root once."""
+    support = {(0,) * rd.rank: rd.rank}
+    for alpha in rd.positive_roots:
+        support[alpha] = support[tuple(-a for a in alpha)] = 1
+    return FormalCharacter(rd.gtype, support)
+
+
+def test_every_legal_grid_map_carries_lie_h_into_lie_g():
+    """Lie(H) in Lie(G) on every legal grid step with a map: ad(G) pushed down
+    the map, minus ad(H), has no negative weight multiplicity and decomposes
+    into dual Weyl characters of H with no negative term."""
+    checked, failed = 0, []
+    for tag, sub, amb, m, built in grid():
+        if not (m.legal and isinstance(built, WeightMap)):
+            continue
+        checked += 1
+        rd = build_root_datum(sub)
+        rest = dict(restrict_character(adjoint_character(build_root_datum(amb)), built).support)
+        for w, k in adjoint_character(rd).support.items():
+            rest[w] = rest.get(w, 0) - k
+        if min(rest.values(), default=0) < 0:
+            failed.append((tag, sub, amb, "weight deficit"))
+            continue
+        try:
+            if not decompose_dual_weyl(rd, FormalCharacter(rd.gtype, rest)).exact:
+                failed.append((tag, sub, amb, "negative term"))
+        except NotSymmetric:
+            failed.append((tag, sub, amb, "not Weyl-invariant"))
+    assert (checked, failed) == (602, [])
 
 
 @pytest.mark.parametrize("tag", ["bogus", "x"])

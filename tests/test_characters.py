@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from conftest import (
     dominant_weights_below,
     exterior_power,
     external_product,
+    fraction_inverse,
     multiplicity_digest,
     orbit,
     string_freudenthal,
@@ -161,6 +163,72 @@ def test_freudenthal_matches_string_oracle(name, lam):
     torus types: the orbit sums give what one string per positive root does."""
     rd = build_root_datum(name)
     assert ch._freudenthal(rd, lam) == string_freudenthal(rd, lam)
+
+
+def racah_multiplicities(cartan, lam):
+    """Oracle from the Cartan matrix alone, by Racah's formula: for dominant
+    mu != lam, m(mu) = -sum over v in W rho, v != rho, of eps(v) m(mu + rho - v)
+    (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+    §24), which reads ch * A_rho = A_{lam + rho} at e^{mu + rho}.
+
+    W rho is walked down from rho by the simple reflections
+    u_j = v_j - v_i A[j][i], with eps = (-1)^depth, and every argument is
+    folded to the dominant chamber by the same reflections.  The dominant
+    mu <= lam are lam - A k for integer k between 0 and A^-1 lam, taken by
+    ascending sum(k), so each mu + rho - v (mu plus a nonzero sum of
+    positive roots) is done before mu.  No Gram matrix, root string or
+    positive root is used, so this shares no code with the root walk or
+    with Freudenthal.
+    """
+    n = len(cartan)
+
+    def reflect(v, i):
+        c = v[i]
+        return tuple([x - c * cartan[j][i] for j, x in enumerate(v)])
+
+    def fold(v):
+        while True:
+            for i, c in enumerate(v):
+                if c < 0:
+                    v = reflect(v, i)
+                    break
+            else:
+                return v
+
+    rho = (1,) * n
+    sign = {rho: 1}
+    queue = [rho]
+    for v in queue:
+        for i in range(n):
+            if v[i] > 0 and (u := reflect(v, i)) not in sign:
+                sign[u] = -sign[v]
+                queue.append(u)
+    del sign[rho]
+    top = [math.floor(sum(map(mul, row, lam))) for row in fraction_inverse(cartan)]
+    below = []
+    for k in itertools.product(*(range(t + 1) for t in top)):
+        mu = tuple(x - sum(map(mul, row, k)) for x, row in zip(lam, cartan))
+        if min(mu) >= 0:
+            below.append((sum(k), mu))
+    below.sort()
+    mults = {tuple(lam): 1}
+    for _, mu in below[1:]:
+        m = -sum(eps * mults.get(fold(tuple([x + 1 - y for x, y in zip(mu, v)])), 0)
+                 for v, eps in sign.items())
+        if m:
+            mults[mu] = m
+    return mults
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("A1", (3,)), ("A2", (2, 1)), ("A3", (1, 1, 1)), ("A4", (1, 0, 1, 1)), ("B2", (2, 1)),
+    ("B3", (1, 1, 1)), ("B4", (0, 1, 0, 1)), ("C3", (2, 0, 1)), ("C4", (1, 1, 0, 1)),
+    ("D4", (1, 1, 1, 1)), ("G2", (3, 2)), ("F4", (0, 0, 1, 1)), ("F4", (1, 1, 1, 1)),
+])
+def test_freudenthal_matches_racah_oracle(name, lam):
+    """Every simple type of rank at most 4, and G2."""
+    rd = build_root_datum(name)
+    assert ch._freudenthal(rd, lam) == racah_multiplicities(rd.cartan, lam)
 
 
 @pytest.mark.parametrize("name,lam", [

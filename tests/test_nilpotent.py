@@ -11,6 +11,7 @@ from conftest import (
     grading_element,
     jordan_type_of,
     nilpotent_with_form,
+    serialize_orbit_tables,
     valid_partitions,
 )
 from donkin.errors import InvalidJordanType, TableSyntaxError
@@ -23,7 +24,6 @@ from donkin.nilpotent import (
     parse_orbit_tables,
     reductive_centralizer,
     reductive_dimension,
-    serialize_orbit_tables,
     unipotent_dimension,
     validate_jordan,
 )

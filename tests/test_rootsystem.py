@@ -1,11 +1,13 @@
+import hashlib
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dominant_representative, orbit, subdiagram_type
+from conftest import dominant_representative, fraction_inverse, orbit, subdiagram_type
 from donkin.characters import dual_weyl_character
 from donkin.embeddings import (
     EmbeddingStep,
@@ -36,6 +38,35 @@ COUNTS = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
           "C": lambda n: n * n, "D": lambda n: n * (n - 1),
           "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
           "F": lambda n: 24, "G": lambda n: 6}
+
+
+# every simple type plus products with torus, repeated and mixed-length factors
+ROOT_TYPES = ALL_SIMPLE + ["A1.B3.T2", "E6.A2", "D4.D4", "B2.G2.A1", "T3"]
+
+# sha256 of the lines "name roots coroots" over ROOT_TYPES: pins the order of
+# positive_roots (factor by factor, by height, ties by root coordinates), which
+# _root_orbits, highest_roots and every printed decomposition see
+ROOT_DATA_SHA256 = "e1b15ef4e8e794c793159c99280511d19904ccfbf602407c8cf43a25cd33cf5a"
+
+
+@pytest.mark.parametrize("name", ROOT_TYPES)
+def test_coroots_match_the_gram_matrix(name):
+    """<beta, beta^vee> = 2, and beta^vee = 2 G beta / (beta, beta) as a
+    functional on fw coordinates, in Fractions from ``gram``: a check that
+    shares nothing with the reflection walk."""
+    rd = build_root_datum(name)
+    assert len(rd.positive_coroots) == len(rd.positive_roots)
+    for beta, cv in zip(rd.positive_roots, rd.positive_coroots):
+        assert rd.pairing(beta, cv) == 2
+        g_beta = [sum(map(mul, row, beta)) for row in rd.gram]
+        norm = sum(map(mul, beta, g_beta))
+        assert list(cv) == [Fraction(2 * x, norm) for x in g_beta]
+
+
+def test_root_data_digest():
+    text = "".join(f"{name} {rd.positive_roots!r} {rd.positive_coroots!r}\n"
+                   for name in ROOT_TYPES for rd in [build_root_datum(name)])
+    assert hashlib.sha256(text.encode()).hexdigest() == ROOT_DATA_SHA256
 
 
 def reflection_closure_count(rd):
@@ -355,23 +386,7 @@ def test_weyl_orbit_rejects_any_non_dominant_key(name, data):
 # ---------------------------------------------------------------------------
 # the Gram matrix from the integer adjugate
 
-def fraction_inverse(mat):
-    """Oracle: the inverse by Gauss-Jordan in Fractions."""
-    n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        aug[col] = [x / aug[col][col] for x in aug[col]]
-        for r in range(n):
-            f = aug[r][col]
-            if r != col and f:
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-@pytest.mark.parametrize("name", ALL_SIMPLE + ["A1.B3.T2"])
+@pytest.mark.parametrize("name", ROOT_TYPES)
 def test_gram_matches_a_fraction_oracle(name):
     """``gram`` and ``gram_scale``: G = (A^-1)^T D on each semisimple block,
     zero on the torus, scaled by the lcm of G's denominators."""

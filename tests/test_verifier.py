@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import serialize_orbit_tables
 from donkin.embeddings import _CLAUSES, EmbeddingStep, check_step, match_step
 from donkin.errors import UnknownType
 from donkin.nilpotent import OrbitRecord, parse_orbit_tables
@@ -101,7 +102,6 @@ def test_shipped_tables_all_pass(shipped_tables):
 
 
 def test_corrupted_row_reported_with_label(shipped_tables):
-    from donkin.nilpotent import serialize_orbit_tables
     recs = list(shipped_tables["g2"])
     broken = OrbitRecord("BROKEN", G("B2"), recs[0].chain, recs[0].ambient)
     reports = [verify_record(r) for r in recs + [broken]]
