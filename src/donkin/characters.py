@@ -304,7 +304,9 @@ def _check_symmetric(rd: RootDatum, support: dict[Weight, int]) -> None:
     So it is enough that each u with u[i] > 0 has its multiplicity at s_i u
     too, and that both sides of the support have the same size.
     """
-    for i, moved, _, _ in rd._orbit_plans:
+    for i in rd._simple:
+        # s_i moves coordinate i and i's Dynkin neighbours j, by -c * a_ji
+        moved = [(j, a) for j, a in enumerate(rd._columns[i]) if a and j != i]
         above = below = 0
         for u, m in support.items():
             c = u[i]

@@ -150,7 +150,11 @@ def roots(ns):
 
 
 def char(ns):
-    """Dual Weyl character of TYPE at highest weight LAM (comma-separated)."""
+    """Dual Weyl character of TYPE at highest weight LAM (comma-separated).
+
+    LAM is read in the coordinates of the normalized type that the first
+    output line prints: "char C2 1,0" is B2's omega_1, of dimension 5.
+    """
     gt = _parse_group(ns.type)
     rd = build_root_datum(gt)
     w = _parse_weight(ns.lam, rd.rank)
@@ -219,7 +223,11 @@ def decompose(ns):
 
 def exterior(ns):
     """Exterior algebra of the dual Weyl module: decomposition and, with
-    --p, a restrictedness report (exit 1 if some weight is not restricted)."""
+    --p, a restrictedness report (exit 1 if some weight is not restricted).
+
+    LAM is read in the coordinates of the normalized type that the first
+    output line prints, as for char.
+    """
     prime = ns.prime
     if prime is not None and ch.min_prime_greater(prime - 1) != prime:
         raise UsageError(f"--p {prime} is not a prime")

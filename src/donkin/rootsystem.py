@@ -18,7 +18,7 @@ import functools
 import math
 import re
 from collections import namedtuple
-from operator import mul
+from operator import itemgetter, mul
 
 from . import linalg
 from .errors import BadIndex, DimensionMismatch, NotDominant, UnknownType
@@ -307,18 +307,6 @@ class RootDatum:
         self.gram = tuple(map(tuple, gram))
         self.rho: Weight = tuple(0 if torus[i] else 1 for i in range(n))
         self._simple = tuple(i for i in range(n) if not torus[i])
-        # per-i plan of weyl_orbit and of the decomposition's symmetry check: s_i
-        # moves coordinate i and i's Dynkin neighbours j (by -c * a_ji); the
-        # simple j < i are split into the unmoved and the moved, with their
-        # Cartan entries
-        plans = []
-        for i in self._simple:
-            col = self._columns[i]
-            moved = tuple((j, col[j]) for j in self._simple if j != i and col[j])
-            plans.append((i, moved,
-                          tuple(j for j in self._simple if j < i and not col[j]),
-                          tuple((j, a) for j, a in moved if j < i)))
-        self._orbit_plans = tuple(plans)
         # sum of positive coroots; any dominance-compatible height functional
         self.height_functional: Weight = tuple(
             sum(cv[i] for cv in self.positive_coroots) for i in range(n))
@@ -389,6 +377,47 @@ def _dominant(w: Weight, simple, columns) -> Weight:
             return w
 
 
+@functools.lru_cache(maxsize=None)
+def _expander(rd: RootDatum):
+    """``weyl_orbit``'s child step for ``rd``, compiled on first use from
+    source made only of ``rd.rank``, Cartan integers and fixed names (no
+    user text reaches ``exec``).  For G2::
+
+        def expand(level, levels, k):
+            for (v0, v1), m in level:
+                if v0 > 0:
+                    levels[k + 2 * v0].append(((-v0, v1 + v0), m))
+                if v1 > 0 and v0 >= -3 * v1:
+                    levels[k + 2 * v1].append(((v0 + 3 * v1, -v1), m))
+                pass
+    """
+    # %-formatting, not f-strings: Python 3.11 parses each f-string with a
+    # parser of its own, and compiling this function from them kept 0.1 MB
+    # more RSS in every job that imports this module
+    def times(a, i):  # a * v_i, for a Cartan integer a != 0
+        return ("-" if a < 0 else "") + ("%d * " % abs(a) if abs(a) != 1 else "") + "v%d" % i
+
+    def tup(items):
+        return "(%s%s)" % (", ".join(items), "," if len(items) == 1 else "")
+
+    body = []
+    for i in rd._simple:
+        col = rd._columns[i]
+        test = ["v%d > 0" % i]
+        test += ["v%d >= 0" % j for j in rd._simple if j < i and not col[j]]
+        test += ["v%d >= %s" % (j, times(col[j], i)) for j in rd._simple if j < i and col[j]]
+        # coordinate j of s_i v = v - v_i * alpha_i; the off-diagonal a_ji are <= 0
+        image = ["-v%d" % i if j == i else "v%d + %s" % (j, times(-col[j], i)) if col[j]
+                 else "v%d" % j for j in range(rd.rank)]
+        body.append("        if %s:\n            levels[k + 2 * v%d].append((%s, m))\n"
+                    % (" and ".join(test), i, tup(image)))
+    source = ("def expand(level, levels, k):\n    for %s, m in level:\n%s        pass\n"
+              % (tup(["v%d" % j for j in range(rd.rank)]), "".join(body)))
+    namespace: dict = {}
+    exec(compile(source, "<weyl_orbit>", "exec"), namespace)
+    return namespace["expand"]
+
+
 def weyl_orbit(rd: RootDatum, dominant: dict[Weight, int]) -> dict[Weight, int]:
     """Every point of the Weyl orbits of the dominant weights ``{mu: m}``,
     each with its orbit's m, in print order: descending height, ties by
@@ -408,9 +437,10 @@ def weyl_orbit(rd: RootDatum, dominant: dict[Weight, int]) -> dict[Weight, int]:
     root has height 2 under ``height_functional`` (the sum of the positive
     coroots, which is 2 rho-check), so a child s_i v lies 2 v[i] below its
     parent.  A level's parents all lie on higher levels, so the level is
-    complete when the walk reaches it; it is sorted once and appended.  The
-    walk counts what it emits and raises AssertionError at the first level
-    that repeats a point.
+    complete when the walk reaches it; it is sorted once by point (its
+    points are distinct) and appended, and its children come from
+    ``_expander``.  The walk counts what it emits and raises AssertionError
+    at the first level that repeats a point.
     """
     heights = []
     for w in dominant:
@@ -425,35 +455,19 @@ def weyl_orbit(rd: RootDatum, dominant: dict[Weight, int]) -> dict[Weight, int]:
     levels: list[list[tuple[Weight, int]] | None] = [[] for _ in range(2 * top + 1)]
     for (w, m), h in zip(dominant.items(), heights):
         levels[top - h].append((w, m))
-    plans = rd._orbit_plans
+    expand = _expander(rd)
     out: dict[Weight, int] = {}
     emitted = 0
     for k, level in enumerate(levels):
         if not level:
             continue
         levels[k] = None  # free its pairs: out holds its points from here on
-        level.sort()
+        level.sort(key=itemgetter(0))
         out.update(level)
         emitted += len(level)
         if emitted != len(out):
             raise AssertionError(f"weyl_orbit emitted a point twice at height {top - k}")
-        for v, m in level:
-            for i, moved, lower_unmoved, lower_moved in plans:
-                c = v[i]
-                if c > 0:
-                    for j in lower_unmoved:
-                        if v[j] < 0:
-                            break
-                    else:
-                        for j, a in lower_moved:
-                            if v[j] < c * a:
-                                break
-                        else:
-                            u = list(v)
-                            u[i] = -c
-                            for j, a in moved:
-                                u[j] -= c * a
-                            levels[k + 2 * c].append((tuple(u), m))
+        expand(level, levels, k)
     return out
 
 

@@ -1,19 +1,25 @@
 import hashlib
 import importlib.resources as ir
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import donkin.characters as ch
+import donkin.embeddings as emb
 from conftest import clear_memo, run_cli
 from donkin.characters import dual_weyl_character
 from donkin.cli import main
+from donkin.errors import DonkinError
 from donkin.rootsystem import build_root_datum, weyl_dim, weyl_orbit
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -562,3 +568,143 @@ def test_item_blocks_match_line_by_line_rendering(monkeypatch, tmp_path, command
     head = result.stdout.split("\n")[:2]
     assert result.stdout == "".join(line + "\n" for line in
                                     head + [template % (*w, m) for w, m in items])
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract, fuzzed
+
+FUZZ_TYPES = ["A1", "A2", "A3", "B2", "C2", "B3", "G2", "D3", "A1.A1", "T1", "A1.T1"]
+BAD_TYPES = ["E9", "X1", "A0", "G3", "B2x", "A1..A1", "", "1"]
+# exterior's cost grows fast with the module: exterior A3 2,2,2 runs for minutes
+EXTERIOR_MODULES = [
+    (name, lam) for name in FUZZ_TYPES for rd in [build_root_datum(name)]
+    for lam in itertools.product(*[range(3) if i in rd.simple_indices() else range(-2, 3)
+                                   for i in range(rd.rank)])
+    if weyl_dim(rd, lam) <= 12]
+
+
+def fuzz_type(draw, valid):
+    return draw(st.sampled_from(FUZZ_TYPES if valid else FUZZ_TYPES + BAD_TYPES))
+
+
+def fuzz_weight(draw, name, valid, kinds=("dominant", "length", "sign", "syntax")):
+    """A dominant weight of ``name``, or, unless ``valid``, one of the wrong
+    length, sign or syntax."""
+    try:
+        rank = build_root_datum(name).rank
+    except DonkinError:
+        rank = draw(st.integers(0, 3))
+    kind = "dominant" if valid else draw(st.sampled_from(kinds))
+    if kind == "syntax":
+        return draw(st.sampled_from(["", ",", "1,,0", "a", "1.5", "1;0", " ", "0x1", "--1"]))
+    n = draw(st.integers(0, 5).filter(lambda k: k != rank)) if kind == "length" else rank
+    coords = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    if kind == "sign" and coords:
+        coords[draw(st.integers(0, n - 1))] = draw(st.integers(-3, -1))
+    return ",".join(map(str, coords))
+
+
+def fuzz_chain(draw, valid):
+    """A chain over random types and tags, some with p>k; unless ``valid``,
+    maybe garbled."""
+    text = fuzz_type(draw, valid)
+    for _ in range(draw(st.integers(int(valid), 2))):
+        tag = draw(st.sampled_from([*emb._CLAUSES] if valid else [*emb._CLAUSES, "bogus", "LEVI"]))
+        bound = draw(st.one_of(st.just(""), st.integers(0, 12).map(",p>{}".format)))
+        text += f" -[{tag}{bound}]-> {fuzz_type(draw, valid)}"
+    garble = None if valid else draw(st.sampled_from([None, " -[", "]-> ", ","]))
+    return text.replace(garble, garble.strip()) if garble else text
+
+
+def fuzz_file(draw, directory, kind, valid):
+    """A shipped table (g2) or a character file of random lines; unless
+    ``valid``, maybe a missing path, a directory, a file that is not UTF-8,
+    or a corrupted table or character file."""
+    what = "good" if valid else draw(st.sampled_from(
+        ["good", "corrupt", "missing", "directory", "latin1"]))
+    path = directory / f"{kind}.txt"
+    if what == "missing":
+        return str(directory / "missing.txt")
+    if what == "directory":
+        return str(directory)
+    if what == "latin1":
+        path.write_bytes(b"# caf\xe9\n1 2\n")
+    elif kind == "table":
+        text = Path(data_path("g2")).read_text()
+        if what == "corrupt":
+            at = draw(st.integers(0, len(text) - 1))
+            text = text[:at] + draw(st.sampled_from(["", "X", "\t", " ", "-[", "9", "\n"])) + text[at + 1:]
+        path.write_text(text)
+    else:
+        rank = draw(st.integers(0, 3))
+        line = st.tuples(st.integers(-1, 3), st.lists(st.integers(-2, 2), min_size=rank,
+                                                      max_size=rank))
+        lines = [f"{m} {','.join(map(str, w))}" for m, w in draw(st.lists(line, max_size=6))]
+        if what == "corrupt":
+            lines.append(draw(st.sampled_from(["1", "x 1,0", "1 a,b", "# note"])))
+        path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@st.composite
+def fuzz_argv(draw, directory):
+    """One command line of any of the eight commands.  Half of them draw
+    only well-formed parts, so that exits 0 and 1 are reached as well."""
+    valid = draw(st.booleans())
+    command = draw(st.sampled_from(["roots", "char", "decompose", "exterior", "restrict",
+                                    "orbit", "verify-tables", "spot-check"]))
+    name = fuzz_type(draw, valid)
+    if command == "roots":
+        args = [name]
+    elif command == "char":
+        args = [name, fuzz_weight(draw, name, valid)]
+    elif command == "decompose":
+        source = fuzz_file(draw, directory, "character", valid)
+        args = [name, source if not valid and draw(st.booleans()) else "@" + source]
+    elif command == "exterior":
+        if valid:
+            name, lam = draw(st.sampled_from(EXTERIOR_MODULES))
+            args = [name, ",".join(map(str, lam))]
+        else:  # no dominant weight here: it could name a large module
+            args = [name, fuzz_weight(draw, name, valid, ("length", "sign", "syntax"))]
+        prime = draw(st.one_of(st.none(), st.integers(-3, 13).map(str), st.just("x")))
+        args += [] if prime is None else ["--p", prime]
+    elif command == "restrict":
+        chain = fuzz_chain(draw, valid)
+        args = [chain, fuzz_weight(draw, chain.rsplit(" ", 1)[-1], valid)]
+    elif command == "orbit":
+        parts = ",".join(map(str, draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))))
+        args = ["classical", draw(st.sampled_from(["GL", "Sp", "SO"] + ([] if valid else ["XX"]))),
+                parts if valid else draw(st.sampled_from([parts, "3,,1", "a", "3,-1", "2,0", ""]))]
+    else:
+        args = [fuzz_file(draw, directory, "table", valid)
+                for _ in range(draw(st.integers(int(valid), 2)))]
+        if command == "spot-check" and (valid or draw(st.booleans())):
+            args += ["--lambda", fuzz_weight(draw, "G2", valid)]
+    options = draw(st.sampled_from([[], ["--format", "jsonl"], ["--timing"]]
+                                   + ([] if valid else [["--format", "xml"]])))
+    return [*options, command, *args]
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(data=st.data())
+def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_dir, data):
+    """Any command line exits 0, 1 or 2 with no traceback, and prints
+    nothing on stdout when it exits 2, also on a corrupt cache file."""
+    if data.draw(st.booleans()):
+        clear_memo()
+        cache = Path(os.environ["DONKIN_CACHE_DIR"])
+        cache.mkdir(exist_ok=True)
+        (cache / "characters.txt").write_text(data.draw(st.sampled_from([
+            "", "garbage\n", f"{ch._CACHE_HEADER}\nA1 1 1:2\nG2 1,0 1,0:1 0,1:5 0,0:9\nA2 x\n",
+            f"{ch._CACHE_HEADER}\nA3 0,0,1 0,0,1:1 0,0,0:1\nB2 1,1 1,1:1\n"])))
+    result = run_cli(data.draw(fuzz_argv(fuzz_dir)))
+    assert result.exit_code in (0, 1, 2)
+    assert "Traceback" not in result.output
+    if result.exit_code == 2:
+        assert result.stdout == ""

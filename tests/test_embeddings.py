@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,13 @@ from donkin.embeddings import (
 )
 from donkin.errors import AmbientMismatch, IllegalStep, TypeMismatch, UnknownType
 from donkin.linalg import identity, mat_vec
-from donkin.rootsystem import GroupType, build_root_datum, highest_roots, normalize_type
+from donkin.rootsystem import (
+    GroupType,
+    SimpleType,
+    build_root_datum,
+    highest_roots,
+    normalize_type,
+)
 
 G = GroupType.parse
 
@@ -288,6 +295,73 @@ def test_resirr_prime_bounds():
     assert min_prime_greater(1) == 2
     assert min_prime_greater(4) == 5
     assert min_prime_greater(7) == 11
+
+
+def dot_fold(rd, v):
+    """(det w, w v) for a w that takes v, a weight plus rho, into the
+    dominant chamber, one simple reflection at a time; (0, None) if v lies
+    on a wall, where the dot action kills the character."""
+    sign = 1
+    while True:
+        i = next((i for i in rd.simple_indices() if v[i] <= 0), None)
+        if i is None:
+            return sign, v
+        if v[i] == 0:
+            return 0, None
+        # s_i v = v - v_i alpha_i, alpha_i the Cartan matrix's column i
+        v = tuple(x - v[i] * row[i] for x, row in zip(v, rd.cartan))
+        sign = -sign
+
+
+def jantzen_primes(rd, mu):
+    """The primes p at which nabla(mu) is reducible.
+
+    By Jantzen's sum formula (*Representations of Algebraic Groups*,
+    II.8.19), nabla(mu) = L(mu) in characteristic p iff the sum over
+    alpha > 0 and 0 < mp < <mu + rho, alpha^vee> of
+    nu_p(mp) chi(s_{alpha,mp} . mu) vanishes.  Here
+    s_{alpha,mp} . mu + rho = mu + rho - (<mu + rho, alpha^vee> - mp) alpha,
+    and the chi are folded to dominant ones by ``dot_fold``.  No mp fits
+    below a p at least the largest <mu + rho, alpha^vee>.
+    """
+    mu_rho = tuple(m + r for m, r in zip(mu, rd.rho))
+    pairs = [(alpha, rd.pairing(mu_rho, cv))
+             for alpha, cv in zip(rd.positive_roots, rd.positive_coroots)]
+    primes = []
+    for p in range(2, max(h for _, h in pairs)):
+        if any(p % q == 0 for q in range(2, p)):
+            continue
+        total = Counter()
+        for alpha, h in pairs:
+            for mp in range(p, h, p):
+                nu_p = 1
+                while mp % p ** (nu_p + 1) == 0:
+                    nu_p += 1
+                sign, top = dot_fold(rd, tuple(x - (h - mp) * a for x, a in zip(mu_rho, alpha)))
+                if sign:
+                    total[top] += sign * nu_p
+        if any(total.values()):
+            primes.append(p)
+    return primes
+
+
+A1_REDUCIBLE = [[], [2], [3], [2, 3], [2, 5], [2, 3, 5], [3, 5, 7], [2, 5, 7], [2, 3, 7],
+                [2, 3, 5, 7], [2, 3, 5, 7, 11], [2, 3, 5, 7, 11]]
+
+
+@pytest.mark.parametrize("sub, mu, dim, reducible", [
+    *((SimpleType("A", 1), (n,), n + 1, A1_REDUCIBLE[n - 1]) for n in range(1, 13)),
+    (SimpleType("A", 2), (1, 1), 8, [3]),
+    (SimpleType("G", 2), (1, 0), 7, [2]),
+])
+def test_resirr_p_min_exceeds_every_jantzen_prime(sub, mu, dim, reducible):
+    """A resirr step needs nabla(mu) = L(mu), so its catalog bound p_min
+    must lie above every prime where nabla(mu) is reducible.  S^3 and S^7 of
+    A1 are irreducible at 2; G2's 5 is the good-prime bound."""
+    primes = jantzen_primes(build_root_datum(GroupType((sub,))), mu)
+    assert primes == reducible
+    _, p_min = emb._resirr_weights(sub, dim)
+    assert all(p_min > p for p in primes)
 
 
 # ---------------------------------------------------------------------------

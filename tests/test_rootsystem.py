@@ -20,7 +20,9 @@ from donkin.errors import BadIndex, DimensionMismatch, NotDominant, UnknownType
 from donkin.linalg import adjugate, mat_mul
 from donkin.rootsystem import (
     GroupType,
+    RootDatum,
     SimpleType,
+    _expander,
     _simple_cartan,
     build_root_datum,
     highest_roots,
@@ -333,6 +335,58 @@ def test_weyl_orbit_emits_each_point_once(name, lam):
     zero_nodes = [i + 1 for i in rd.simple_indices() if lam[i] == 0]
     stabiliser = subdiagram_type(rd, zero_nodes)
     assert len(points) == weyl_group_order(rd.gtype) // weyl_group_order(stabiliser)
+
+
+# the first key of each pinned orbit table sets this many leading simple
+# nodes to 1 (all of them when unlisted): the fewest whose orbit reaches
+# min(1000, |W|) points
+PIN_LEAD = {"A6": 5, "A7": 4, "A8": 4, "B5": 4, "B6": 4, "B7": 3, "B8": 3, "C5": 4,
+            "C6": 4, "C7": 3, "C8": 3, "D6": 4, "D7": 3, "D8": 3, "E6": 3, "E7": 2,
+            "E8": 1, "E6.A2": 4, "D4.D4": 5}
+
+# sha256 of the lines "name [(point, m), ...]" of weyl_orbit over the pinned
+# tables, recorded before the expander was generated code: pins every point,
+# its multiplicity and the print order
+ORBIT_SHA256 = "b3d9b63f85ec080d7352cbfc97e90192b85437c3d5bfa07a1b2f16ff0d38f9de"
+
+
+def pinned_table(rd, lead):
+    """Keys omega_1 + ... + omega_lead over the simple nodes (torus
+    coordinates -1), 2 omega of the last simple node (torus coordinate i at
+    2 - i) and 0 (torus coordinates -2), with multiplicities 1, 2, 3; a key
+    met twice keeps its first multiplicity."""
+    simple = rd.simple_indices()
+    keys = [[0 if i in simple[lead:] else 1 if i in simple else -1 for i in range(rd.rank)],
+            [2 if simple and i == simple[-1] else 0 if i in simple else 2 - i
+             for i in range(rd.rank)],
+            [0 if i in simple else -2 for i in range(rd.rank)]]
+    table = {}
+    for m, key in enumerate(keys, 1):
+        table.setdefault(tuple(key), m)
+    return table
+
+
+def test_weyl_orbit_output_digest():
+    """Every root type plus T1, B2.T1 and the rank-0 type; on every type the
+    first key's orbit has at least min(1000, |W|) points."""
+    lines = []
+    for name in ROOT_TYPES + ["T1", "B2.T1", ""]:
+        rd = build_root_datum(name)
+        table = pinned_table(rd, PIN_LEAD.get(name, rd.rank))
+        out = list(weyl_orbit(rd, table).items())
+        assert sum(m == 1 for _, m in out) >= min(1000, weyl_group_order(rd.gtype))
+        lines.append(f"{name} {out!r}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == ORBIT_SHA256
+
+
+def test_weyl_orbit_builds_its_expander_once_per_datum():
+    """Not when the datum is built, and once over two orbits."""
+    misses = _expander.cache_info().misses
+    rd = RootDatum(GroupType.parse("B3"))  # a new datum, not the cached one
+    assert _expander.cache_info().misses == misses
+    weyl_orbit(rd, {(1, 0, 0): 1})
+    weyl_orbit(rd, {(0, 1, 1): 2, (0, 0, 0): 1})
+    assert _expander.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("name", ALL_SIMPLE)
