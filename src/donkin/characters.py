@@ -8,7 +8,10 @@ Weyl modules: one root string per orbit of each dominant weight's stabilizer,
 each string cut short at the first dominant weight already done.  They are
 memoized and kept in a text cache file checked at first use against the Weyl
 dimension formula.  One Racah–Speiser pass over the support decomposes a
-W-invariant character (Humphreys §24), with no Freudenthal run.
+W-invariant character (Humphreys §24), with no Freudenthal run.  Its symmetry
+check and fold, and the exterior algebra's product by (1 + e^w), run as
+straight-line code generated from the Cartan integers and compiled once per
+root datum (the product once per rank).
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import os
 import tempfile
 import threading
 from collections import namedtuple
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .errors import (
     AmbientMismatch,
@@ -29,7 +32,10 @@ from .rootsystem import (
     GroupType,
     RootDatum,
     Weight,
+    _compiled,
     _dominant,
+    _image,
+    _tup,
     build_root_datum,
     is_dominant,
     normalize_type,
@@ -264,18 +270,36 @@ def _check_genuine(chi: FormalCharacter):
         raise NegativeInput("exterior powers need a genuine character")
 
 
+@functools.lru_cache(maxsize=None)
+def _exterior_step(rank: int):
+    """``exterior_algebra``'s product by (1 + e^w) at one rank, compiled on
+    first use (see ``rootsystem._compiled``).  For rank 2::
+
+        def step(out, w):
+            (w0, w1) = w
+            nxt = dict(out)
+            get = nxt.get
+            for (v0, v1), m in out.items():
+                u = (v0 + w0, v1 + w1)
+                nxt[u] = get(u, 0) + m
+            return nxt
+    """
+    v, w = (_tup(["%s%d" % (x, j) for j in range(rank)]) for x in "vw")
+    source = ("def step(out, w):\n    %s = w\n    nxt = dict(out)\n    get = nxt.get\n"
+              "    for %s, m in out.items():\n        u = %s\n        nxt[u] = get(u, 0) + m\n"
+              "    return nxt\n" % (w, v, _tup(["v%d + w%d" % (j, j) for j in range(rank)])))
+    return _compiled(source, "<exterior_algebra>", "step")[0]
+
+
 def exterior_algebra(chi: FormalCharacter) -> FormalCharacter:
     """Sum of all exterior powers: the product of (1 + e^w) over the weight
-    copies w; total dimension 2**dim."""
+    copies w, one ``_exterior_step`` per copy; total dimension 2**dim."""
     _check_genuine(chi)
+    step = _exterior_step(chi.ambient.rank)
     out: dict[Weight, int] = {(0,) * chi.ambient.rank: 1}
     for w, mult in chi.support.items():
         for _ in range(mult):
-            nxt = dict(out)
-            for v, m in out.items():
-                u = tuple([a + b for a, b in zip(v, w)])
-                nxt[u] = nxt.get(u, 0) + m
-            out = nxt
+            out = step(out, w)
     result = FormalCharacter(chi.ambient, out)
     if result.dim() != 2 ** chi.dim():
         raise AssertionError("exterior algebra dimension check failed")
@@ -296,40 +320,101 @@ class DualWeylDecomposition(namedtuple("DualWeylDecomposition", "ambient terms e
         return sorted(self.terms.items(), key=lambda t: (-height(t[0]), t[0]))
 
 
+@functools.lru_cache(maxsize=None)
+def _racah_kernels(rd: RootDatum):
+    """``check`` and ``fold`` for ``rd``: the passes of ``_check_symmetric``
+    and ``decompose_dual_weyl`` over a support, from one source compiled on
+    first use (see ``rootsystem._compiled``).  For G2::
+
+        def check(support):
+            get = support.get
+            d = 0
+            for (v0, v1), m in support.items():
+                if v0 > 0:
+                    if get((-v0, v1 + v0)) != m:
+                        return False
+                    d += 1
+                elif v0 < 0:
+                    d -= 1
+                if v1 > 0:
+                    if get((v0 + 3 * v1, -v1)) != m:
+                        return False
+                    d += 1
+                elif v1 < 0:
+                    d -= 1
+            return not d
+
+        def fold(support):
+            sums = {}
+            get = sums.get
+            for (x0, x1), m in support.items():
+                x0 += 1
+                x1 += 1
+                while True:
+                    if x0 <= 0:
+                        if not x0:
+                            break
+                        (x0, x1, m) = (-x0, x1 + x0, -m)
+                    elif x1 <= 0:
+                        if not x1:
+                            break
+                        (x0, x1, m) = (x0 + 3 * x1, -x1, -m)
+                    else:
+                        x = (x0, x1)
+                        sums[x] = get(x, 0) + m
+                        break
+            return sums
+    """
+    check = fold = ""
+    for i in rd._simple:
+        col = rd._columns[i]
+        check += ("        if v%d > 0:\n            if get(%s) != m:\n"
+                  "                return False\n            d += 1\n"
+                  "        elif v%d < 0:\n            d -= 1\n" % (i, _tup(_image(col, i)), i))
+        # on the wall x_i = 0 nothing is added; else x goes to s_i x, and m changes sign
+        moved = [(t, e) for t, e, a in zip(range(rd.rank), _image(col, i, "x"), col) if a]
+        fold += ("            %s x%d <= 0:\n                if not x%d:\n"
+                 "                    break\n                %s = %s\n"
+                 % ("elif" if fold else "if", i, i, _tup(["x%d" % t for t, _ in moved] + ["m"]),
+                    _tup([e for _, e in moved] + ["-m"])))
+    v, x = (_tup(["%s%d" % (c, j) for j in range(rd.rank)]) for c in "vx")
+    source = ("def check(support):\n    get = support.get\n    d = 0\n"
+              "    for %s, m in support.items():\n%s    return not d\n\n"
+              % (v, check or "        pass\n"))
+    # with no simple index every x is dominant and off the walls
+    source += ("def fold(support):\n    sums = {}\n    get = sums.get\n"
+               "    for %s, m in support.items():\n%s        while True:\n%s            %s:\n"
+               "                x = %s\n                sums[x] = get(x, 0) + m\n"
+               "                break\n    return sums\n"
+               % (x, "".join("        x%d += 1\n" % i for i in rd._simple), fold,
+                  "else" if fold else "if True", x))
+    return _compiled(source, "<racah>", "check", "fold")
+
+
 def _check_symmetric(rd: RootDatum, support: dict[Weight, int]) -> None:
     """Raise NotSymmetric unless ``support`` is invariant under every simple
     reflection s_i, hence under W.
 
     s_i pairs the weights with u[i] > 0 one to one with those with u[i] < 0.
     So it is enough that each u with u[i] > 0 has its multiplicity at s_i u
-    too, and that both sides of the support have the same size.
+    too, and that both sides of the support have the same size.  Once the
+    first holds for every i, no i has more weights with u[i] > 0 than with
+    u[i] < 0, so ``check`` counts both sides over all i at once.  NotSymmetric
+    names the lowest failing i, with the first u failing the first test, else
+    the first u[i] < 0 with no partner.
     """
+    if _racah_kernels(rd)[0](support):
+        return
     for i in rd._simple:
-        # s_i moves coordinate i and i's Dynkin neighbours j, by -c * a_ji
-        moved = [(j, a) for j, a in enumerate(rd._columns[i]) if a and j != i]
-        above = below = 0
-        for u, m in support.items():
-            c = u[i]
-            if c > 0:
-                above += 1
-                v = list(u)
-                v[i] = -c
-                for j, a in moved:
-                    v[j] -= c * a
-                if support.get(tuple(v), 0) != m:
-                    _not_symmetric(rd, support, u, i)
-            elif c < 0:
-                below += 1
-        if above != below:
-            # some u with u[i] < 0 has no partner at s_i u
-            _not_symmetric(rd, support, next(
-                u for u in support if u[i] < 0 and rd.reflect(u, i) not in support), i)
-
-
-def _not_symmetric(rd: RootDatum, support: dict[Weight, int], u: Weight, i: int):
-    v = rd.reflect(u, i)
-    raise NotSymmetric(f"not Weyl-invariant: {u} has multiplicity {support[u]} "
-                       f"but its reflection s{i + 1}{u} = {v} has {support.get(v, 0)}")
+        u = next((u for u in support if u[i] > 0 and support.get(rd.reflect(u, i)) != support[u]),
+                 None)
+        if u is None:
+            u = next((u for u in support if u[i] < 0 and rd.reflect(u, i) not in support), None)
+        if u is not None:
+            v = rd.reflect(u, i)
+            raise NotSymmetric(f"not Weyl-invariant: {u} has multiplicity {support[u]} "
+                               f"but its reflection s{i + 1}{u} = {v} has {support.get(v, 0)}")
+    raise AssertionError("symmetry check failed with no weight to name")
 
 
 def decompose_dual_weyl(rd: RootDatum, chi: FormalCharacter) -> DualWeylDecomposition:
@@ -346,21 +431,8 @@ def decompose_dual_weyl(rd: RootDatum, chi: FormalCharacter) -> DualWeylDecompos
     if normalize_type(chi.ambient) != rd.gtype:
         raise AmbientMismatch(f"{chi.ambient} vs {rd.gtype}")
     _check_symmetric(rd, chi.support)
-    simple, columns, rho = rd._simple, rd._columns, rd.rho
-    sums: dict[Weight, int] = {}
-    for nu, m in chi.support.items():
-        x = tuple(map(add, nu, rho))
-        while True:
-            for i in simple:
-                if (c := x[i]) <= 0:
-                    break
-            else:
-                sums[x] = sums.get(x, 0) + m
-                break
-            if c == 0:  # x lies on the wall of s_i
-                break
-            x = tuple([v - c * a for v, a in zip(x, columns[i])])
-            m = -m
+    rho = rd.rho
+    sums = _racah_kernels(rd)[1](chi.support)
     terms = {tuple(map(sub, x, rho)): m for x, m in sums.items() if m}
     return DualWeylDecomposition(rd.gtype, terms, all(m >= 0 for m in terms.values()))
 

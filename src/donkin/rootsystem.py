@@ -377,11 +377,35 @@ def _dominant(w: Weight, simple, columns) -> Weight:
             return w
 
 
+# Generated kernels: source made only of a rank, Cartan integers and fixed names
+# (no user text reaches ``exec``), written with %-formatting, as f-strings (each
+# parsed by a parser of its own in Python 3.11) kept 0.1 MB more RSS per job.
+
+def _times(a, v):  # a * v, for an integer a != 0
+    return ("-" if a < 0 else "") + ("%d * " % abs(a) if abs(a) != 1 else "") + v
+
+
+def _tup(items):
+    return "(%s%s)" % (", ".join(items), "," if len(items) == 1 else "")
+
+
+def _image(col, i, x="v"):
+    """Coordinate j of s_i x = x - x_i * alpha_i, alpha_i = ``col``, in x0, x1, ...;
+    the off-diagonal a_ji are <= 0, so each moved x_j gains a multiple of x_i."""
+    xi = "%s%d" % (x, i)
+    return ["-" + xi if j == i else "%s%d + %s" % (x, j, _times(-a, xi)) if a else "%s%d" % (x, j)
+            for j, a in enumerate(col)]
+
+
+def _compiled(source: str, filename: str, *names: str) -> list:
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return [namespace[name] for name in names]
+
+
 @functools.lru_cache(maxsize=None)
 def _expander(rd: RootDatum):
-    """``weyl_orbit``'s child step for ``rd``, compiled on first use from
-    source made only of ``rd.rank``, Cartan integers and fixed names (no
-    user text reaches ``exec``).  For G2::
+    """``weyl_orbit``'s child step for ``rd``, compiled on first use.  For G2::
 
         def expand(level, levels, k):
             for (v0, v1), m in level:
@@ -391,31 +415,18 @@ def _expander(rd: RootDatum):
                     levels[k + 2 * v1].append(((v0 + 3 * v1, -v1), m))
                 pass
     """
-    # %-formatting, not f-strings: Python 3.11 parses each f-string with a
-    # parser of its own, and compiling this function from them kept 0.1 MB
-    # more RSS in every job that imports this module
-    def times(a, i):  # a * v_i, for a Cartan integer a != 0
-        return ("-" if a < 0 else "") + ("%d * " % abs(a) if abs(a) != 1 else "") + "v%d" % i
-
-    def tup(items):
-        return "(%s%s)" % (", ".join(items), "," if len(items) == 1 else "")
-
     body = []
     for i in rd._simple:
         col = rd._columns[i]
         test = ["v%d > 0" % i]
         test += ["v%d >= 0" % j for j in rd._simple if j < i and not col[j]]
-        test += ["v%d >= %s" % (j, times(col[j], i)) for j in rd._simple if j < i and col[j]]
-        # coordinate j of s_i v = v - v_i * alpha_i; the off-diagonal a_ji are <= 0
-        image = ["-v%d" % i if j == i else "v%d + %s" % (j, times(-col[j], i)) if col[j]
-                 else "v%d" % j for j in range(rd.rank)]
+        test += ["v%d >= %s" % (j, _times(col[j], "v%d" % i))
+                 for j in rd._simple if j < i and col[j]]
         body.append("        if %s:\n            levels[k + 2 * v%d].append((%s, m))\n"
-                    % (" and ".join(test), i, tup(image)))
+                    % (" and ".join(test), i, _tup(_image(col, i))))
     source = ("def expand(level, levels, k):\n    for %s, m in level:\n%s        pass\n"
-              % (tup(["v%d" % j for j in range(rd.rank)]), "".join(body)))
-    namespace: dict = {}
-    exec(compile(source, "<weyl_orbit>", "exec"), namespace)
-    return namespace["expand"]
+              % (_tup(["v%d" % j for j in range(rd.rank)]), "".join(body)))
+    return _compiled(source, "<weyl_orbit>", "expand")[0]
 
 
 def weyl_orbit(rd: RootDatum, dominant: dict[Weight, int]) -> dict[Weight, int]:

@@ -13,22 +13,24 @@ import hashlib
 import importlib.resources as ir
 import io
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 import pytest
 
 import donkin.characters as ch
-from donkin.characters import FormalCharacter, dual_weyl_character
+from donkin.characters import FormalCharacter, dual_weyl_character, exterior_algebra
 from donkin.cli import main
-from donkin.errors import AmbientMismatch, NegativeInput
+from donkin.errors import AmbientMismatch, NegativeInput, NotSymmetric
 from donkin.nilpotent import JordanType, parse_orbit_tables
 from donkin.rootsystem import (
     GroupType,
     SimpleType,
     _classify_nodes,
     _dominant,
+    build_root_datum,
     normalize_type,
+    weyl_dim,
     weyl_orbit,
 )
 
@@ -100,6 +102,41 @@ def serialize_orbit_tables(records) -> str:
 
 # ---------------------------------------------------------------------------
 # root-system helpers
+
+ALL_SIMPLE = (
+    "A1 A2 A3 A4 A5 A6 A7 A8 B2 B3 B4 B5 B6 B7 B8 C3 C4 C5 C6 C7 C8 "
+    "D4 D5 D6 D7 D8 E6 E7 E8 F4 G2".split())
+
+# every simple type plus products with torus, repeated and mixed-length factors
+ROOT_TYPES = ALL_SIMPLE + ["A1.B3.T2", "E6.A2", "D4.D4", "B2.G2.A1", "T3"]
+
+# the types the generated kernels are checked on: ROOT_TYPES, a lone rank-1
+# torus, a torus factor next to one semisimple factor, and the rank-0 type
+KERNEL_TYPES = ROOT_TYPES + ["T1", "B2.T1", ""]
+
+# the first key of each pinned orbit table sets this many leading simple
+# nodes to 1 (all of them when unlisted): the fewest whose orbit reaches
+# min(1000, |W|) points
+PIN_LEAD = {"A6": 5, "A7": 4, "A8": 4, "B5": 4, "B6": 4, "B7": 3, "B8": 3, "C5": 4,
+            "C6": 4, "C7": 3, "C8": 3, "D6": 4, "D7": 3, "D8": 3, "E6": 3, "E7": 2,
+            "E8": 1, "E6.A2": 4, "D4.D4": 5}
+
+
+def pinned_table(rd, name):
+    """Keys omega_1 + ... + omega_lead over the simple nodes (torus
+    coordinates -1), lead from ``PIN_LEAD``, 2 omega of the last simple node
+    (torus coordinate i at 2 - i) and 0 (torus coordinates -2), with
+    multiplicities 1, 2, 3; a key met twice keeps its first multiplicity."""
+    simple, lead = rd.simple_indices(), PIN_LEAD.get(name, rd.rank)
+    keys = [[0 if i in simple[lead:] else 1 if i in simple else -1 for i in range(rd.rank)],
+            [2 if simple and i == simple[-1] else 0 if i in simple else 2 - i
+             for i in range(rd.rank)],
+            [0 if i in simple else -2 for i in range(rd.rank)]]
+    table = {}
+    for m, key in enumerate(keys, 1):
+        table.setdefault(tuple(key), m)
+    return table
+
 
 def dominant_representative(rd, w):
     """The dominant weight in the Weyl orbit of ``w``."""
@@ -175,6 +212,90 @@ def exterior_power(chi: FormalCharacter, k: int) -> FormalCharacter:
                     u = tuple([a + b for a, b in zip(v, w)])
                     dst[u] = dst.get(u, 0) + m
     return FormalCharacter(chi.ambient, rows[k])
+
+
+def interpreted_exterior_algebra(chi) -> dict:
+    """Oracle: the support of ``exterior_algebra(chi)``, in its order, by one
+    interpreted pass per weight copy w that adds the support shifted by w."""
+    out = {(0,) * chi.ambient.rank: 1}
+    for w, mult in chi.support.items():
+        for _ in range(mult):
+            nxt = dict(out)
+            for v, m in out.items():
+                u = tuple([a + b for a, b in zip(v, w)])
+                nxt[u] = nxt.get(u, 0) + m
+            out = nxt
+    return out
+
+
+def interpreted_check_symmetric(rd, support) -> None:
+    """Oracle for ``decompose_dual_weyl``'s symmetry check, one simple i at a
+    time: the first u with u[i] > 0 whose s_i u has another multiplicity,
+    else, if the two sides differ in size, the first u with u[i] < 0 and no
+    partner at s_i u, raises NotSymmetric with the text the engine prints."""
+    for i in rd.simple_indices():
+        # s_i moves coordinate i and i's Dynkin neighbours j, by -c * a_ji
+        moved = [(j, a) for j, a in enumerate(rd._columns[i]) if a and j != i]
+        above = below = 0
+        for u, m in support.items():
+            c = u[i]
+            if c > 0:
+                above += 1
+                v = list(u)
+                v[i] = -c
+                for j, a in moved:
+                    v[j] -= c * a
+                if support.get(tuple(v), 0) != m:
+                    _not_symmetric(rd, support, u, i)
+            elif c < 0:
+                below += 1
+        if above != below:
+            _not_symmetric(rd, support, next(
+                u for u in support if u[i] < 0 and rd.reflect(u, i) not in support), i)
+
+
+def _not_symmetric(rd, support, u, i):
+    v = rd.reflect(u, i)
+    raise NotSymmetric(f"not Weyl-invariant: {u} has multiplicity {support[u]} "
+                       f"but its reflection s{i + 1}{u} = {v} has {support.get(v, 0)}")
+
+
+def interpreted_fold(rd, support) -> dict:
+    """Oracle: the terms of ``decompose_dual_weyl`` on a W-invariant support,
+    in its order.  Each nu + rho is reflected at its first simple coordinate
+    c <= 0 (the sign of m turned each time) until it is dominant, and adds m
+    at x - rho; it adds nothing when c = 0, x on a wall."""
+    simple, columns, rho = rd.simple_indices(), rd._columns, rd.rho
+    sums = {}
+    for nu, m in support.items():
+        x = tuple(map(add, nu, rho))
+        while True:
+            for i in simple:
+                if (c := x[i]) <= 0:
+                    break
+            else:
+                sums[x] = sums.get(x, 0) + m
+                break
+            if c == 0:  # x lies on the wall of s_i
+                break
+            x = tuple([v - c * a for v, a in zip(x, columns[i])])
+            m = -m
+    return {tuple(map(sub, x, rho)): m for x, m in sums.items() if m}
+
+
+def kernel_inputs():
+    """(type name, root datum, character, module) over ``KERNEL_TYPES``: the
+    W-invariant characters ``weyl_orbit`` gives on ``pinned_table`` (module
+    None), and the exterior algebras of the dual Weyl modules of dimension
+    <= 10 whose highest weight is 0 or one coordinate vector."""
+    for name in KERNEL_TYPES:
+        rd = build_root_datum(name)
+        yield name, rd, FormalCharacter(rd.gtype, weyl_orbit(rd, pinned_table(rd, name))), None
+        units = [tuple(int(i == j) for j in range(rd.rank)) for i in range(rd.rank)]
+        for lam in [(0,) * rd.rank] + units:
+            if weyl_dim(rd, lam) <= 10:
+                module = dual_weyl_character(rd, lam)
+                yield name, rd, exterior_algebra(module), module
 
 
 def dominant_weights_below(rd, lam):

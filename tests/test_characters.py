@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import random
+import textwrap
 from fractions import Fraction
 from operator import mul
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import donkin.characters as ch
+import donkin.rootsystem as rs
 from conftest import (
     clear_memo,
     decomposition_character,
@@ -17,6 +20,10 @@ from conftest import (
     exterior_power,
     external_product,
     fraction_inverse,
+    interpreted_check_symmetric,
+    interpreted_exterior_algebra,
+    interpreted_fold,
+    kernel_inputs,
     multiplicity_digest,
     orbit,
     string_freudenthal,
@@ -34,6 +41,7 @@ from donkin.embeddings import EmbeddingStep, restrict_character, step_map
 from donkin.errors import AmbientMismatch, NegativeInput, NotDominant, NotSymmetric
 from donkin.rootsystem import (
     GroupType,
+    RootDatum,
     build_root_datum,
     is_dominant,
     weyl_dim,
@@ -583,10 +591,15 @@ def non_invariant_inputs():
     # A1: an extra antidominant point (-4,).  No weight with a positive
     # coordinate reflects onto it, so only the count of the two sides sees it.
     extra = {(2,): 1, (0,): 1, (-2,): 1, (-4,): 1}
+    # A2 nabla(0,1) + nabla(1,0) without (1,-1) and (-1,1): the first weight
+    # (0,1) fails s2, the later (1,0) fails s1, and s1 is reported
+    both = {**dual_weyl_character(a2, (0, 1)).support, **dual_weyl_character(a2, (1, 0)).support}
+    del both[(1, -1)], both[(-1, 1)]
     return [
         (a2, lacking, "(-2, 2) has multiplicity 1 but its reflection s2(-2, 2) = (0, -2) has 0"),
         (g2, uneven, "(1, 0) has multiplicity 1 but its reflection s1(1, 0) = (-1, 1) has 2"),
         (a1, extra, "(-4,) has multiplicity 1 but its reflection s1(-4,) = (4,) has 0"),
+        (a2, both, "(1, 0) has multiplicity 1 but its reflection s1(1, 0) = (-1, 1) has 0"),
     ]
 
 
@@ -598,6 +611,72 @@ def test_decompose_rejects_non_invariant_inputs():
         assert str(exc.value) == "not Weyl-invariant: " + text
         with pytest.raises(NotSymmetric):
             full_orbit_peel(rd, chi)
+
+
+# sha256 of the lines "name [(lambda, m), ...] exact" of decompose_dual_weyl
+# over kernel_inputs(), recorded before the fold was generated code
+KERNEL_DECOMPOSITION_SHA256 = "43e515888b5b07148b01afb746348aaa17c413089971ac0c0878822bf842810d"
+
+
+def not_symmetric_text(check, rd, support):
+    try:
+        check(rd, support)
+    except NotSymmetric as exc:
+        return str(exc)
+    return None
+
+
+def test_compiled_kernels_match_the_interpreted_oracles():
+    """The generated exterior step, symmetry check and fold against the
+    interpreted loops on every kernel type: supports and terms in order, and
+    the NotSymmetric text (or none) also on each support with its last
+    weight dropped and with its middle weight's multiplicity raised."""
+    lines = []
+    for name, rd, chi, module in kernel_inputs():
+        if module is not None:
+            assert list(chi.support.items()) == list(interpreted_exterior_algebra(module).items())
+        dec = decompose_dual_weyl(rd, chi)
+        assert list(dec.terms.items()) == list(interpreted_fold(rd, chi.support).items())
+        lines.append(f"{name} {list(dec.terms.items())!r} {dec.exact}\n")
+        middle = list(chi.support)[len(chi.support) // 2]
+        for changed in ({**chi.support, middle: chi.support[middle] + 1},
+                        dict(list(chi.support.items())[:-1])):
+            assert (not_symmetric_text(ch._check_symmetric, rd, changed)
+                    == not_symmetric_text(interpreted_check_symmetric, rd, changed))
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == KERNEL_DECOMPOSITION_SHA256
+
+
+def test_decompose_builds_its_kernels_once_per_datum():
+    """Not when the datum is built, and once over two decompositions."""
+    misses = ch._racah_kernels.cache_info().misses
+    rd = RootDatum(GroupType.parse("B3"))  # a new datum, not the cached one
+    assert ch._racah_kernels.cache_info().misses == misses
+    for lam in ((1, 0, 0), (0, 0, 1)):
+        decompose_dual_weyl(rd, dual_weyl_character(rd, lam))
+    assert ch._racah_kernels.cache_info().misses == misses + 1
+
+
+def test_exterior_algebra_builds_its_step_once_per_rank():
+    ch._exterior_step.cache_clear()
+    b3, a3 = build_root_datum("B3"), build_root_datum("A3")
+    for rd, lam in ((b3, (1, 0, 0)), (a3, (0, 1, 0)), (b3, (0, 0, 1))):
+        exterior_algebra(dual_weyl_character(rd, lam))
+    assert ch._exterior_step.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("generator,arg", [
+    (rs._expander, "G2"), (ch._racah_kernels, "G2"), (ch._exterior_step, 2)])
+def test_generated_g2_source_is_the_docstring_example(monkeypatch, generator, arg):
+    sources = []
+
+    def compile_and_keep(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(rs, "compile", compile_and_keep, raising=False)
+    generator.__wrapped__(build_root_datum(arg) if isinstance(arg, str) else arg)
+    doc = generator.__doc__
+    assert sources == [textwrap.dedent(doc[doc.index("::\n") + 3:]).lstrip("\n")]
 
 
 def test_is_restricted():

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dominant_representative, fraction_inverse, orbit, subdiagram_type
+from conftest import (
+    ALL_SIMPLE,
+    KERNEL_TYPES,
+    ROOT_TYPES,
+    dominant_representative,
+    fraction_inverse,
+    orbit,
+    pinned_table,
+    subdiagram_type,
+)
 from donkin.characters import dual_weyl_character
 from donkin.embeddings import (
     EmbeddingStep,
@@ -32,18 +41,11 @@ from donkin.rootsystem import (
     weyl_orbit,
 )
 
-ALL_SIMPLE = (
-    "A1 A2 A3 A4 A5 A6 A7 A8 B2 B3 B4 B5 B6 B7 B8 C3 C4 C5 C6 C7 C8 "
-    "D4 D5 D6 D7 D8 E6 E7 E8 F4 G2".split())
-
 COUNTS = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
           "C": lambda n: n * n, "D": lambda n: n * (n - 1),
           "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
           "F": lambda n: 24, "G": lambda n: 6}
 
-
-# every simple type plus products with torus, repeated and mixed-length factors
-ROOT_TYPES = ALL_SIMPLE + ["A1.B3.T2", "E6.A2", "D4.D4", "B2.G2.A1", "T3"]
 
 # sha256 of the lines "name roots coroots" over ROOT_TYPES: pins the order of
 # positive_roots (factor by factor, by height, ties by root coordinates), which
@@ -337,42 +339,19 @@ def test_weyl_orbit_emits_each_point_once(name, lam):
     assert len(points) == weyl_group_order(rd.gtype) // weyl_group_order(stabiliser)
 
 
-# the first key of each pinned orbit table sets this many leading simple
-# nodes to 1 (all of them when unlisted): the fewest whose orbit reaches
-# min(1000, |W|) points
-PIN_LEAD = {"A6": 5, "A7": 4, "A8": 4, "B5": 4, "B6": 4, "B7": 3, "B8": 3, "C5": 4,
-            "C6": 4, "C7": 3, "C8": 3, "D6": 4, "D7": 3, "D8": 3, "E6": 3, "E7": 2,
-            "E8": 1, "E6.A2": 4, "D4.D4": 5}
-
 # sha256 of the lines "name [(point, m), ...]" of weyl_orbit over the pinned
 # tables, recorded before the expander was generated code: pins every point,
 # its multiplicity and the print order
 ORBIT_SHA256 = "b3d9b63f85ec080d7352cbfc97e90192b85437c3d5bfa07a1b2f16ff0d38f9de"
 
 
-def pinned_table(rd, lead):
-    """Keys omega_1 + ... + omega_lead over the simple nodes (torus
-    coordinates -1), 2 omega of the last simple node (torus coordinate i at
-    2 - i) and 0 (torus coordinates -2), with multiplicities 1, 2, 3; a key
-    met twice keeps its first multiplicity."""
-    simple = rd.simple_indices()
-    keys = [[0 if i in simple[lead:] else 1 if i in simple else -1 for i in range(rd.rank)],
-            [2 if simple and i == simple[-1] else 0 if i in simple else 2 - i
-             for i in range(rd.rank)],
-            [0 if i in simple else -2 for i in range(rd.rank)]]
-    table = {}
-    for m, key in enumerate(keys, 1):
-        table.setdefault(tuple(key), m)
-    return table
-
-
 def test_weyl_orbit_output_digest():
     """Every root type plus T1, B2.T1 and the rank-0 type; on every type the
     first key's orbit has at least min(1000, |W|) points."""
     lines = []
-    for name in ROOT_TYPES + ["T1", "B2.T1", ""]:
+    for name in KERNEL_TYPES:
         rd = build_root_datum(name)
-        table = pinned_table(rd, PIN_LEAD.get(name, rd.rank))
+        table = pinned_table(rd, name)
         out = list(weyl_orbit(rd, table).items())
         assert sum(m == 1 for _, m in out) >= min(1000, weyl_group_order(rd.gtype))
         lines.append(f"{name} {out!r}\n")
