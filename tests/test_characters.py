@@ -291,14 +291,17 @@ def test_freudenthal_passes_the_weyl_dimension_check(data):
     assert ch._cached_entry_ok(rd, lam, ch._freudenthal(rd, lam))
 
 
-def test_e7_rho_multiplicities_are_frozen():
-    """The 1,464 dominant multiplicities of nabla(rho) for E7, as the
-    one-string-per-root recursion gave them (E8 rho is checked in CI)."""
-    rd = build_root_datum("E7")
+@pytest.mark.parametrize("name, count, digest", [
+    ("E7", 1464, "fea3bd1b0947b6817e0c4c703e21dad1b7c7e8dfb38d7e6e2782cf46234dd8fe"),
+    ("E8", 14869, "683217a25990db568ff1c7430297109fff8101e76ba542a19f961360065456f8"),
+], ids=["E7", "E8"])
+def test_rho_multiplicities_are_frozen(name, count, digest):
+    """The dominant multiplicities of nabla(rho) for E7 and E8, as the
+    one-string-per-root recursion gave them."""
+    rd = build_root_datum(name)
     mults = ch._freudenthal(rd, rd.rho)
-    assert len(mults) == 1464
-    assert multiplicity_digest(mults) == (
-        "fea3bd1b0947b6817e0c4c703e21dad1b7c7e8dfb38d7e6e2782cf46234dd8fe")
+    assert len(mults) == count
+    assert multiplicity_digest(mults) == digest
 
 
 def reflection_bfs_orbit(rd, lam, indices=None):

@@ -23,7 +23,7 @@ from donkin.errors import DonkinError
 from donkin.rootsystem import build_root_datum, weyl_dim, weyl_orbit
 
 ROOT = Path(__file__).resolve().parents[1]
-REFERENCE_DIGESTS = ROOT / "perfbench" / "reference_digests.json"
+REFERENCE_DIGESTS = json.loads((ROOT / "perfbench" / "reference_digests.json").read_text())
 
 
 def data_path(name):
@@ -194,8 +194,10 @@ def test_restrict_through_alias(chain, lam, term):
     assert result.stdout.splitlines()[1:] == ["exact: yes", term]
 
 
-def test_restrict_max_chain_rejected():
-    result = run_cli(["restrict", "D8 -[max]-> E8", "1,0,0,0,0,0,0,0"])
+@pytest.mark.parametrize("chain, lam", [
+    ("D8 -[max]-> E8", "1,0,0,0,0,0,0,0"), ("A1.A1 -[max]-> G2", "1,0")])
+def test_restrict_max_chain_rejected(chain, lam):
+    result = run_cli(["restrict", chain, lam])
     assert result.exit_code == 2
 
 
@@ -477,17 +479,84 @@ def test_char_output_matches_independent_rendering(name, lam):
     assert result.stdout == json.dumps(payload, sort_keys=True) + "\n"
 
 
+def _cold_stdout_digest(argv):
+    """sha256 of the stdout of ``argv``, run with the in-memory tables of
+    dominant multiplicities empty, as in a fresh process; it must exit 0."""
+    clear_memo()
+    result = run_cli(argv)
+    assert result.exit_code == 0, result.stderr
+    return hashlib.sha256(result.stdout.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("job", REFERENCE_DIGESTS)
+def test_output_matches_reference_digest(job, monkeypatch):
+    """stdout is byte-identical to the benchmark's recorded reference output.
+    The spot-check jobs name their table relative to the repo root, and their
+    jsonl records repeat that path."""
+    monkeypatch.chdir(ROOT)
+    assert _cold_stdout_digest(job.split()) == REFERENCE_DIGESTS[job]
+
+
 @pytest.mark.parametrize("job", [
-    "char G2 15,15", "char C3 5,5,5", "char F4 1,1,1,1",
-    "exterior A2 2,2", "exterior B2 1,1", "exterior B2 2,0", "exterior B4 0,0,0,1",
-    "exterior G2 0,1", "exterior G2 1,0",
-])
-def test_output_matches_reference_digest(job):
-    """stdout is byte-identical to the benchmark's recorded reference output."""
-    digests = json.loads(REFERENCE_DIGESTS.read_text())
-    result = run_cli(job.split())
-    assert result.exit_code == 0
-    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digests[job]
+    "char E8 1,0,0,0,0,0,0,1", "char B5 1,1,1,1,1", "exterior A4 1,0,0,1"])
+def test_rerun_reading_the_cache_matches_reference_digest(job, cache_dir):
+    """The second run reads the cache file that the first run wrote."""
+    assert _cold_stdout_digest(job.split()) == REFERENCE_DIGESTS[job]
+    assert (cache_dir / "characters.txt").exists()
+    assert _cold_stdout_digest(job.split()) == REFERENCE_DIGESTS[job]
+
+
+# nabla(1,0,2) + 2 nabla(0,1,-1) - the orbit of (1,1,0): a virtual B2.T1
+# character, one "m weight" line per term
+B2T1_VIRTUAL = ("1 1,0,2\n1 -1,2,2\n1 0,0,2\n1 1,-2,2\n1 -1,0,2\n"
+                "2 0,1,-1\n2 1,-1,-1\n2 -1,1,-1\n2 0,-1,-1\n"
+                "-1 1,1,0\n-1 -1,3,0\n-1 2,-1,0\n-1 -2,3,0\n"
+                "-1 2,-3,0\n-1 -2,1,0\n-1 1,-3,0\n-1 -1,-1,0\n")
+
+# sha256 of the stdout of jobs on chains and types no reference digest covers
+DIGESTS = {
+    # one restrict per catalog tag
+    ("restrict", "A1.A1 -[alias]-> D2", "1,1"): "d22267df9f8bb4978a4110f4965ef89648e64c8a6ab7d9f2d9c6fead7a3e9e5b",
+    ("restrict", "B2 -[alias]-> C2", "1,1"): "8158aad87a40213edf92996f2bf9d19c3b584c786752b9b5483ad85fab9acf72",
+    ("restrict", "A3 -[alias]-> D3", "1,0,1"): "44145815cacbf9e27db69446f30a9e3f684f02df340d2c7f871b8b0fa7bba266",
+    ("restrict", "E7.T1 -[levi]-> E8", "1,0,0,0,0,0,0,0"): "694eb3c7adf2c0f312fd103c4bfc5134bcc4b65191214c904cf17f91bc498a96",
+    ("restrict", "A1 -[diag]-> A1.A1", "1,1"): "d653e2249ef74be0ee7bfca58b9f70cd5798f51c79676dca25154a83a46b5119",
+    ("restrict", "C2 -[auto]-> A3", "1,0,1"): "9214e578c3596fd7ec51c9384ea3ea45dd4c33c45c811e997bf682389f1b9720",
+    ("restrict", "B1.B6 -[class]-> D8", "1,0,0,0,0,0,0,0"): "39e9aa47a21dd7dc1022230665de69ba7e5398ca3baf7f7b0d83c3c9ac05a1f6",
+    ("restrict", "A1 -[resirr]-> A4", "1,0,0,0"): "820e6eecc4237e39d0c7e7f2af879ea60135940057545d517b640cf0eee1ff3b",
+    ("restrict", "C1 -[tensor]-> D2", "1,1"): "b23d3521a4210968410b00110a838e653711911d825b0e47ea8ab0d686133f78",
+    # spectator pairs of the paired clauses; the tensor job's retained D1 row is rescaled
+    ("restrict", "B2.D1 -[tensor]-> B2.D3", "1,0,0,1,0"): "78d150560f89a550abf56c96128007f0b3419277bb8de7ffb07172939be34f83",
+    ("restrict", "A1.G2 -[auto]-> A1.D4", "1,0,1,0,0"): "b115abac0eca5c68a336c9d1aeeee7fa6190b53f9536a0b41bc00f3d351c33fb",
+    ("restrict", "G2.A1 -[resirr]-> A6.A2", "1,0,0,0,0,0,1,0"): "accb651cb2eed1813e25bf9aa845bff54ac931173e22d4b551aa43382246e890",
+    # A5, D5, E6, E7, a product with an A2 factor, a torus product and a
+    # repeated factor: every orbit here goes through weyl_orbit's expander
+    ("char", "A5", "1,1,1,1,1"): "bd295b64d69535a3bf840287ecc2450df344274ae33304398de1ecef632d324f",
+    ("char", "D5", "1,0,0,1,1"): "ee47fd18ae11ade137ea42c580631df0e2415be0ad5cc5e50e059770d69b53a1",
+    ("char", "E6", "1,0,0,0,0,1"): "43f1007cdc3f31f9eae19b46c435e20639206a0162e9baaf2cecdf1b3d472b39",
+    ("char", "E7", "1,0,0,0,0,0,1"): "aaf974cf26cef767d4330669879ee9ecc8663ae293b7dc2aaedbb2c79725870c",
+    ("char", "E6.A2", "1,0,0,0,0,1,1,1"): "8452c06eb8f7be2a8c0a8da7fe3de617424405bafdcd52c159132093d937bfff",
+    ("char", "A1.B3.T2", "2,0,1,0,-3,4"): "be87807316bb9766e4ce2708f3c0a59f9f5d0d321f8be53801f1d36e4e640b71",
+    ("char", "D4.D4", "1,0,0,0,0,0,0,1"): "68e2040876c48aaba68ae2e8b94c9579aedd1cd05fb775752c6ee62acc6632ba",
+    # rank 1, a torus factor, a repeated factor, C and D; and B2T1_VIRTUAL
+    # through decompose: every pass goes through the generated exterior
+    # step, symmetry check and fold
+    ("exterior", "A1", "4"): "e507fd837330cb62c894d87d4239c43f98a54f47555534f13dc60d2831ccb9a7",
+    ("exterior", "A1.T1", "1,3"): "ef7e67f7da38264ca4097b21a42ffc3f855001bdb0d37dc020dc30d7361113e5",
+    ("exterior", "A1.A1", "1,2"): "26d8cc3322e6efff370ec382cfbfcf754d16623bcd979ba2a6b3f959d7a28803",
+    ("exterior", "C3", "1,0,0"): "3271909bad3a8b00d6086271aa591d362df1f5a95d7d3c63317a15262ffc2491",
+    ("exterior", "D4", "1,0,0,0"): "b21fc400b9878dc77c49784aa7d9eb1b127863bdb60f8abc2f78dc59dd6638d3",
+    ("decompose", "B2.T1", "@b2t1.txt"): "a8044d71fb799dde4d10bf41ac74b44bcb50eca8b689d75735f5b5af0c1fd7b1",
+}
+
+
+@pytest.mark.parametrize("argv", DIGESTS, ids=" ".join)
+def test_output_matches_its_digest(argv, tmp_path, monkeypatch):
+    """stdout is byte-identical to the recorded output; the decompose job
+    reads B2T1_VIRTUAL from a file in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b2t1.txt").write_text(B2T1_VIRTUAL, encoding="utf-8")
+    assert _cold_stdout_digest(list(argv)) == DIGESTS[argv]
 
 
 class _ByteCount:
