@@ -12,7 +12,7 @@ the rows of the one alias table, ``rootsystem._ALIASES``.  An ``alias`` step
 names the same group under two spellings, so its map is the identity.
 
 The catalog is one clause table, ``_CLAUSES``, from each chain tag to a
-cached matcher (legality verdict, minimal prime and payload,
+matcher (legality verdict, minimal prime and payload, cached only by
 :func:`match_step`) and a builder, which takes the matcher's payload and
 checks nothing.  :func:`check_step` is the one legality gate: it adds the
 check of a step's ``p>k`` annotation against the matcher's minimal prime,
@@ -136,7 +136,7 @@ class EmbeddingStep(namedtuple("EmbeddingStep", "tag sub amb p_bound", defaults=
         return f"{self.sub} -[{self.tag}{ann}]-> {self.amb}"
 
 
-# immutable, as a cached matcher hands one instance to every caller
+# immutable, as match_step's cache hands one instance to every caller
 class StepMatch(namedtuple("StepMatch", "legal reason p_min payload", defaults=(1, None))):
     __slots__ = ()
 
@@ -274,9 +274,8 @@ def _paired(pair_ok, block, *reasons):
     """(matcher, builder) of a clause that gives every amb factor one sub
     factor: ``pair_ok(s, a)`` returns ("spectator", 1), (payload, p_min) or
     None, and ``block(s, a, payload)`` is the pair's block in the map; a
-    spectator's is the identity.  Each clause's matcher has its own cache.
+    spectator's is the identity.
     """
-    @functools.lru_cache(maxsize=None)
     def match(sub: GroupType, amb: GroupType) -> StepMatch:
         if len(sub.factors) != len(amb.factors):
             return StepMatch(False, "factor counts differ")
@@ -331,7 +330,6 @@ def _alias_map(sub: GroupType, amb: GroupType, _payload) -> WeightMap:
 # ---------------------------------------------------------------------------
 # clause: diagonal embeddings
 
-@functools.lru_cache(maxsize=None)
 def _match_diag(sub: GroupType, amb: GroupType) -> StepMatch:
     # sides swapped: each sub factor takes a group of ambient copies of itself
     assign = _grouped_assignments(
@@ -358,7 +356,6 @@ def _diag_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
 # runs over node subsets of the normalized ambient diagram, so everything
 # below works in normalized coordinates on both sides.
 
-@functools.lru_cache(maxsize=None)
 def _match_levi(sub: GroupType, amb: GroupType) -> StepMatch:
     cartan = cartan_matrix(amb)
     norm = normalize_type(sub)
@@ -484,7 +481,6 @@ def _class_group_ok(subs: list[SimpleType], amb: SimpleType):
     return None
 
 
-@functools.lru_cache(maxsize=None)
 def _match_class(sub: GroupType, amb: GroupType) -> StepMatch:
     verdict = _product_verdict(sub, amb, _class_group_ok, (
         "no classical block split matches", "no factor is actually split",
@@ -526,6 +522,14 @@ def _class_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
 
 # ---------------------------------------------------------------------------
 # clause: maximal-rank subgroups of exceptional groups (type level only)
+#
+# Each pair drops one node of the ambient's extended diagram (Borel-de
+# Siebenthal).  The rule "smallest prime above the dropped node's highest-root
+# coefficient c" gives seven of these bounds; the catalog differs on three,
+# and the shipped annotations side with the catalog:
+#   A3.D5 in E8 (node 6, c = 4): rule 5, catalog 7
+#   A2.E6 in E8 (node 7, c = 3): rule 5, catalog 7
+#   A1.A1 in G2 (node 2, c = 2): rule 3, catalog 1
 
 _MAX_RANK: dict[tuple[str, str], int] = {
     ("A2.E6", "E8"): 7,
@@ -541,7 +545,6 @@ _MAX_RANK: dict[tuple[str, str], int] = {
 }
 
 
-@functools.lru_cache(maxsize=None)
 def _match_max(sub: GroupType, amb: GroupType) -> StepMatch:
     key = (str(normalize_type(sub)), str(normalize_type(amb)))
     if key in _MAX_RANK:
@@ -666,8 +669,10 @@ _CLAUSES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def match_step(sub: GroupType, amb: GroupType, tag: str) -> StepMatch:
-    """Legality verdict for one chain step, with its minimal allowed prime."""
+    """Legality verdict for one chain step, with its minimal allowed prime;
+    cached, so every caller of a step gets the one StepMatch."""
     clause = _CLAUSES.get(tag)
     if clause is None:
         return StepMatch(False, f"unknown tag {tag!r}")

@@ -513,67 +513,34 @@ def highest_roots(rd: RootDatum) -> tuple[Weight, ...]:
 # ---------------------------------------------------------------------------
 # Dynkin subdiagrams
 
-def _component_order(comp: list[int], cartan, adj) -> tuple[SimpleType, list[int]]:
-    """Classify one connected induced subdiagram and order its nodes Bourbaki-style."""
-    m = len(comp)
-    if m == 1:
-        return SimpleType("A", 1), list(comp)
-    deg = {u: len(adj[u]) for u in comp}
+@functools.lru_cache(maxsize=None)
+def _component_type(block) -> tuple[SimpleType, tuple[int, ...]]:
+    """Type and Bourbaki order of one connected Cartan block, nodes 0..m-1.
 
-    def walk(start, first):
-        # path from start through first to the far leaf
-        order = [start, first]
-        while True:
-            nxt = [v for v in adj[order[-1]] if v != order[-2]]
-            if not nxt:
-                return order
-            if len(nxt) > 1:
-                raise UnknownType("not a Dynkin subdiagram")
-            order.append(nxt[0])
+    The type is the simple type whose :func:`_simple_cartan` block ``block``
+    reproduces under some order of its nodes, and the order is the first
+    such, filled position by position (Bourbaki node 1 first) with the nodes
+    tried in ascending order.  D4's three leaves instead go (largest,
+    smallest, middle): the triality choice the shipped maps carry.
+    """
+    m = len(block)
 
-    triple = [(u, v) for u in comp for v in adj[u] if cartan[u][v] * cartan[v][u] == 3]
-    double = [(u, v) for u in comp for v in adj[u] if cartan[u][v] == -2]
-    if triple:
-        if m != 2:
-            raise UnknownType("not a Dynkin subdiagram")
-        u, v = next((u, v) for u, v in double or triple if cartan[u][v] == -3)
-        return SimpleType("G", 2), [u, v]  # short node first
-    if double:
-        u, v = double[0]  # cartan[u][v] == -2: u is the short node
-        if m == 2:
-            return SimpleType("B", 2), [v, u]  # long, short
-        if deg[u] == 2 and deg[v] == 2:
-            if m != 4:
-                raise UnknownType("not a Dynkin subdiagram")
-            long_leaf = next(x for x in adj[v] if x != u)
-            short_leaf = next(x for x in adj[u] if x != v)
-            return SimpleType("F", 4), [long_leaf, v, u, short_leaf]
-        if deg[u] == 1:
-            # short leaf: type B, path ends at u
-            order = walk(u, v)[::-1]
-            return SimpleType("B", m), order
-        if deg[v] == 1:
-            order = walk(v, u)[::-1]
-            return SimpleType("C", m), order
-        raise UnknownType("not a Dynkin subdiagram")
-    # simply laced
-    branch = [u for u in comp if deg[u] >= 3]
-    if not branch:
-        ends = sorted(u for u in comp if deg[u] == 1)
-        return SimpleType("A", m), walk(ends[0], adj[ends[0]][0]) if m > 1 else list(comp)
-    if len(branch) > 1 or deg[branch[0]] > 3:
-        raise UnknownType("not a Dynkin subdiagram")
-    c = branch[0]
-    arms = sorted((walk(c, v)[1:] for v in adj[c]),
-                  key=lambda arm: (len(arm), arm[0]))
-    l1, l2, l3 = (len(a) for a in arms)
-    if l1 == 1 and l2 == 1:
-        tail = arms[2]
-        leaves = sorted([arms[0][0], arms[1][0]])
-        return SimpleType("D", m), tail[::-1] + [c] + leaves
-    if l1 == 1 and l2 == 2 and m in (6, 7, 8):
-        near, far = arms[1]
-        return SimpleType("E", m), [far, arms[0][0], near, c] + arms[2]
+    def orders(want, prefix):
+        p = len(prefix)
+        if p == m:
+            yield prefix
+        for u in range(m):
+            if u not in prefix and all(block[u][v] == want[p][q] and block[v][u] == want[q][p]
+                                       for q, v in enumerate(prefix)):
+                yield from orders(want, prefix + (u,))
+
+    for letter in "ABCDEFG":
+        if _is_canonical(letter, m):
+            order = next(orders(_simple_cartan(letter, m)[0], ()), None)
+            if order is not None:
+                if (letter, m) == ("D", 4):
+                    order = (order[3], order[1], order[0], order[2])
+                return SimpleType(letter, m), order
     raise UnknownType("not a Dynkin subdiagram")
 
 
@@ -609,11 +576,7 @@ def _classify_nodes(cartan, nodes) -> list[tuple[SimpleType, list[int]]]:
         comps.append(sorted(comp))
     out = []
     for comp in comps:
-        stype, order = _component_order(comp, cartan, adj)
-        block, _ = _simple_cartan(stype.letter, stype.rank)
-        got = [[cartan[u][v] for v in order] for u in order]
-        if got != block:
-            raise AssertionError(f"subdiagram classification failed near nodes {comp}")
-        out.append((stype, order))
+        stype, order = _component_type(tuple(tuple(cartan[u][v] for v in comp) for u in comp))
+        out.append((stype, [comp[i] for i in order]))
     out.sort(key=lambda t: (t[0].letter, -t[0].rank, t[1][0]))
     return out

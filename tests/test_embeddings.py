@@ -639,9 +639,9 @@ def test_three_step_sequential_equals_composed():
 
 @pytest.fixture()
 def fresh_levi_cache():
-    emb._match_levi.cache_clear()
+    emb.match_step.cache_clear()
     yield
-    emb._match_levi.cache_clear()
+    emb.match_step.cache_clear()
 
 
 def test_levi_classifier_bug_propagates(monkeypatch, fresh_levi_cache):
@@ -718,7 +718,7 @@ def test_annotation_disagreeing_with_the_catalog_is_illegal(chain):
 
 
 def test_cached_step_match_is_frozen():
-    """The cached matchers hand one StepMatch to every caller."""
+    """match_step's cache hands one StepMatch to every caller."""
     m = match_step(G("C2"), G("A3"), "auto")
     assert m is match_step(G("C2"), G("A3"), "auto")
     with pytest.raises(AttributeError):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 from operator import mul
@@ -31,9 +32,11 @@ from donkin.rootsystem import (
     GroupType,
     RootDatum,
     SimpleType,
+    _classify_nodes,
     _expander,
     _simple_cartan,
     build_root_datum,
+    cartan_matrix,
     highest_roots,
     is_dominant,
     normalize_type,
@@ -275,6 +278,41 @@ def test_subdiagram_types():
         subdiagram_type(e8, [9])
     with pytest.raises(BadIndex):
         subdiagram_type(build_root_datum("B2.T1"), [3])
+
+
+# Every node subset of these diagrams, 2,078 in all, is classified below.
+CLASSIFIED_DIAGRAMS = ("A1", "A2", "A8", "B2", "B3", "B7", "C3", "C7", "D4", "D5", "D6",
+                       "D8", "E6", "E7", "E8", "F4", "G2", "A3.D5", "B4.C3", "A1.E7", "G2.F4")
+CLASSIFICATION_SHA256 = "302344f07565db2fcc6bf4de77b6ccf0282f1fd9bc2298d7f670dada03039fbb"
+
+
+def test_classification_of_every_node_subset_is_frozen():
+    """One line per node subset (each induced subdiagram of a Dynkin diagram
+    is one): each component's type and Bourbaki node order, 0-based.  The
+    digest fixes every order the Levi clause can hand a restriction map,
+    D4's triality choice included."""
+    lines = []
+    for name in CLASSIFIED_DIAGRAMS:
+        cartan = cartan_matrix(GroupType.parse(name))
+        for nodes in itertools.product((0, 1), repeat=len(cartan)):
+            subset = [i + 1 for i, bit in enumerate(nodes) if bit]
+            got = " ".join(f"{st}:{','.join(map(str, order))}"
+                           for st, order in _classify_nodes(cartan, subset))
+            lines.append(f"{name} {','.join(map(str, subset))} {got}\n")
+    assert len(lines) == 2078
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == CLASSIFICATION_SHA256
+
+
+@pytest.mark.parametrize("cartan", [
+    ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),  # a cycle
+    ((2, -1, -1, -1, -1), (-1, 2, 0, 0, 0), (-1, 0, 2, 0, 0), (-1, 0, 0, 2, 0),
+     (-1, 0, 0, 0, 2)),  # a node of degree four
+    ((2, -2), (-2, 2)),  # affine A1
+    ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -2), (0, 0, -1, 2)),  # two double bonds
+])
+def test_non_dynkin_subdiagram_is_unknown(cartan):
+    with pytest.raises(UnknownType):
+        _classify_nodes(cartan, range(1, len(cartan) + 1))
 
 
 def test_parse_roundtrip():
