@@ -22,11 +22,14 @@ subgroup up to central torus), ``auto`` (diagram-folding fixed points),
 ``class`` (same-form block splits and SL/SO, SL/Sp), ``max`` (maximal-rank
 subgroups of exceptional groups; type-level only, so its builder is None),
 ``resirr`` (restricted irreducible representations), ``tensor``
-(tensor-product embeddings), ``alias`` (respelling).  The clauses over
-product groups share one factor search, :func:`_grouped_assignments`, and
-one block assembler, :func:`_assemble`; ``auto``, ``resirr`` and ``tensor``
-pair the factors one to one, so each is a row of one factory,
-:func:`_paired`, from a pair test and a block function.
+(tensor-product embeddings), ``alias`` (respelling).  ``class`` and
+``tensor`` judge a step by the dimension and form of each factor's natural
+module, :func:`_natural`, with one prime-bound rule, :func:`_p_min`, and
+build every block with one epsilon builder, :func:`_eps_restriction`.  The
+clauses over product groups share one factor search,
+:func:`_grouped_assignments`, and one block assembler, :func:`_assemble`;
+``auto``, ``resirr`` and ``tensor`` pair the factors one to one, so each is
+a row of one factory, :func:`_paired`, from a pair test and a block function.
 """
 from __future__ import annotations
 
@@ -145,21 +148,20 @@ class StepMatch(namedtuple("StepMatch", "legal reason p_min payload", defaults=(
 # epsilon-coordinate scaffolding for the classical types
 
 def _eps_to_fw(letter: str, n: int) -> list[list[int]]:
-    """Fundamental-weight coordinates of a classical weight given in
-    epsilon coordinates (for A, the input has n+1 entries)."""
-    if letter not in ("A", "B", "C", "D"):
+    """Fundamental-weight coordinates of a B, C or D weight given in epsilon
+    coordinates."""
+    if letter not in ("B", "C", "D"):
         raise AssertionError(f"no epsilon coordinates for {letter}{n}")
     if letter == "D" and n == 1:  # SO2: a torus; its character lattice is Z epsilon
         return [[1]]
-    width = n + 1 if letter == "A" else n
     # the rows e_i - e_{i+1} that every type shares
-    rows = [[1 if j == i else -1 if j == i + 1 else 0 for j in range(width)]
-            for i in range(width - 1)]
+    rows = [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n)]
+            for i in range(n - 1)]
     if letter == "B":
         rows.append([2 if j == n - 1 else 0 for j in range(n)])
     elif letter == "C":
         rows.append([1 if j == n - 1 else 0 for j in range(n)])
-    elif letter == "D":
+    else:
         rows.append([1 if j >= n - 2 else 0 for j in range(n)])
     return rows
 
@@ -173,27 +175,41 @@ def _fw_to_eps(letter: str, n: int) -> tuple[int, linalg.IntMatrix]:
     return linalg.adjugate(_eps_to_fw(letter, n))
 
 
-def _eps_block(f: SimpleType, axes) -> linalg.IntMatrix:
-    """Block of a classical sub factor whose k-th epsilon coordinate restricts
-    from ``axes[k]``, a row of ambient fundamental-weight coordinates (times
-    the ``det`` of :func:`_fw_to_eps` they were taken from)."""
-    return linalg.mat_mul(_eps_to_fw(f.letter, f.rank), axes)
+_SO2 = SimpleType("D", 1)
 
 
-def _divide(block, det: int) -> list[list[int]]:
-    """``block / det``, which must be an integer matrix."""
+def _eps_restriction(f: SimpleType, a: SimpleType, axes) -> list[list[int]]:
+    """Block of a classical sub factor ``f`` in an ambient factor ``a``: the
+    k-th epsilon coordinate of ``f`` restricts from the signed sum of the
+    (axis, sign) pairs in ``axes[k]``, rows of :func:`_fw_to_eps`, so the
+    block is divided by its ``det``.  A retained SO2 factor (written D1) can
+    sit under the ambient spin group as a double-cover torus, so its row is
+    divided down to the primitive character of that cover instead; this only
+    relabels central characters."""
+    det, amb_f2e = _fw_to_eps(a.letter, a.rank)
+    rows = [[sum(sign * amb_f2e[axis][j] for axis, sign in ax) for j in range(a.rank)]
+            for ax in axes]
+    block = linalg.mat_mul(_eps_to_fw(f.letter, f.rank), rows)
+    if f == _SO2:
+        det = math.gcd(*block[0]) or 1
     if any(x % det for row in block for x in row):
         raise AssertionError("non-integral restriction matrix")
     return [[x // det for x in row] for row in block]
 
 
-def _so_dim(f: SimpleType) -> int | None:
-    """Dimension of the orthogonal space a factor names, or None."""
-    if f.letter == "B":
-        return 2 * f.rank + 1
-    if f.letter == "D":
-        return 2 * f.rank
-    return None
+def _natural(f: SimpleType) -> tuple[int, bool] | None:
+    """(dimension, alternating?) of the natural module and invariant form of
+    the group a factor names: SO_{2n+1}, Sp_{2n} or SO_{2n} for B_n, C_n or
+    D_n; None for any other letter."""
+    return {"B": (2 * f.rank + 1, False), "C": (2 * f.rank, True),
+            "D": (2 * f.rank, False)}.get(f.letter)
+
+
+# The prime bound of a classical step: none (1) when every form it involves is
+# alternating, else p > 2, as in characteristic 2 a symmetric form is
+# alternating and only a quadratic form pins down the orthogonal group.
+def _p_min(*alternating: bool) -> int:
+    return 1 if all(alternating) else 3
 
 
 # ---------------------------------------------------------------------------
@@ -449,35 +465,27 @@ def _fold_block(s: SimpleType, a: SimpleType, fold):
 # ---------------------------------------------------------------------------
 # clause: classical block embeddings (same-form splits and SL/SO, SL/Sp)
 
-_SO2 = SimpleType("D", 1)
-
-
 def _class_group_ok(subs: list[SimpleType], amb: SimpleType):
-    """Validity of one ambient factor receiving the given sub factors.
-
-    Returns (kind, p_min) or None.  Kinds: 'spectator', 'so_split' (defect 0
-    or 1 allowed, p>2), 'sp_split', 'sl_so' (p>2), 'sl_sp'.
-    """
+    """(kind, p_min) of one ambient factor receiving the given sub factors,
+    from their natural modules, or None.  Kinds: 'spectator'; 'sl', one
+    factor on the whole natural module of SL_{r+1} (an orthogonal one needs
+    r+1 >= 3); 'split', factors of the ambient's form on orthogonal
+    subspaces whose complement has dimension 0, or 1 for a symmetric form."""
     if len(subs) == 1 and subs[0] == amb:
         return ("spectator", 1)
-    if amb.letter in ("B", "D"):
-        dims = [_so_dim(f) for f in subs]
-        if all(d is not None for d in dims):
-            defect = _so_dim(amb) - sum(dims)
-            if defect in (0, 1):
-                return ("so_split", 3)
+    nat = [_natural(f) for f in subs]
+    if None in nat:
         return None
-    if amb.letter == "C":
-        if all(f.letter == "C" for f in subs) and sum(f.rank for f in subs) == amb.rank:
-            return ("sp_split", 1)
+    if amb.letter == "A":
+        if len(subs) == 1 and nat[0][0] == amb.rank + 1 and (nat[0][1] or nat[0][0] >= 3):
+            return ("sl", _p_min(nat[0][1]))
         return None
-    if amb.letter == "A" and len(subs) == 1:
-        r = amb.rank + 1  # SL_r
-        f = subs[0]
-        if f.letter in ("B", "D") and _so_dim(f) == r and r >= 3:
-            return ("sl_so", 3)
-        if f.letter == "C" and 2 * f.rank == r:
-            return ("sl_sp", 1)
+    amb_nat = _natural(amb)
+    if amb_nat is None or any(alt != amb_nat[1] for _, alt in nat):
+        return None
+    defect = amb_nat[0] - sum(dim for dim, _ in nat)
+    if defect == 0 or (defect == 1 and not amb_nat[1]):
+        return ("split", _p_min(amb_nat[1]))
     return None
 
 
@@ -488,7 +496,7 @@ def _match_class(sub: GroupType, amb: GroupType) -> StepMatch:
     # a split SO2 (written D1) lifts to a double-cover torus of the ambient
     # spin group, so the spin weights restrict to half its characters
     if verdict.legal and any(sub.factors[si] == _SO2
-                             for combo, kind, _ in verdict.payload if kind == "so_split"
+                             for combo, kind, _ in verdict.payload if kind == "split"
                              for si in combo):
         return StepMatch(False, "a split SO2 factor lifts to a double-cover torus")
     return verdict
@@ -501,22 +509,19 @@ def _class_map(sub: GroupType, amb: GroupType, assign) -> WeightMap:
         af = amb.factors[ai]
         if kind == "spectator":
             blocks.append((combo[0], ai, None))
-        elif kind in ("so_split", "sp_split"):
+        elif kind == "split":
             # the sub factors take consecutive ambient epsilon axes; the
             # remaining axes restrict to zero
-            det, amb_f2e = _fw_to_eps(af.letter, af.rank)
             axis = 0
             for si in combo:
                 f = sub.factors[si]
-                block = _eps_block(f, amb_f2e[axis:axis + f.rank])
-                blocks.append((si, ai, _divide(block, det)))
+                blocks.append((si, ai, _eps_restriction(
+                    f, af, [((axis + k, 1),) for k in range(f.rank)])))
                 axis += f.rank
-        else:  # sl_so / sl_sp: ambient eps_k restricts to +eps_k, eps_{r+1-k} to -eps_k
+        else:  # sl: on the gl lift, eps_k restricts to +eps_k, eps_{r+1-k} to -eps_k
             f = sub.factors[combo[0]]
-            _, amb_f2e = _fw_to_eps("A", af.rank)  # af.rank + 1 rows (gl lift), over 1
-            axes = [[x - y for x, y in zip(amb_f2e[k], amb_f2e[af.rank - k])]
-                    for k in range(f.rank)]
-            blocks.append((combo[0], ai, _eps_block(f, axes)))
+            blocks.append((combo[0], ai, _eps_restriction(
+                f, af, [((k, 1), (af.rank - k, -1)) for k in range(f.rank)])))
     return _export(sub, amb, _assemble(sub, amb, blocks))
 
 
@@ -609,46 +614,27 @@ def _resirr_block(s: SimpleType, a: SimpleType, weights):
 # clause: tensor-product embeddings (p > 2)
 
 def _tensor_pair_ok(s: SimpleType, a: SimpleType):
-    """("spectator", 1), or (copies, 3) with ``copies`` the number of ambient
-    epsilon axes that each epsilon coordinate of ``s`` absorbs, or None."""
+    """("spectator", 1), or (copies, p_min) for V(a) = V(s) (x) V2 with
+    ``copies`` = dim V2, or None.  V2's form makes the product's the
+    ambient's: alternating, so of even dimension, exactly when one of s and
+    a is alternating."""
     if s == a:
         return ("spectator", 1)
-    if s.letter in ("B", "D"):
-        r = _so_dim(s)
-        amb_so = _so_dim(a)
-        if amb_so is not None and amb_so % r == 0 and amb_so // r >= 2:
-            return (amb_so // r, 3)  # V2 symmetric
-        if a.letter == "C" and (2 * a.rank) % (2 * r) == 0:
-            return ((2 * a.rank) // r, 3)  # V2 symplectic
-    if s.letter == "C":
-        r = 2 * s.rank
-        if a.letter == "D" and (2 * a.rank) % (2 * r) == 0:
-            return ((2 * a.rank) // r, 3)
-        if a.letter == "C" and a.rank % s.rank == 0 and a.rank // s.rank >= 2:
-            return (a.rank // s.rank, 3)
-    return None
+    nat_s, nat_a = _natural(s), _natural(a)
+    if nat_s is None or nat_a is None:
+        return None
+    copies, rest = divmod(nat_a[0], nat_s[0])
+    alternating_v2 = nat_s[1] != nat_a[1]
+    if rest or copies < 2 or (alternating_v2 and copies % 2):
+        return None
+    return (copies, _p_min(nat_s[1], nat_a[1], alternating_v2))
 
 
 def _tensor_block(s: SimpleType, a: SimpleType, copies):
     """The retained factor's epsilon coordinates each absorb ``copies``
-    ambient axes.
-
-    A retained SO2 factor (written D1) sits under the ambient spin group as a
-    double-cover torus, so its row is rescaled to the primitive character of
-    that cover; this only relabels central characters.
-    """
-    det, amb_f2e = _fw_to_eps(a.letter, a.rank)
-    axes = [[sum(col) for col in zip(*amb_f2e[k * copies:(k + 1) * copies])]
-            for k in range(s.rank)]
-    block = _eps_block(s, axes)
-    return [_primitive_row(block[0])] if s == _SO2 else _divide(block, det)
-
-
-def _primitive_row(row):
-    """The primitive integral row on the ray of an integer row; the ray of
-    ``row / det`` too, as ``det`` is positive."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    ambient axes."""
+    return _eps_restriction(s, a, [tuple((k * copies + t, 1) for t in range(copies))
+                                   for k in range(s.rank)])
 
 
 # ---------------------------------------------------------------------------

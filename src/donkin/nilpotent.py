@@ -20,7 +20,7 @@ from collections import Counter, namedtuple
 
 from . import embeddings
 from .errors import InvalidJordanType, TableSyntaxError
-from .rootsystem import GroupType, SimpleType, normalize_type
+from .rootsystem import GroupType, SimpleType, build_root_datum, normalize_type
 
 KINDS = ("GL", "Sp", "SO")
 
@@ -118,11 +118,6 @@ def _label_to_factors(label: str) -> tuple[SimpleType, ...]:
     return (SimpleType("B" if r % 2 else "D", r // 2),)
 
 
-def label_dimension(label: str) -> int:
-    kind, r = label[:2], int(label[2:])
-    return {"GL": r * r, "Sp": r * (r + 1) // 2, "SO": r * (r - 1) // 2}[kind]
-
-
 def reductive_centralizer(jt: JordanType) -> GroupType:
     """Normalized group type of the reductive part of the centralizer."""
     facs: list[SimpleType] = []
@@ -150,7 +145,8 @@ def centralizer_dimension(jt: JordanType) -> int:
 
 
 def reductive_dimension(jt: JordanType) -> int:
-    return sum(label_dimension(lb) for lb in centralizer_factor_labels(jt))
+    """Dimension of the reductive centralizer, read off its root datum."""
+    return build_root_datum(reductive_centralizer(jt)).group_dimension()
 
 
 def unipotent_dimension(jt: JordanType) -> int:

@@ -55,14 +55,12 @@ def _sha(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-@functools.lru_cache(maxsize=1)
-def grid():
-    """(tag, sub, amb, verdict, built) per grid pair; ``built`` is the step's
+def grid_rows(tags, pairs):
+    """(tag, sub, amb, verdict, built) per tag and pair; ``built`` is the step's
     weight map, None for a map-less step, or the name of the error it raised."""
     G = GroupType.parse
-    pairs = [*itertools.product(GRID_TYPES, GRID_TYPES), *GRID_PAIRS]
     rows = []
-    for tag, (sub, amb) in itertools.product(GRID_TAGS, pairs):
+    for tag, (sub, amb) in itertools.product(tags, pairs):
         m = match_step(G(sub), G(amb), tag)
         try:
             built = step_map(EmbeddingStep(tag, G(sub), G(amb)))
@@ -72,9 +70,14 @@ def grid():
     return rows
 
 
-def grid_lines():
+@functools.lru_cache(maxsize=1)
+def grid():
+    return grid_rows(GRID_TAGS, [*itertools.product(GRID_TYPES, GRID_TYPES), *GRID_PAIRS])
+
+
+def grid_lines(rows):
     """One line per (tag, sub, amb): the verdict, then the matrix or error class."""
-    for tag, sub, amb, m, built in grid():
+    for tag, sub, amb, m, built in rows:
         shown = built if isinstance(built, str) or built is None else repr(built.matrix)
         yield f"{tag} {sub} {amb} {m.legal} {m.reason!r} {m.p_min} {shown}"
 
@@ -102,7 +105,31 @@ def test_chain_restriction_maps_digest(shipped_tables):
 
 
 def test_match_and_step_map_grid_digest():
-    assert _sha(grid_lines()) == GRID_SHA256
+    assert _sha(grid_lines(grid())) == GRID_SHA256
+
+
+# The classical clauses on a denser grid: every ordered pair of these simple
+# types, every 2-factor product of the small classical factors into each of
+# them, and each pair of those factors beside a G2 spectator.
+CLASSICAL_TYPES = (*(f"A{n}" for n in range(1, 9)), *(f"B{n}" for n in range(1, 7)),
+                   *(f"C{n}" for n in range(1, 7)), *(f"D{n}" for n in range(1, 9)),
+                   "T1", "G2", "F4")
+CLASSICAL_FACTORS = ("B1", "B2", "B3", "C1", "C2", "C3", "D1", "D2", "D3", "D4", "A1", "T1")
+CLASSICAL_GRID_SHA256 = "adf322dc4e52ed58e1edbacf5bceb35887652c63531b8ecc0293f0896487d41a"
+
+
+def test_class_and_tensor_on_the_classical_grid_digest():
+    """``match_step`` and ``step_map`` of ``class`` and ``tensor``: which
+    dimensions and forms may meet, the prime bounds, and every block."""
+    products = [".".join(pair) for pair in
+                itertools.combinations_with_replacement(CLASSICAL_FACTORS, 2)]
+    pairs = [*itertools.product(CLASSICAL_TYPES, CLASSICAL_TYPES),
+             *itertools.product(products, CLASSICAL_TYPES),
+             *((f"{x}.G2", f"{y}.G2")
+               for x, y in itertools.product(CLASSICAL_FACTORS, CLASSICAL_FACTORS))]
+    lines = list(grid_lines(grid_rows(("class", "tensor"), pairs)))
+    assert len(lines) == 7046
+    assert _sha(lines) == CLASSICAL_GRID_SHA256
 
 
 def test_every_legal_grid_step_builds():

@@ -6,11 +6,7 @@ import pytest
 from conftest import (
     algebra_basis,
     split_form,
-    check_form_invariance,
-    commutant_dimension,
-    grading_element,
     jordan_type_of,
-    nilpotent_with_form,
     serialize_orbit_tables,
     valid_partitions,
 )
@@ -23,8 +19,6 @@ from donkin.nilpotent import (
     parse_chain,
     parse_orbit_tables,
     reductive_centralizer,
-    reductive_dimension,
-    unipotent_dimension,
     validate_jordan,
 )
 from donkin.rootsystem import GroupType
@@ -76,29 +70,6 @@ def test_parity_rule_pinned_by_enumeration():
             observed.add(tuple(jordan_type_of(x)))
         expected = {tuple(jt.partition()) for jt in valid_partitions(kind, n)}
         assert observed == expected, (kind, n)
-
-
-@pytest.mark.parametrize("kind", ["GL", "Sp", "SO"])
-@pytest.mark.parametrize("n", range(1, 9))
-def test_matrix_oracle(kind, n):
-    """For every valid Jordan type: an explicit nilpotent preserves the form,
-    has the right Jordan type, and its centralizer / reductive-part dimensions
-    match the formula and the predicted reductive type."""
-    if kind == "Sp" and n % 2:
-        assert valid_partitions(kind, n) == []
-        return
-    for jt in valid_partitions(kind, n):
-        x, gram = nilpotent_with_form(jt)
-        if kind != "GL":
-            assert check_form_invariance(x, gram), jt
-        assert jordan_type_of(x) == jt.partition(), jt
-        basis = algebra_basis(kind, n, gram)
-        dim_z = commutant_dimension(x, basis)
-        assert dim_z == centralizer_dimension(jt), jt
-        h = grading_element(jt)
-        dim_red = commutant_dimension(x, basis, extra=[h])
-        assert dim_red == reductive_dimension(jt), jt
-        assert dim_red + unipotent_dimension(jt) == dim_z, jt
 
 
 def test_reductive_centralizer_examples():
