@@ -1,20 +1,18 @@
-"""Command-line surface: root-system queries, character computations, and
-batch verification of orbit tables.
+"""Exact root-system and character computations, plus table verification.
 
-Output is deterministic; ``--format jsonl`` emits one JSON object per line
-with a ``schema`` version field.  Exit status: 0 on success / all-pass, 1 on
-verification failure, 2 on usage or parse errors.  One standard-library
-``argparse`` parser reads the command line; each command is a function of
-the parsed namespace that returns its exit status.
+Output is deterministic.  --format jsonl prints one JSON object per line with
+a schema version field, and --timing appends a wall-clock timing line to
+stderr.  Exit status: 0 on success or all-pass, 1 on verification failure, 2
+on a usage or parse error.  -h or --help after a command prints its help.
 """
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import itertools
 import os
 import sys
 import time
+import types
 
 from .errors import DonkinError, TableSyntaxError
 from .rootsystem import (
@@ -56,8 +54,8 @@ SCHEMA = 1
 
 
 class UsageError(Exception):
-    """A usage error found after parsing: the command's usage line, then
-    ``Error: MESSAGE`` on stderr, and exit status 2."""
+    """A usage error, found by the parser or by a command: the usage line,
+    then ``Error: MESSAGE`` on stderr, and exit status 2."""
 
 
 def _parse_weight(text: str, rank: int):
@@ -228,9 +226,9 @@ def exterior(ns):
     LAM is read in the coordinates of the normalized type that the first
     output line prints, as for char.
     """
-    prime = ns.prime
+    prime = None if ns.prime is None else int(ns.prime) if ns.prime.isdecimal() else 0
     if prime is not None and ch.min_prime_greater(prime - 1) != prime:
-        raise UsageError(f"--p {prime} is not a prime")
+        raise UsageError(f"--p {ns.prime} is not a prime")
     gt = _parse_group(ns.type)
     rd = build_root_datum(gt)
     w = _parse_weight(ns.lam, rd.rank)
@@ -300,8 +298,11 @@ def restrict(ns):
 
 
 def orbit_classical(ns):
-    """Validity, centralizer type, and centralizer dimension of a Jordan type."""
+    """Validity, centralizer type, and centralizer dimension of a Jordan type:
+    KIND is GL, Sp or SO, and PARTITION is comma-separated, e.g. 3,1."""
     kind = ns.kind
+    if kind not in ("GL", "Sp", "SO"):
+        raise UsageError(f"KIND is GL, Sp or SO, not {kind!r}")
     try:
         parts = [int(p) for p in ns.partition.split(",")]
     except ValueError:
@@ -359,7 +360,8 @@ def verify_tables(ns):
 
 
 def spot_check(ns):
-    """Character-level spot check of every chain; exit 1 on any failure."""
+    """Character-level spot check of every chain at LAM, a dominant weight of
+    the ambient group; exit 1 on any failure."""
     ch.load_cache_file()
     failed = 0
     for path, recs in _read_tables(ns.files):
@@ -379,55 +381,94 @@ def spot_check(ns):
     return 1 if failed else 0
 
 
-def _parser(prog: str) -> argparse.ArgumentParser:
-    """The parser of every command line; a command's namespace carries its
-    function as ``run`` and its usage line as ``usage()``."""
-    parser = argparse.ArgumentParser(
-        prog=prog, description="Exact root-system and character computations, "
-                               "plus table verification.")
-    parser.add_argument("--format", dest="fmt", choices=("text", "jsonl"), default="text",
-                        help="output format (default: text)")
-    parser.add_argument("--timing", action="store_true",
-                        help="append a wall-clock timing line to stderr")
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+# Each command: its function, arguments and options as its usage line writes
+# them.  A value is kept under its name in lower case (FILE... as the list
+# ``files``), a lower-case word stands for itself, and [--OPTION] is optional.
+_COMMANDS = {
+    "roots": (roots, "TYPE", ""),
+    "char": (char, "TYPE LAM", ""),
+    "decompose": (decompose, "TYPE SOURCE", ""),
+    "exterior": (exterior, "TYPE LAM", "[--p PRIME]"),
+    "restrict": (restrict, "CHAIN LAM", ""),
+    "orbit": (orbit_classical, "classical KIND PARTITION", ""),
+    "verify-tables": (verify_tables, "FILE...", ""),
+    "spot-check": (spot_check, "FILE...", "--lambda LAM"),
+}
 
-    def command(group, name, run, *positionals):
-        sub = group.add_parser(name, help=run.__doc__.split("\n\n")[0], description=run.__doc__)
-        for meta in positionals:
-            sub.add_argument(meta.lower(), metavar=meta)
-        sub.set_defaults(run=run, usage=sub.format_usage)
-        return sub
 
-    command(commands, "roots", roots, "TYPE")
-    command(commands, "char", char, "TYPE", "LAM")
-    command(commands, "decompose", decompose, "TYPE", "SOURCE")
-    command(commands, "exterior", exterior, "TYPE", "LAM").add_argument(
-        "--p", dest="prime", type=int, metavar="P",
-        help="report restrictedness of every highest weight at this prime")
-    command(commands, "restrict", restrict, "CHAIN", "LAM")
-    orbit = commands.add_parser("orbit", help="Nilpotent orbit queries.",
-                                description="Nilpotent orbit queries.")
-    classical = command(orbit.add_subparsers(metavar="QUERY", required=True),
-                        "classical", orbit_classical)
-    classical.add_argument("kind", choices=("GL", "Sp", "SO"))
-    classical.add_argument("partition", metavar="PARTITION")
-    command(commands, "verify-tables", verify_tables).add_argument(
-        "files", nargs="+", metavar="FILE")
-    spot = command(commands, "spot-check", spot_check)
-    spot.add_argument("files", nargs="+", metavar="FILE")
-    spot.add_argument("--lambda", dest="lam", required=True, metavar="LAM",
-                      help="dominant weight of the ambient group, comma-separated")
-    return parser
+def _synopsis(name):
+    """The command ``name`` and its arguments, or donkin's if it is None."""
+    return " ".join(filter(None, (name, *_COMMANDS[name][1:]))) if name else \
+        "[--format text|jsonl] [--timing] COMMAND ..."
+
+
+def _help(ns):
+    """Print the usage line and the help of the command, or of donkin."""
+    doc = _COMMANDS[ns.name][0].__doc__ if ns.name else __doc__ + "\ncommands:" + "".join(
+        f"\n  {_synopsis(name)}" for name in _COMMANDS)
+    sys.stdout.write(ns.usage() + "\n" + doc.replace("\n    ", "\n").rstrip() + "\n")
+
+
+def _parse(ns, argv):
+    """Fill ``ns`` from ``argv``: donkin's options, the command, then its
+    arguments and options in any order.  A word starting with '-' is an
+    option unless it is '-', a negative integer or after '--'; its value
+    follows '=' or is the next word.  A fault raises UsageError."""
+    options, values, rest = {"--format": "fmt"}, [], False
+    names = ["COMMAND"]  # until the command is read
+    argv = iter(argv)
+    for arg in argv:
+        if rest or arg[:1] != "-" or arg == "-" or arg[1:].isdecimal():
+            if ns.name:
+                values.append(arg)
+                continue
+            if arg not in _COMMANDS:
+                raise UsageError(f"{arg!r} is not a command")
+            if ns.fmt not in ("text", "jsonl"):
+                raise UsageError(f"--format is text or jsonl, not {ns.fmt!r}")
+            ns.name, (run, names, spec) = arg, _COMMANDS[arg]
+            names, pairs = names.split(), spec.replace("[", "").replace("]", "").split()
+            options = dict(zip(pairs[::2], map(str.lower, pairs[1::2])))
+            vars(ns).update(dict.fromkeys(options.values()))
+        elif arg == "--":
+            rest = True
+        elif arg in ("-h", "--help"):
+            ns.run = _help
+            return
+        elif arg == "--timing" and not ns.name:
+            ns.timing = True
+        else:
+            option, eq, value = arg.partition("=")
+            if option not in options:
+                raise UsageError(f"unknown option {option}")
+            if not eq and (value := next(argv, None)) is None:
+                raise UsageError(f"{option} needs a value")
+            setattr(ns, options[option], value)
+    if names[-1].endswith("...") and len(values) >= len(names):
+        values[len(names) - 1:] = [values[len(names) - 1:]]
+    if len(values) != len(names):
+        raise UsageError(f"missing {names[len(values)]}" if len(values) < len(names)
+                         else f"unexpected argument {values[len(names)]!r}")
+    for name, value in zip(names, values):
+        if name.islower() and value != name:
+            raise UsageError(f"expected {name}, not {value!r}")
+        setattr(ns, name.lower().replace("...", "s"), value)
+    for option in spec.split()[::2]:
+        if option[0] != "[" and getattr(ns, options[option]) is None:
+            raise UsageError(f"missing {option}")
+    ns.run = run
 
 
 def main(args=None, prog_name=None):
     """Run one command line (``sys.argv[1:]`` when ``args`` is None) and
-    exit with its status; a parse error exits 2 from argparse itself."""
-    ns = _parser(prog_name or "donkin").parse_args(args)
-    t0 = time.perf_counter()
+    exit with its status."""
+    ns = types.SimpleNamespace(fmt="text", timing=False, name=None, run=None)
+    ns.usage = lambda: f"usage: {prog_name or 'donkin'} {_synopsis(ns.name)}\n"
     message = ""
     try:
         try:
+            _parse(ns, sys.argv[1:] if args is None else args)
+            t0 = time.perf_counter()
             code = ns.run(ns) or 0
         except UsageError as exc:
             code, message = 2, f"{ns.usage()}Error: {exc}\n"
@@ -440,7 +481,7 @@ def main(args=None, prog_name=None):
         # bytes go to /dev/null when the interpreter flushes it at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    if ns.timing:
+    if ns.timing and ns.run:  # _parse sets run last, and t0 follows
         message += f"# elapsed {time.perf_counter() - t0:.3f}s\n"
     sys.stderr.write(message)
     sys.exit(code)

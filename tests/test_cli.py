@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import donkin.characters as ch
+import donkin.cli as cli
 import donkin.embeddings as emb
 from conftest import clear_memo, run_cli
 from donkin.characters import dual_weyl_character
@@ -52,22 +53,63 @@ def test_unknown_flag_is_an_error():
     (["bogus"], 2, ""),
     (["roots"], 2, ""),
     (["--format", "xml", "roots", "A1"], 2, ""),
-    (["spot-check", str(ROOT / "src" / "donkin" / "data" / "f4.tbl")], 2, ""),
+    (["spot-check", data_path("f4")], 2, ""),
     (["exterior", "A1", "1", "--p", "x"], 2, ""),
     (["orbit", "classical", "XX", "1"], 2, ""),
     (["--help"], 0, "spot-check"),
     (["char", "--help"], 0, "highest weight LAM"),
     (["char", "T1", "--", "-3"], 0, "\n  -3: 1\n"),
+    (["--format=jsonl", "roots", "A1"], 0, '"kind": "roots"'),
+    (["roots", "A1", "--format", "jsonl"], 2, ""),
+    (["char", "G2", "-h"], 0, "usage: donkin char TYPE LAM\n"),
+    (["roots", "E8", "--help"], 0, "usage: donkin roots TYPE\n"),
+    (["char", "T1", "-3"], 0, "\n  -3: 1\n"),
+    (["char", "T2", "-3,1"], 2, ""),
+    (["char", "T2", "--", "-3,1"], 0, "\n  -3,1: 1\n"),
+    (["exterior", "G2", "1,0", "--p=5"], 0, "at p=5: PASS"),
+    (["exterior", "G2", "1,0", "--p"], 2, ""),
+    (["spot-check", "--lambda", "0,0,0,1", data_path("f4")], 0, "PASS A2 (F4)"),
+    (["verify-tables"], 2, ""),
+    (["orbit"], 2, ""),
+    (["orbit", "classical", "GL"], 2, ""),
+    (["orbit", "nilpotent", "GL", "2,1"], 2, ""),
+    (["--form", "jsonl", "roots", "A1"], 2, ""),
 ])
 def test_exit_code_contract(args, code, shown):
-    """Parse errors exit 2 and print nothing on stdout; help exits 0; after
-    ``--`` a negative weight is an argument, not an option."""
+    """Parse and usage errors exit 2, print nothing on stdout and end stderr
+    with one ``Error: …`` line; help exits 0.  Global options come before
+    the command and options are never abbreviated; a lone negative integer
+    is an argument, and after ``--`` any word is."""
     result = run_cli(args)
     assert result.exit_code == code
     if shown:
         assert shown in result.stdout
     else:
         assert result.stdout == ""
+        assert result.stderr.splitlines()[-1].startswith("Error: ")
+
+
+@pytest.mark.parametrize("args, usage, run", [
+    (["roots"], "roots TYPE", cli.roots),
+    (["char"], "char TYPE LAM", cli.char),
+    (["decompose"], "decompose TYPE SOURCE", cli.decompose),
+    (["exterior"], "exterior TYPE LAM [--p PRIME]", cli.exterior),
+    (["restrict"], "restrict CHAIN LAM", cli.restrict),
+    (["orbit", "classical"], "orbit classical KIND PARTITION", cli.orbit_classical),
+    (["verify-tables"], "verify-tables FILE...", cli.verify_tables),
+    (["spot-check"], "spot-check FILE... --lambda LAM", cli.spot_check),
+])
+def test_help_shows_each_command(args, usage, run):
+    """``donkin CMD --help`` prints the command's usage line and its
+    docstring; ``donkin --help`` lists the command with its arguments."""
+    result = run_cli([*args, "--help"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    assert lines[0] == f"usage: donkin {usage}"
+    assert run.__doc__.splitlines()[0] in lines
+    result = run_cli(["--help"])
+    assert result.exit_code == 0
+    assert f"  {usage}" in result.stdout.splitlines()
 
 
 def run_donkin(*args):

@@ -25,7 +25,7 @@ try:
     donkin.cli.main(sys.argv[1:])
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-heavy = ("click", "dataclasses", "inspect", "fractions")
+heavy = ("click", "dataclasses", "inspect", "fractions", "argparse", "gettext", "locale")
 print("loaded:", *(n for n in heavy if n in sys.modules))
 names = ("characters", "embeddings", "nilpotent", "verifier")
 print("ran:", *(n for n in names if type(sys.modules["donkin." + n]) is types.ModuleType))
@@ -50,10 +50,12 @@ def run_python(*args, cwd=ROOT):
     (["verify-tables", F4], "characters embeddings nilpotent verifier"),
 ])
 def test_command_runs_only_the_modules_it_uses(args, ran):
-    """Each command runs the modules it reads from.  No job imports click
-    (the command line is parsed by the standard library), dataclasses or
-    inspect (the records are named tuples), or fractions (the epsilon
-    coordinates of ``embeddings`` are integer matrices over a determinant)."""
+    """Each command runs the modules it reads from.  No job imports click,
+    argparse, or the gettext and locale that argparse loads for its messages
+    (the command line is read by ``donkin.cli``'s own table-driven parser),
+    dataclasses or inspect (the records are named tuples), or fractions (the
+    epsilon coordinates of ``embeddings`` are integer matrices over a
+    determinant)."""
     proc = run_python("-c", PROBE, *args)
     assert proc.returncode == 0, proc.stderr
     *_, loaded, ran_line = proc.stdout.splitlines()
