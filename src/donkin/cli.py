@@ -14,14 +14,8 @@ import sys
 import time
 import types
 
-from .errors import DonkinError, TableSyntaxError
-from .rootsystem import (
-    GroupType,
-    build_root_datum,
-    highest_roots,
-    normalize_type,
-    weyl_dim,
-)
+from .errors import DonkinError, NotDominant, TableSyntaxError
+from .rootsystem import GroupType, build_root_datum, highest_roots, is_dominant, weyl_dim
 
 
 def _on_demand(name):
@@ -94,11 +88,14 @@ def _keyed(rank: int, mults: dict) -> dict[str, int]:
     return {template % w: m for w, m in mults.items()}
 
 
-def _parse_group(text: str) -> GroupType:
+def _datum(text: str):
+    """The root datum of the group type ``text``; one that does not parse is
+    a usage error."""
     try:
-        return GroupType.parse(text)
+        gtype = GroupType.parse(text)
     except DonkinError as exc:
         raise UsageError(str(exc))
+    return build_root_datum(gtype)
 
 
 def _emit(fmt, kind, payload, lines):
@@ -123,11 +120,31 @@ def _save_cache():
         pass  # cache is best-effort only
 
 
+def _character(rd, text):
+    """The weight LAM that ``text`` writes and ∇(LAM) of ``rd``; the cache
+    file, which only ∇(LAM) fills, is read just before and written just after."""
+    w = _parse_weight(text, rd.rank)
+    ch.load_cache_file()
+    chi = ch.dual_weyl_character(rd, w)
+    _save_cache()
+    return w, chi
+
+
+def _report(fmt, kind, rd, dec, payload, head, tail=()):
+    """Print the decomposition ``dec`` over ``rd``: in jsonl, ``payload`` with
+    its ``exact`` and ``terms``; in text, the ``head`` line, the ``exact:``
+    line, one ``nabla(…)`` line per term, then the ``tail`` lines."""
+    _emit(fmt, kind,
+          lambda: {**payload, "exact": dec.exact, "terms": _keyed(rd.rank, dec.terms)},
+          lambda: itertools.chain(
+              [head, f"exact: {'yes' if dec.exact else 'NO (virtual)'}"],
+              _item_lines("  nabla(%s): %%d", rd.rank, dec.items_sorted()), tail))
+
+
 def roots(ns):
     """Positive-root count and the highest root of each simple factor of
     TYPE (e.g. E8 or A1.B6)."""
-    gt = _parse_group(ns.type)
-    rd = build_root_datum(gt)
+    rd = _datum(ns.type)
     hrs = highest_roots(rd)
 
     def payload():
@@ -153,12 +170,8 @@ def char(ns):
     LAM is read in the coordinates of the normalized type that the first
     output line prints: "char C2 1,0" is B2's omega_1, of dimension 5.
     """
-    gt = _parse_group(ns.type)
-    rd = build_root_datum(gt)
-    w = _parse_weight(ns.lam, rd.rank)
-    ch.load_cache_file()
-    chi = ch.dual_weyl_character(rd, w)
-    _save_cache()
+    rd = _datum(ns.type)
+    w, chi = _character(rd, ns.lam)
     _emit(ns.fmt, "char",
           lambda: {"type": str(rd.gtype), "highest_weight": list(w),
                    "dimension": chi.dim(), "weights": _keyed(rd.rank, chi.support)},
@@ -169,10 +182,10 @@ def char(ns):
 
 
 def _read_text(path):
-    """The UTF-8 text of an input file; a DonkinError, so one error line and
-    exit 2, if it cannot be read or decoded."""
+    """The UTF-8 text of an input file, less a leading byte-order mark; a
+    DonkinError, so one error line and exit 2, if it cannot be read or decoded."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise DonkinError(str(exc)) from None
@@ -204,19 +217,13 @@ def decompose(ns):
 
     SOURCE is @FILE with lines 'MULT c1,c2,...' over TYPE's coordinates.
     """
-    gt = _parse_group(ns.type)
-    rd = build_root_datum(gt)
+    rd = _datum(ns.type)
     if not ns.source.startswith("@"):
         raise UsageError("SOURCE must be @FILE")
     chi = _read_character(rd, ns.source[1:])
     dec = ch.decompose_dual_weyl(rd, chi)
-    _emit(ns.fmt, "decompose",
-          lambda: {"type": str(rd.gtype), "dimension": chi.dim(), "exact": dec.exact,
-                   "terms": _keyed(rd.rank, dec.terms)},
-          lambda: itertools.chain(
-              [f"type {rd.gtype}, dimension {chi.dim()}",
-               f"exact: {'yes' if dec.exact else 'NO (virtual)'}"],
-              _item_lines("  nabla(%s): %%d", rd.rank, dec.items_sorted())))
+    _report(ns.fmt, "decompose", rd, dec, {"type": str(rd.gtype), "dimension": chi.dim()},
+            f"type {rd.gtype}, dimension {chi.dim()}")
 
 
 def exterior(ns):
@@ -229,38 +236,22 @@ def exterior(ns):
     prime = None if ns.prime is None else int(ns.prime) if ns.prime.isdecimal() else 0
     if prime is not None and ch.min_prime_greater(prime - 1) != prime:
         raise UsageError(f"--p {ns.prime} is not a prime")
-    gt = _parse_group(ns.type)
-    rd = build_root_datum(gt)
-    w = _parse_weight(ns.lam, rd.rank)
-    ch.load_cache_file()
-    chi = ch.dual_weyl_character(rd, w)
+    rd = _datum(ns.type)
+    _, chi = _character(rd, ns.lam)
     ea = ch.exterior_algebra(chi)
     dec = ch.decompose_dual_weyl(rd, ea)
-    _save_cache()
-    items = dec.items_sorted()
+    payload = {"type": str(rd.gtype), "module_dim": chi.dim(), "algebra_dim": ea.dim()}
+    tail = []
     ok = True
     if prime is not None:
-        bad = [k for k, _ in items if not ch.is_restricted(rd, k, prime)]
+        bad = [k for k, _ in dec.items_sorted() if not ch.is_restricted(rd, k, prime)]
         ok = dec.exact and not bad
-
-    def payload():
-        out = {"type": str(rd.gtype), "module_dim": chi.dim(), "algebra_dim": ea.dim(),
-               "exact": dec.exact, "terms": _keyed(rd.rank, dec.terms)}
-        if prime is not None:
-            out.update(p=prime, all_restricted=not bad, verdict="PASS" if ok else "FAIL")
-        return out
-
-    def lines():
-        yield (f"type {rd.gtype}, module dimension {chi.dim()}, "
-               f"exterior algebra dimension {ea.dim()}")
-        yield f"exact: {'yes' if dec.exact else 'NO (virtual)'}"
-        yield from _item_lines("  nabla(%s): %%d", rd.rank, items)
-        if prime is not None:
-            yield (f"all highest weights restricted at p={prime}: "
-                   f"{'PASS' if ok else 'FAIL'}"
-                   + (f" (unrestricted: {['|'.join(map(str, b)) for b in bad]})" if bad else ""))
-
-    _emit(ns.fmt, "exterior", payload, lines)
+        payload.update(p=prime, all_restricted=not bad, verdict="PASS" if ok else "FAIL")
+        tail.append(f"all highest weights restricted at p={prime}: {'PASS' if ok else 'FAIL'}"
+                    + (f" (unrestricted: {['|'.join(map(str, b)) for b in bad]})" if bad else ""))
+    _report(ns.fmt, "exterior", rd, dec, payload,
+            f"type {rd.gtype}, module dimension {chi.dim()}, "
+            f"exterior algebra dimension {ea.dim()}", tail)
     return 0 if ok else 1
 
 
@@ -278,23 +269,14 @@ def restrict(ns):
     total = embeddings.chain_restriction_map(steps)
     if total is None:
         raise UsageError("chain contains a map-less max-rank step")
-    amb_rd = build_root_datum(normalize_type(steps[-1].amb))
-    w = _parse_weight(ns.lam, amb_rd.rank)
-    ch.load_cache_file()
-    chi = ch.dual_weyl_character(amb_rd, w)
-    restricted = embeddings.restrict_character(chi, total)
-    sub_rd = build_root_datum(normalize_type(total.target))
-    dec = ch.decompose_dual_weyl(sub_rd, restricted)
-    _save_cache()
-    _emit(ns.fmt, "restrict",
-          lambda: {"ambient": str(amb_rd.gtype), "subgroup": str(sub_rd.gtype),
-                   "highest_weight": list(w), "dimension": chi.dim(),
-                   "exact": dec.exact, "terms": _keyed(sub_rd.rank, dec.terms)},
-          lambda: itertools.chain(
-              [f"restrict {amb_rd.gtype} nabla({ns.lam}) (dim {chi.dim()}) "
-               f"to {sub_rd.gtype}",
-               f"exact: {'yes' if dec.exact else 'NO (virtual)'}"],
-              _item_lines("  nabla(%s): %%d", sub_rd.rank, dec.items_sorted())))
+    amb_rd = build_root_datum(steps[-1].amb)
+    w, chi = _character(amb_rd, ns.lam)
+    sub_rd = build_root_datum(total.target)
+    dec = ch.decompose_dual_weyl(sub_rd, embeddings.restrict_character(chi, total))
+    _report(ns.fmt, "restrict", sub_rd, dec,
+            {"ambient": str(amb_rd.gtype), "subgroup": str(sub_rd.gtype),
+             "highest_weight": list(w), "dimension": chi.dim()},
+            f"restrict {amb_rd.gtype} nabla({ns.lam}) (dim {chi.dim()}) to {sub_rd.gtype}")
 
 
 def orbit_classical(ns):
@@ -314,17 +296,15 @@ def orbit_classical(ns):
               lambda: [f"{jt}: not a valid nilpotent Jordan type"])
         return 1
     labels = nilpotent.centralizer_factor_labels(jt)
+    ctype = nilpotent.reductive_centralizer(jt)
+    dim, udim = nilpotent.centralizer_dimension(jt), nilpotent.unipotent_dimension(jt)
     _emit(ns.fmt, "orbit",
           lambda: {"kind": kind, "partition": parts, "valid": True,
-                   "centralizer_factors": list(labels),
-                   "centralizer_type": str(nilpotent.reductive_centralizer(jt)),
-                   "centralizer_dimension": nilpotent.centralizer_dimension(jt),
-                   "unipotent_dimension": nilpotent.unipotent_dimension(jt)},
+                   "centralizer_factors": list(labels), "centralizer_type": str(ctype),
+                   "centralizer_dimension": dim, "unipotent_dimension": udim},
           lambda: [f"{jt}: valid",
-                   f"reductive centralizer: {'.'.join(labels)} "
-                   f"(root system {nilpotent.reductive_centralizer(jt)})",
-                   f"centralizer dimension: {nilpotent.centralizer_dimension(jt)} "
-                   f"(unipotent part {nilpotent.unipotent_dimension(jt)})"])
+                   f"reductive centralizer: {'.'.join(labels)} (root system {ctype})",
+                   f"centralizer dimension: {dim} (unipotent part {udim})"])
 
 
 def _read_tables(paths):
@@ -367,11 +347,13 @@ def spot_check(ns):
     for path, recs in _read_tables(ns.files):
         if not recs:
             continue
-        ambient = next((r.ambient for r in recs if r.ambient), None)
+        ambient = recs[0].ambient  # the table parser gives every record the same
         if ambient is None:
             raise DonkinError(f"{path}: cannot infer the ambient group")
         rd = build_root_datum(ambient)
         w = _parse_weight(ns.lam, rd.rank)
+        if not is_dominant(rd, w):
+            raise NotDominant(f"{w} is not dominant")
         for rec in recs:
             v = verifier.spot_check(rec, w)
             failed += v.status == "FAIL"

@@ -678,12 +678,19 @@ def check_step(step: EmbeddingStep) -> StepMatch:
     return m
 
 
-def step_map(step: EmbeddingStep) -> WeightMap | None:
-    """Weight map realizing one chain step, or None for a map-less max step;
-    a step that :func:`check_step` rejects raises IllegalStep."""
+def _legal(step: EmbeddingStep) -> StepMatch:
+    """:func:`check_step`'s verdict on a legal step; a step it rejects
+    raises IllegalStep with the text ``(SUB, AMB): REASON``."""
     m = check_step(step)
     if not m.legal:
         raise IllegalStep(f"({step.sub}, {step.amb}): {m.reason}")
+    return m
+
+
+def step_map(step: EmbeddingStep) -> WeightMap | None:
+    """Weight map realizing one chain step, or None for a map-less max step;
+    a step that :func:`check_step` rejects raises IllegalStep."""
+    m = _legal(step)
     build = _CLAUSES[step.tag][1]
     return None if build is None else build(step.sub, step.amb, m.payload)
 
@@ -691,19 +698,13 @@ def step_map(step: EmbeddingStep) -> WeightMap | None:
 def chain_restriction_map(steps) -> WeightMap | None:
     """Composed restriction map from the chain's ambient end to its start.
 
-    Returns None if any step carries no weight map (max-rank steps); the
-    steps under it build no map, but one that :func:`check_step` rejects
-    still raises IllegalStep.
+    Every step passes :func:`check_step` first, from the ambient end, and
+    the first one it rejects raises IllegalStep.  A chain with no step or
+    with a map-less (max-rank) step then gives None and builds no map.
     """
-    steps = list(steps)
-    total: WeightMap | None = None
-    while steps:
-        m = step_map(steps.pop())
-        if m is None:
-            for step in reversed(steps):
-                verdict = check_step(step)
-                if not verdict.legal:
-                    raise IllegalStep(f"({step.sub}, {step.amb}): {verdict.reason}")
-            return None
-        total = m if total is None else compose(total, m)
-    return total
+    steps = list(steps)[::-1]
+    for step in steps:
+        _legal(step)
+    if not steps or any(_CLAUSES[step.tag][1] is None for step in steps):
+        return None
+    return functools.reduce(compose, map(step_map, steps))

@@ -127,6 +127,7 @@ def test_closed_stdout_pipe_ends_quietly():
     assert proc.stdout.readline() == b"type E8, highest weight 1,0,0,0,0,0,0,1\n"
     proc.stdout.close()
     stderr = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert stderr == b""
 
@@ -288,6 +289,38 @@ def test_unreadable_input_is_a_usage_error(tmp_path, case):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, text", [
+    (["verify-tables", "{}"], Path(data_path("g2")).read_text("utf-8")),
+    (["verify-tables", "{}"], Path(data_path("g2")).read_text("utf-8").split("\n", 1)[1]),
+    (["decompose", "A1", "@{}"], "1 2\n2 0\n1 -2\n"),
+])
+def test_byte_order_mark_is_not_input(tmp_path, args, text):
+    """A UTF-8 byte-order mark in front of a table or a character file is
+    dropped: the output is that of the file without it, whether its first
+    line is a comment or a table row."""
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = run_cli([a.format(plain) for a in args])
+    result = run_cli([a.format(marked) for a in args])
+    assert result.exit_code == expected.exit_code == 0
+    assert result.stdout == expected.stdout
+    assert "\ufeff" not in result.stdout
+
+
+@pytest.mark.parametrize("table, lam", [("g2", "-1,0"), ("f4", "0,0,0,-1")])
+def test_spot_check_weight_not_dominant_is_an_input_error(table, lam):
+    """A --lambda that is not dominant for a table's ambient group is bad
+    input, as for char: exit 2 with one error line and nothing on stdout,
+    not a row verdict."""
+    for fmt in ("text", "jsonl"):
+        result = run_cli(["--format", fmt, "spot-check", data_path(table), "--lambda", lam])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: ({lam.replace(',', ', ')}) is not dominant\n"
 
 
 def test_restrict():
@@ -595,12 +628,13 @@ def test_char_output_matches_independent_rendering(name, lam):
     assert result.stdout == json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _cold_stdout_digest(argv):
+def _cold_stdout_digest(argv, code=0):
     """sha256 of the stdout of ``argv``, run with the in-memory tables of
-    dominant multiplicities empty, as in a fresh process; it must exit 0."""
+    dominant multiplicities empty, as in a fresh process; it must exit
+    ``code``."""
     clear_memo()
     result = run_cli(argv)
-    assert result.exit_code == 0, result.stderr
+    assert result.exit_code == code, result.stderr
     return hashlib.sha256(result.stdout.encode()).hexdigest()
 
 
@@ -663,16 +697,36 @@ DIGESTS = {
     ("exterior", "C3", "1,0,0"): "3271909bad3a8b00d6086271aa591d362df1f5a95d7d3c63317a15262ffc2491",
     ("exterior", "D4", "1,0,0,0"): "b21fc400b9878dc77c49784aa7d9eb1b127863bdb60f8abc2f78dc59dd6638d3",
     ("decompose", "B2.T1", "@b2t1.txt"): "a8044d71fb799dde4d10bf41ac74b44bcb50eca8b689d75735f5b5af0c1fd7b1",
+    # both output forms of orbit and of exterior --p, a spot-check in text and
+    # verify-tables in jsonl; an entry (code, digest) exits with that code
+    ("orbit", "classical", "GL", "3,1"): "410338674130ea009d454b9b76b11086e9b875ddcdac4e3c84d37103d7155d01",
+    ("orbit", "classical", "Sp", "4,2"): "0d45171557e4822cede14d6af456f76d7a1d95bf27dd1652b38ed002aa8df332",
+    ("orbit", "classical", "SO", "3,2,2"): "9630863bbaebbfc26afd5c8f8a5cdd17b86d59cd752c0ad3ae9d2c13ff4a0049",
+    ("orbit", "classical", "Sp", "3,1"): (1, "8b6ec25acd3924144f1c9d91f316d78ae5b6faf3546c4d4494996612915a0999"),
+    ("--format", "jsonl", "orbit", "classical", "GL", "3,1"): "47bc8c9864f51ded191c256979b70d448ba1873b52c1455076c30df3d2546811",
+    ("--format", "jsonl", "orbit", "classical", "Sp", "4,2"): "a9141450308bee092b0c3f852d74a3e86dcaa5b9287ac2ac5f14cd314b44f534",
+    ("--format", "jsonl", "orbit", "classical", "SO", "3,2,2"): "324015dcae51d8d490f4adbb2794aad38a66f7d469d2d365342424e2393ea72a",
+    ("--format", "jsonl", "orbit", "classical", "Sp", "3,1"): (1, "ab75c2ed9542027fb79c1dfc1757a65753d8d308fc4fe6a0d3680f8b30376919"),
+    ("exterior", "G2", "1,0", "--p", "5"): "dfdffc2fa6991323e93c3795aec426e6a178f0a88901635ff982a6e3b997fc8e",
+    ("exterior", "A1", "3", "--p", "2"): (1, "feed9732648cc385ca4ad9c92ef8883f8089db1655198387e470c9608d494506"),
+    ("--format", "jsonl", "exterior", "G2", "1,0", "--p", "5"): "c7acf35037d9710aa0cae340db22ca4518c66ba9c12323bb4adae3bb7f31c66a",
+    ("--format", "jsonl", "exterior", "A1", "3", "--p", "2"): (1, "169d2852c2eb332ebf6d2070b9bd4e107594de48f0d3e67ade3dedc28aa93c25"),
+    ("spot-check", "f4.tbl", "--lambda", "0,0,0,1"): "bd5f498f12efb1f92c62003220ebd20514b78d0fa0865a0e88dd702a5db3235b",
+    ("--format", "jsonl", "verify-tables", "g2.tbl", "f4.tbl"): "84433dd9a328abf655dc62618049cec2a722175593c1985a85deefc403eece36",
 }
 
 
 @pytest.mark.parametrize("argv", DIGESTS, ids=" ".join)
 def test_output_matches_its_digest(argv, tmp_path, monkeypatch):
-    """stdout is byte-identical to the recorded output; the decompose job
-    reads B2T1_VIRTUAL from a file in the working directory."""
+    """stdout is byte-identical to the recorded output.  The decompose job
+    reads B2T1_VIRTUAL from a file in the working directory, and the table
+    jobs copies of the shipped tables there, named in their jsonl records."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "b2t1.txt").write_text(B2T1_VIRTUAL, encoding="utf-8")
-    assert _cold_stdout_digest(list(argv)) == DIGESTS[argv]
+    for name in ("g2", "f4"):
+        (tmp_path / f"{name}.tbl").write_text(Path(data_path(name)).read_text("utf-8"), "utf-8")
+    code, digest = DIGESTS[argv] if isinstance(DIGESTS[argv], tuple) else (0, DIGESTS[argv])
+    assert _cold_stdout_digest(list(argv), code) == digest
 
 
 class _ByteCount:

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import serialize_orbit_tables
 from donkin.embeddings import _CLAUSES, EmbeddingStep, check_step, match_step
-from donkin.errors import UnknownType
+from donkin.errors import NotDominant, UnknownType
 from donkin.nilpotent import OrbitRecord, parse_orbit_tables
 from donkin.rootsystem import GroupType, SimpleType
 from donkin.verifier import (
@@ -176,9 +176,11 @@ def test_spot_check_nontrivial(shipped_tables, name, lam):
 
 
 def test_spot_check_rejects_nondominant(shipped_tables):
+    """A weight that is not dominant is bad input, not a verdict: the row's
+    check raises NotDominant from dual_weyl_character."""
     rec = next(r for r in shipped_tables["e7"] if not r.is_torus)
-    v = spot_check(rec, (-1, 0, 0, 0, 0, 0, 0))
-    assert v.status == "FAIL"
+    with pytest.raises(NotDominant, match=r"^\(-1, 0, 0, 0, 0, 0, 0\) is not dominant$"):
+        spot_check(rec, (-1, 0, 0, 0, 0, 0, 0))
 
 
 def test_spot_check_ambient_memo_never_goes_stale(shipped_tables):
