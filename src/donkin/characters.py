@@ -22,12 +22,7 @@ import threading
 from collections import namedtuple
 from operator import mul, sub
 
-from .errors import (
-    AmbientMismatch,
-    NegativeInput,
-    NotDominant,
-    NotSymmetric,
-)
+from .errors import NegativeInput, NotSymmetric
 from .rootsystem import (
     GroupType,
     RootDatum,
@@ -37,7 +32,6 @@ from .rootsystem import (
     _image,
     _tup,
     build_root_datum,
-    is_dominant,
     normalize_type,
     weyl_dim,
     weyl_orbit,
@@ -138,7 +132,7 @@ def _root_orbits(rd: RootDatum, walls: tuple[int, ...]
     """
     index = {alpha: n for n, alpha in enumerate(rd.positive_roots)}
     position: dict[int, int] = {}
-    orbit_of = [position.setdefault(index[_dominant(alpha, walls, rd._columns)], len(position))
+    orbit_of = [position.setdefault(index[_dominant(alpha, walls, rd.columns)], len(position))
                 for alpha in rd.positive_roots]
     return tuple((b, 2 * orbit_of.count(k)) for b, k in position.items()), tuple(orbit_of)
 
@@ -163,7 +157,7 @@ def _cached_entry_ok(rd: RootDatum, lam: Weight, mults: dict[Weight, int]) -> bo
     dimension, which one changed, added or deleted weight always moves."""
     total = 0
     for mu, m in mults.items():
-        if len(mu) != rd.rank or m <= 0 or any(mu[i] < 0 for i in rd._simple):
+        if len(mu) != rd.rank or m <= 0 or any(mu[i] < 0 for i in rd.simple):
             return False
         total += m * _orbit_size(rd, tuple(c > 0 for c in mu))
     return mults.get(lam) == 1 and total == weyl_dim(rd, lam)
@@ -198,7 +192,7 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     if on_disk is not None and _cached_entry_ok(rd, key[1], on_disk):
         mults = on_disk
     else:
-        simple, columns = rd.simple_indices(), rd._columns
+        simple, columns = rd.simple, rd.columns
         # (alpha, G alpha, <alpha, alpha>): <mu + k alpha, alpha> = <mu, alpha> + k <alpha, alpha>
         roots = []
         for alpha in rd.positive_roots:
@@ -255,10 +249,7 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
 def dual_weyl_character(rd: RootDatum, lam: Weight) -> FormalCharacter:
     """Character of the dual Weyl module with highest weight ``lam``, its
     support in print order (see ``weyl_orbit``)."""
-    rd.check_weight(lam)
-    lam = tuple(lam)
-    if not is_dominant(rd, lam):
-        raise NotDominant(f"{lam} is not dominant")
+    lam = rd.dominant(lam)
     return FormalCharacter(rd.gtype, weyl_orbit(rd, _freudenthal(rd, lam)))
 
 
@@ -366,8 +357,8 @@ def _racah_kernels(rd: RootDatum):
             return sums
     """
     check = fold = ""
-    for i in rd._simple:
-        col = rd._columns[i]
+    for i in rd.simple:
+        col = rd.columns[i]
         check += ("        if v%d > 0:\n            if get(%s) != m:\n"
                   "                return False\n            d += 1\n"
                   "        elif v%d < 0:\n            d -= 1\n" % (i, _tup(_image(col, i)), i))
@@ -386,7 +377,7 @@ def _racah_kernels(rd: RootDatum):
                "    for %s, m in support.items():\n%s        while True:\n%s            %s:\n"
                "                x = %s\n                sums[x] = get(x, 0) + m\n"
                "                break\n    return sums\n"
-               % (x, "".join("        x%d += 1\n" % i for i in rd._simple), fold,
+               % (x, "".join("        x%d += 1\n" % i for i in rd.simple), fold,
                   "else" if fold else "if True", x))
     return _compiled(source, "<racah>", "check", "fold")
 
@@ -405,7 +396,7 @@ def _check_symmetric(rd: RootDatum, support: dict[Weight, int]) -> None:
     """
     if _racah_kernels(rd)[0](support):
         return
-    for i in rd._simple:
+    for i in rd.simple:
         u = next((u for u in support if u[i] > 0 and support.get(rd.reflect(u, i)) != support[u]),
                  None)
         if u is None:
@@ -417,8 +408,9 @@ def _check_symmetric(rd: RootDatum, support: dict[Weight, int]) -> None:
     raise AssertionError("symmetry check failed with no weight to name")
 
 
-def decompose_dual_weyl(rd: RootDatum, chi: FormalCharacter) -> DualWeylDecomposition:
-    """One-pass Racah–Speiser decomposition of a Weyl-symmetric character.
+def decompose_dual_weyl(chi: FormalCharacter) -> DualWeylDecomposition:
+    """One-pass Racah–Speiser decomposition of a Weyl-symmetric character
+    over its own group, ``chi.ambient``.
 
     The input is checked first to be W-invariant (NotSymmetric names a weight
     and its reflection whose multiplicities differ), as the rule would
@@ -428,8 +420,7 @@ def decompose_dual_weyl(rd: RootDatum, chi: FormalCharacter) -> DualWeylDecompos
     a wall (Humphreys, *Introduction to Lie Algebras and Representation
     Theory*, §24).
     """
-    if normalize_type(chi.ambient) != rd.gtype:
-        raise AmbientMismatch(f"{chi.ambient} vs {rd.gtype}")
+    rd = build_root_datum(chi.ambient)
     _check_symmetric(rd, chi.support)
     rho = rd.rho
     sums = _racah_kernels(rd)[1](chi.support)
@@ -439,10 +430,8 @@ def decompose_dual_weyl(rd: RootDatum, chi: FormalCharacter) -> DualWeylDecompos
 
 def is_restricted(rd: RootDatum, lam: Weight, p: int) -> bool:
     """True iff every non-torus coordinate of the dominant weight is <= p-1."""
-    rd.check_weight(lam)
-    if not is_dominant(rd, lam):
-        raise NotDominant(f"{lam} is not dominant")
-    return all(lam[i] <= p - 1 for i in rd.simple_indices())
+    lam = rd.dominant(lam)
+    return all(lam[i] <= p - 1 for i in rd.simple)
 
 
 def min_prime_greater(n: int) -> int:

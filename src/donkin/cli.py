@@ -10,12 +10,13 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import os
+import re
 import sys
 import time
 import types
 
-from .errors import DonkinError, NotDominant, TableSyntaxError
-from .rootsystem import GroupType, build_root_datum, highest_roots, is_dominant, weyl_dim
+from .errors import DonkinError, TableSyntaxError
+from .rootsystem import GroupType, build_root_datum, highest_roots, weyl_dim
 
 
 def _on_demand(name):
@@ -52,11 +53,14 @@ class UsageError(Exception):
     then ``Error: MESSAGE`` on stderr, and exit status 2."""
 
 
+# A weight LAM as it is written: comma-separated decimal integers in ASCII
+_LAM = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
+
+
 def _parse_weight(text: str, rank: int):
-    try:
-        coords = tuple(int(c) for c in text.split(","))
-    except ValueError:
+    if not _LAM.fullmatch(text):
         raise UsageError(f"bad weight {text!r}; expected comma-separated integers")
+    coords = tuple(map(int, text.split(",")))
     if len(coords) != rank:
         raise UsageError(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
     return coords
@@ -130,15 +134,16 @@ def _character(rd, text):
     return w, chi
 
 
-def _report(fmt, kind, rd, dec, payload, head, tail=()):
-    """Print the decomposition ``dec`` over ``rd``: in jsonl, ``payload`` with
-    its ``exact`` and ``terms``; in text, the ``head`` line, the ``exact:``
-    line, one ``nabla(…)`` line per term, then the ``tail`` lines."""
+def _report(fmt, kind, dec, payload, head, tail=()):
+    """Print the decomposition ``dec``: in jsonl, ``payload`` with its
+    ``exact`` and ``terms``; in text, the ``head`` line, the ``exact:`` line,
+    one ``nabla(…)`` line per term, then the ``tail`` lines."""
+    rank = dec.ambient.rank
     _emit(fmt, kind,
-          lambda: {**payload, "exact": dec.exact, "terms": _keyed(rd.rank, dec.terms)},
+          lambda: {**payload, "exact": dec.exact, "terms": _keyed(rank, dec.terms)},
           lambda: itertools.chain(
               [head, f"exact: {'yes' if dec.exact else 'NO (virtual)'}"],
-              _item_lines("  nabla(%s): %%d", rd.rank, dec.items_sorted()), tail))
+              _item_lines("  nabla(%s): %%d", rank, dec.items_sorted()), tail))
 
 
 def roots(ns):
@@ -221,8 +226,8 @@ def decompose(ns):
     if not ns.source.startswith("@"):
         raise UsageError("SOURCE must be @FILE")
     chi = _read_character(rd, ns.source[1:])
-    dec = ch.decompose_dual_weyl(rd, chi)
-    _report(ns.fmt, "decompose", rd, dec, {"type": str(rd.gtype), "dimension": chi.dim()},
+    dec = ch.decompose_dual_weyl(chi)
+    _report(ns.fmt, "decompose", dec, {"type": str(rd.gtype), "dimension": chi.dim()},
             f"type {rd.gtype}, dimension {chi.dim()}")
 
 
@@ -239,7 +244,7 @@ def exterior(ns):
     rd = _datum(ns.type)
     _, chi = _character(rd, ns.lam)
     ea = ch.exterior_algebra(chi)
-    dec = ch.decompose_dual_weyl(rd, ea)
+    dec = ch.decompose_dual_weyl(ea)
     payload = {"type": str(rd.gtype), "module_dim": chi.dim(), "algebra_dim": ea.dim()}
     tail = []
     ok = True
@@ -249,7 +254,7 @@ def exterior(ns):
         payload.update(p=prime, all_restricted=not bad, verdict="PASS" if ok else "FAIL")
         tail.append(f"all highest weights restricted at p={prime}: {'PASS' if ok else 'FAIL'}"
                     + (f" (unrestricted: {['|'.join(map(str, b)) for b in bad]})" if bad else ""))
-    _report(ns.fmt, "exterior", rd, dec, payload,
+    _report(ns.fmt, "exterior", dec, payload,
             f"type {rd.gtype}, module dimension {chi.dim()}, "
             f"exterior algebra dimension {ea.dim()}", tail)
     return 0 if ok else 1
@@ -271,12 +276,11 @@ def restrict(ns):
         raise UsageError("chain contains a map-less max-rank step")
     amb_rd = build_root_datum(steps[-1].amb)
     w, chi = _character(amb_rd, ns.lam)
-    sub_rd = build_root_datum(total.target)
-    dec = ch.decompose_dual_weyl(sub_rd, embeddings.restrict_character(chi, total))
-    _report(ns.fmt, "restrict", sub_rd, dec,
-            {"ambient": str(amb_rd.gtype), "subgroup": str(sub_rd.gtype),
+    dec = ch.decompose_dual_weyl(embeddings.restrict_character(chi, total))
+    _report(ns.fmt, "restrict", dec,
+            {"ambient": str(amb_rd.gtype), "subgroup": str(dec.ambient),
              "highest_weight": list(w), "dimension": chi.dim()},
-            f"restrict {amb_rd.gtype} nabla({ns.lam}) (dim {chi.dim()}) to {sub_rd.gtype}")
+            f"restrict {amb_rd.gtype} nabla({ns.lam}) (dim {chi.dim()}) to {dec.ambient}")
 
 
 def orbit_classical(ns):
@@ -290,7 +294,7 @@ def orbit_classical(ns):
     except ValueError:
         raise UsageError("PARTITION must be comma-separated integers")
     jt = nilpotent.JordanType.from_partition(kind, parts)
-    if not nilpotent.validate_jordan(jt, jt.n):
+    if not nilpotent.validate_jordan(jt):
         _emit(ns.fmt, "orbit",
               lambda: {"kind": kind, "partition": parts, "valid": False},
               lambda: [f"{jt}: not a valid nilpotent Jordan type"])
@@ -351,9 +355,7 @@ def spot_check(ns):
         if ambient is None:
             raise DonkinError(f"{path}: cannot infer the ambient group")
         rd = build_root_datum(ambient)
-        w = _parse_weight(ns.lam, rd.rank)
-        if not is_dominant(rd, w):
-            raise NotDominant(f"{w} is not dominant")
+        w = rd.dominant(_parse_weight(ns.lam, rd.rank))
         for rec in recs:
             v = verifier.spot_check(rec, w)
             failed += v.status == "FAIL"
@@ -396,13 +398,13 @@ def _help(ns):
 def _parse(ns, argv):
     """Fill ``ns`` from ``argv``: donkin's options, the command, then its
     arguments and options in any order.  A word starting with '-' is an
-    option unless it is '-', a negative integer or after '--'; its value
+    option unless it is '-', a weight (``_LAM``) or after '--'; its value
     follows '=' or is the next word.  A fault raises UsageError."""
     options, values, rest = {"--format": "fmt"}, [], False
     names = ["COMMAND"]  # until the command is read
     argv = iter(argv)
     for arg in argv:
-        if rest or arg[:1] != "-" or arg == "-" or arg[1:].isdecimal():
+        if rest or arg[:1] != "-" or arg == "-" or _LAM.fullmatch(arg):
             if ns.name:
                 values.append(arg)
                 continue

@@ -427,16 +427,16 @@ def _folding_entry(amb: SimpleType):
     if amb.letter == "A" and amb.rank % 2 == 1 and amb.rank >= 3:
         n = (amb.rank + 1) // 2
         orbits = tuple(tuple({i, amb.rank + 1 - i}) for i in range(1, n)) + ((n,),)
-        return [(f"C{n}", orbits)]
+        return [(GroupType((SimpleType("C", n),)), orbits)]
     if amb.letter == "D" and amb.rank >= 4:
         n = amb.rank
-        entries = [(f"B{n - 1}",
+        entries = [(GroupType((SimpleType("B", n - 1),)),
                     tuple((i,) for i in range(1, n - 1)) + ((n - 1, n),))]
         if n == 4:
-            entries.append(("G2", ((1, 3, 4), (2,))))
+            entries.append((GroupType((SimpleType("G", 2),)), ((1, 3, 4), (2,))))
         return entries
     if (amb.letter, amb.rank) == ("E", 6):
-        return [("F4", ((2,), (4,), (3, 5), (1, 6)))]
+        return [(GroupType((SimpleType("F", 4),)), ((2,), (4,), (3, 5), (1, 6)))]
     return []
 
 
@@ -446,7 +446,7 @@ def _fold_pair_ok(s: SimpleType, a: SimpleType):
         return ("spectator", 1)
     sn = normalize_type(GroupType((s,)))
     for vocab, orbits in _folding_entry(a):
-        if normalize_type(GroupType.parse(vocab)) == sn:
+        if normalize_type(vocab) == sn:
             return ((vocab, orbits), 1)
     return None
 
@@ -459,7 +459,7 @@ def _fold_block(s: SimpleType, a: SimpleType, fold):
     core = [[int(j + 1 in orb) for j in range(a.rank)] for orb in orbits]
     return linalg.mat_mul(
         _denormalization_rows(GroupType((s,))),
-        linalg.mat_mul(normalization_map(GroupType.parse(vocab)).matrix, core))
+        linalg.mat_mul(normalization_map(vocab).matrix, core))
 
 
 # ---------------------------------------------------------------------------

@@ -65,13 +65,10 @@ class JordanType(namedtuple("JordanType", "kind parts")):
         return f"{self.kind}[{','.join(map(str, self.partition()))}]"
 
 
-def validate_jordan(jt: JordanType, n: int) -> bool:
-    """Size sum matches and the kind's parity constraint holds."""
-    if jt.n != n:
-        return False
+def validate_jordan(jt: JordanType) -> bool:
+    """The kind's parity constraint holds.  An Sp type that passes has even
+    size: an odd size needs an odd part of odd multiplicity."""
     if jt.kind == "Sp":
-        if n % 2:
-            return False
         return all(r % 2 == 0 for s, r in jt.parts if s % 2 == 1)
     if jt.kind == "SO":
         return all(r % 2 == 0 for s, r in jt.parts if s % 2 == 0)
@@ -79,7 +76,7 @@ def validate_jordan(jt: JordanType, n: int) -> bool:
 
 
 def _check_valid(jt: JordanType):
-    if not validate_jordan(jt, jt.n):
+    if not validate_jordan(jt):
         raise InvalidJordanType(f"{jt} violates the parity constraint")
 
 
@@ -230,9 +227,9 @@ def parse_orbit_tables(text: str) -> list[OrbitRecord]:
         except ValueError as exc:
             raise TableSyntaxError(lineno, col, str(exc)) from None
         records.append(OrbitRecord(label, centralizer, chain))
-    ends = Counter(str(normalize_type(r.chain_end())) for r in records if r.chain)
+    ends = Counter(normalize_type(r.chain_end()) for r in records if r.chain)
     if ends:
-        ambient = GroupType.parse(ends.most_common(1)[0][0])
+        ambient = ends.most_common(1)[0][0]
         records = [OrbitRecord(r.label, r.centralizer, r.chain, ambient)
                    for r in records]
     return records

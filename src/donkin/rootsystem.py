@@ -277,10 +277,11 @@ class RootDatum:
         self.gtype = gtype
         self.rank = gtype.rank
         n = self.rank
-        self.cartan = cartan = cartan_matrix(gtype)
-        self.torus = torus = tuple(row[i] == 0 for i, row in enumerate(cartan))
+        cartan = cartan_matrix(gtype)
+        # the simple coordinates: a torus coordinate has a zero Cartan row
+        self.simple = tuple(i for i, row in enumerate(cartan) if row[i])
         # column i of the Cartan matrix = alpha_i in fw coordinates
-        self._columns = columns = tuple(zip(*cartan))
+        self.columns = columns = tuple(zip(*cartan))
         blocks = []  # (offset, numerators of G's block, det A) per semisimple factor
         roots: list[tuple[Weight, Weight]] = []  # (root, coroot), factor by factor
         offset = 0
@@ -305,28 +306,30 @@ class RootDatum:
             for i, row in enumerate(nums):
                 gram[offset + i][offset:offset + len(row)] = [x * scale // det for x in row]
         self.gram = tuple(map(tuple, gram))
-        self.rho: Weight = tuple(0 if torus[i] else 1 for i in range(n))
-        self._simple = tuple(i for i in range(n) if not torus[i])
+        self.rho: Weight = tuple(int(i in self.simple) for i in range(n))
         # sum of positive coroots; any dominance-compatible height functional
         self.height_functional: Weight = tuple(
             sum(cv[i] for cv in self.positive_coroots) for i in range(n))
 
     # -- basics ------------------------------------------------------------
 
-    def check_weight(self, w: Weight) -> None:
+    def dominant(self, w) -> Weight:
+        """``w`` as a tuple, if it is a dominant weight of this datum: it has
+        the rank's length (else DimensionMismatch) and no negative simple
+        coordinate (else NotDominant).  The one weight gate of the package."""
+        w = tuple(w)
         if len(w) != self.rank:
-            raise DimensionMismatch(
-                f"weight of length {len(w)} against rank {self.rank}")
-
-    def simple_indices(self) -> tuple[int, ...]:
-        return self._simple
+            raise DimensionMismatch(f"weight of length {len(w)} against rank {self.rank}")
+        if any(w[i] < 0 for i in self.simple):
+            raise NotDominant(f"{w} is not dominant")
+        return w
 
     def reflect(self, w: Weight, i: int) -> Weight:
         """Simple reflection s_i (0-based coordinate index)."""
         c = w[i]
         if c == 0:
             return w
-        col = self._columns[i]
+        col = self.columns[i]
         return tuple(w[j] - c * col[j] for j in range(self.rank))
 
     def height(self, w: Weight) -> int:
@@ -359,11 +362,6 @@ def build_root_datum(gtype) -> RootDatum:
 
 # ---------------------------------------------------------------------------
 # Weyl combinatorics
-
-def is_dominant(rd: RootDatum, w: Weight) -> bool:
-    rd.check_weight(w)
-    return all(w[i] >= 0 for i in rd.simple_indices())
-
 
 def _dominant(w: Weight, simple, columns) -> Weight:
     """Reflect ``w`` by s_i at its first negative simple coordinate until none is left."""
@@ -416,12 +414,12 @@ def _expander(rd: RootDatum):
                 pass
     """
     body = []
-    for i in rd._simple:
-        col = rd._columns[i]
+    for i in rd.simple:
+        col = rd.columns[i]
         test = ["v%d > 0" % i]
-        test += ["v%d >= 0" % j for j in rd._simple if j < i and not col[j]]
+        test += ["v%d >= 0" % j for j in rd.simple if j < i and not col[j]]
         test += ["v%d >= %s" % (j, _times(col[j], "v%d" % i))
-                 for j in rd._simple if j < i and col[j]]
+                 for j in rd.simple if j < i and col[j]]
         body.append("        if %s:\n            levels[k + 2 * v%d].append((%s, m))\n"
                     % (" and ".join(test), i, _tup(_image(col, i))))
     source = ("def expand(level, levels, k):\n    for %s, m in level:\n%s        pass\n"
@@ -453,12 +451,7 @@ def weyl_orbit(rd: RootDatum, dominant: dict[Weight, int]) -> dict[Weight, int]:
     ``_expander``.  The walk counts what it emits and raises AssertionError
     at the first level that repeats a point.
     """
-    heights = []
-    for w in dominant:
-        rd.check_weight(w)
-        if any(w[i] < 0 for i in rd._simple):
-            raise NotDominant(f"{w} is not dominant")
-        heights.append(rd.height(w))
+    heights = [rd.height(rd.dominant(w)) for w in dominant]
     if not heights:
         return {}
     top = max(heights)
@@ -484,9 +477,7 @@ def weyl_orbit(rd: RootDatum, dominant: dict[Weight, int]) -> dict[Weight, int]:
 
 def weyl_dim(rd: RootDatum, lam: Weight) -> int:
     """Dimension of the dual Weyl module, by the product formula."""
-    rd.check_weight(lam)
-    if not is_dominant(rd, lam):
-        raise NotDominant(f"{lam} is not dominant")
+    lam = rd.dominant(lam)
     num = den = 1
     for cv in rd.positive_coroots:
         num *= rd.pairing(lam, cv) + rd.pairing(rd.rho, cv)

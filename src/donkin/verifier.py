@@ -106,15 +106,17 @@ def _ambient_character(gtype: GroupType, lam: tuple[int, ...]) -> FormalCharacte
 
 
 def spot_check(rec: OrbitRecord, lam) -> SpotVerdict:
-    """:func:`verify_record`, then restrict the ambient dual Weyl character
+    """:func:`verify_record`, then restrict ∇(lam) of the ambient group
     along the chain and demand an exact nonnegative dual-Weyl decomposition
-    at the bottom.
+    of the result, over the group the restricted character carries (the
+    chain's start).
 
     Torus rows, rows with no ambient group and chains with a map-less
     (maximal-rank) step are SKIPPED; a row that :func:`verify_record` fails
     is a FAIL naming its notes, so ``verify-tables`` and ``spot-check`` fail
-    the same rows for the same causes.  A ``lam`` that is not dominant for
-    the ambient group raises NotDominant from ``dual_weyl_character``.
+    the same rows for the same causes.  A ``lam`` that is not a dominant
+    weight of the ambient group is bad input, not a verdict: the ambient
+    root datum's ``dominant`` raises DimensionMismatch or NotDominant.
     """
     if rec.is_torus:
         return SpotVerdict(rec, "SKIPPED", "torus centralizer carries no map data")
@@ -130,11 +132,10 @@ def spot_check(rec: OrbitRecord, lam) -> SpotVerdict:
     restricted = restrict_character(chi, total)
     if restricted.dim() != chi.dim():
         return SpotVerdict(rec, "FAIL", "restriction changed the dimension")
-    sub_rd = build_root_datum(total.target)
-    dec = decompose_dual_weyl(sub_rd, restricted)
+    dec = decompose_dual_weyl(restricted)
     if not dec.exact:
         return SpotVerdict(rec, "FAIL",
                            "decomposition has negative multiplicities", dec.terms)
     return SpotVerdict(rec, "PASS",
                        f"exact decomposition with {len(dec.terms)} terms in "
-                       f"{sub_rd.gtype}", dec.terms)
+                       f"{dec.ambient}", dec.terms)

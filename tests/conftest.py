@@ -29,6 +29,7 @@ from donkin.rootsystem import (
     _classify_nodes,
     _dominant,
     build_root_datum,
+    cartan_matrix,
     normalize_type,
     weyl_dim,
     weyl_orbit,
@@ -127,7 +128,7 @@ def pinned_table(rd, name):
     coordinates -1), lead from ``PIN_LEAD``, 2 omega of the last simple node
     (torus coordinate i at 2 - i) and 0 (torus coordinates -2), with
     multiplicities 1, 2, 3; a key met twice keeps its first multiplicity."""
-    simple, lead = rd.simple_indices(), PIN_LEAD.get(name, rd.rank)
+    simple, lead = rd.simple, PIN_LEAD.get(name, rd.rank)
     keys = [[0 if i in simple[lead:] else 1 if i in simple else -1 for i in range(rd.rank)],
             [2 if simple and i == simple[-1] else 0 if i in simple else 2 - i
              for i in range(rd.rank)],
@@ -138,10 +139,15 @@ def pinned_table(rd, name):
     return table
 
 
+def is_dominant(rd, w):
+    """Whether no simple coordinate of ``w`` is negative."""
+    return all(w[i] >= 0 for i in rd.simple)
+
+
 def dominant_representative(rd, w):
     """The dominant weight in the Weyl orbit of ``w``."""
-    rd.check_weight(w)
-    return _dominant(tuple(w), rd.simple_indices(), rd._columns)
+    assert len(w) == rd.rank
+    return _dominant(tuple(w), rd.simple, rd.columns)
 
 
 def orbit(rd, w):
@@ -156,7 +162,7 @@ def image(wmap, w):
 
 def subdiagram_type(rd, nodes) -> GroupType:
     """Group type of the induced Dynkin subdiagram plus a torus of the corank."""
-    facs = [st for st, _ in _classify_nodes(rd.cartan, nodes)]
+    facs = [st for st, _ in _classify_nodes(cartan_matrix(rd.gtype), nodes)]
     corank = rd.rank - sum(st.rank for st in facs)
     if corank:
         facs.append(SimpleType("T", corank))
@@ -233,9 +239,9 @@ def interpreted_check_symmetric(rd, support) -> None:
     time: the first u with u[i] > 0 whose s_i u has another multiplicity,
     else, if the two sides differ in size, the first u with u[i] < 0 and no
     partner at s_i u, raises NotSymmetric with the text the engine prints."""
-    for i in rd.simple_indices():
+    for i in rd.simple:
         # s_i moves coordinate i and i's Dynkin neighbours j, by -c * a_ji
-        moved = [(j, a) for j, a in enumerate(rd._columns[i]) if a and j != i]
+        moved = [(j, a) for j, a in enumerate(rd.columns[i]) if a and j != i]
         above = below = 0
         for u, m in support.items():
             c = u[i]
@@ -265,7 +271,7 @@ def interpreted_fold(rd, support) -> dict:
     in its order.  Each nu + rho is reflected at its first simple coordinate
     c <= 0 (the sign of m turned each time) until it is dominant, and adds m
     at x - rho; it adds nothing when c = 0, x on a wall."""
-    simple, columns, rho = rd.simple_indices(), rd._columns, rd.rho
+    simple, columns, rho = rd.simple, rd.columns, rd.rho
     sums = {}
     for nu, m in support.items():
         x = tuple(map(add, nu, rho))
@@ -308,7 +314,7 @@ def dominant_weights_below(rd, lam):
         for mu in frontier:
             for alpha in rd.positive_roots:
                 nu = tuple(m - a for m, a in zip(mu, alpha))
-                if nu not in found and all(nu[i] >= 0 for i in rd.simple_indices()):
+                if nu not in found and all(nu[i] >= 0 for i in rd.simple):
                     found.add(nu)
                     nxt.append(nu)
         frontier = nxt
@@ -326,7 +332,7 @@ def string_freudenthal(rd, lam):
     lam = tuple(lam)
     if not rd.positive_roots:
         return {lam: 1}
-    simple, columns = rd.simple_indices(), rd._columns
+    simple, columns = rd.simple, rd.columns
     roots = []
     for alpha in rd.positive_roots:
         g_alpha = tuple(sum(map(mul, row, alpha)) for row in rd.gram)
@@ -613,6 +619,6 @@ def valid_partitions(kind, n):
     out = []
     for p in partitions(n, n):
         jt = JordanType.from_partition(kind, p)
-        if validate_jordan(jt, n):
+        if validate_jordan(jt):
             out.append(jt)
     return out

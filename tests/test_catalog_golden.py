@@ -164,7 +164,7 @@ def test_every_legal_grid_map_carries_lie_h_into_lie_g():
             failed.append((tag, sub, amb, "weight deficit"))
             continue
         try:
-            if not decompose_dual_weyl(rd, FormalCharacter(rd.gtype, rest)).exact:
+            if not decompose_dual_weyl(FormalCharacter(rd.gtype, rest)).exact:
                 failed.append((tag, sub, amb, "negative term"))
         except NotSymmetric:
             failed.append((tag, sub, amb, "not Weyl-invariant"))

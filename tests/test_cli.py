@@ -64,7 +64,7 @@ def test_unknown_flag_is_an_error():
     (["char", "G2", "-h"], 0, "usage: donkin char TYPE LAM\n"),
     (["roots", "E8", "--help"], 0, "usage: donkin roots TYPE\n"),
     (["char", "T1", "-3"], 0, "\n  -3: 1\n"),
-    (["char", "T2", "-3,1"], 2, ""),
+    (["char", "T2", "-3;1"], 2, ""),
     (["char", "T2", "--", "-3,1"], 0, "\n  -3,1: 1\n"),
     (["exterior", "G2", "1,0", "--p=5"], 0, "at p=5: PASS"),
     (["exterior", "G2", "1,0", "--p"], 2, ""),
@@ -74,12 +74,20 @@ def test_unknown_flag_is_an_error():
     (["orbit", "classical", "GL"], 2, ""),
     (["orbit", "nilpotent", "GL", "2,1"], 2, ""),
     (["--form", "jsonl", "roots", "A1"], 2, ""),
+    (["char", "T2", "-3,1"], 0, "\n  -3,1: 1\n"),
+    (["char", "A1", "1_0"], 2, ""),
+    (["char", "A1", "+1"], 2, ""),
+    (["char", "A1", " 1"], 2, ""),
+    (["char", "A1", "\u0661"], 2, ""),
+    (["restrict", "A1 -[alias]-> A1", "1_0"], 2, ""),
 ])
 def test_exit_code_contract(args, code, shown):
     """Parse and usage errors exit 2, print nothing on stdout and end stderr
     with one ``Error: …`` line; help exits 0.  Global options come before
-    the command and options are never abbreviated; a lone negative integer
-    is an argument, and after ``--`` any word is."""
+    the command and options are never abbreviated; a weight, negative
+    coordinates included, is an argument, and after ``--`` any word is.  A
+    weight is comma-separated ASCII decimal integers: no '+', blank, '_' or
+    other digits."""
     result = run_cli(args)
     assert result.exit_code == code
     if shown:
@@ -321,6 +329,25 @@ def test_spot_check_weight_not_dominant_is_an_input_error(table, lam):
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == f"error: ({lam.replace(',', ', ')}) is not dominant\n"
+
+
+@pytest.mark.parametrize("args, stderr", [
+    (["char", "A1", "-1"], "error: (-1,) is not dominant\n"),
+    (["exterior", "G2", "0,-1"], "error: (0, -1) is not dominant\n"),
+    (["restrict", "C2 -[auto]-> A3", "0,-1,0"], "error: (0, -1, 0) is not dominant\n"),
+    (["char", "A1", "1,2"],
+     "usage: donkin char TYPE LAM\nError: weight '1,2' has 2 coordinates, rank is 1\n"),
+    (["decompose", "A1", "@{}"],
+     "usage: donkin decompose TYPE SOURCE\nError: {}:2: weight has wrong length\n"),
+])
+def test_weight_errors_print_one_text(tmp_path, args, stderr):
+    """A weight that is not dominant, or of the wrong length, exits 2 with
+    nothing on stdout and this stderr; the decompose file's second line has
+    two coordinates against A1's one."""
+    source = tmp_path / "chi.txt"
+    source.write_text("1 2\n1 0,1\n")
+    result = run_cli([a.format(source) for a in args])
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", stderr.format(source))
 
 
 def test_restrict():
@@ -794,7 +821,7 @@ def test_item_blocks_match_line_by_line_rendering(monkeypatch, tmp_path, command
     else:
         # a torus has no roots, so the terms print in weight order
         monkeypatch.setattr(ch, "decompose_dual_weyl",
-                            lambda rd, chi: ch.DualWeylDecomposition(rd.gtype, terms, False))
+                            lambda chi: ch.DualWeylDecomposition(chi.ambient, terms, False))
         pattern, items = "  nabla(%s): %%d", sorted(terms.items())
         source = tmp_path / "chi.txt"
         source.write_text(f"1 {lam}\n")
@@ -817,7 +844,7 @@ BAD_TYPES = ["E9", "X1", "A0", "G3", "B2x", "A1..A1", "", "1"]
 # exterior's cost grows fast with the module: exterior A3 2,2,2 runs for minutes
 EXTERIOR_MODULES = [
     (name, lam) for name in FUZZ_TYPES for rd in [build_root_datum(name)]
-    for lam in itertools.product(*[range(3) if i in rd.simple_indices() else range(-2, 3)
+    for lam in itertools.product(*[range(3) if i in rd.simple else range(-2, 3)
                                    for i in range(rd.rank)])
     if weyl_dim(rd, lam) <= 12]
 

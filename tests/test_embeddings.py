@@ -90,8 +90,7 @@ def test_levi_kernel_rows_kill_levi_roots():
     m, _ = levi("E7.T1", "E8")
     torus_row = m.matrix[7]
     for i in range(7):
-        col = tuple(e8.cartan[r][i] for r in range(8))
-        assert sum(a * b for a, b in zip(torus_row, col)) == 0
+        assert sum(a * b for a, b in zip(torus_row, e8.columns[i])) == 0
 
 
 @pytest.mark.parametrize("amb", ["B2", "C2"])
@@ -170,12 +169,12 @@ def test_folding_adjoint_nonneg():
     a3 = build_root_datum("A3")
     adj = dual_weyl_character(a3, (1, 0, 1))
     r = restrict_character(adj, step("auto", "C2", "A3"))
-    dec = decompose_dual_weyl(build_root_datum("B2"), r)
+    dec = decompose_dual_weyl(r)
     assert dec.exact and r.dim() == 15
     d4 = build_root_datum("D4")
     adj4 = dual_weyl_character(d4, (0, 1, 0, 0))
     r4 = restrict_character(adj4, step("auto", "G2", "D4"))
-    dec4 = decompose_dual_weyl(build_root_datum("G2"), r4)
+    dec4 = decompose_dual_weyl(r4)
     assert dec4.exact and r4.dim() == 28
 
 
@@ -189,7 +188,7 @@ def test_classical_sp_split():
     nat = dual_weyl_character(c2, image(conv, (1, 0)))
     r = restrict_character(nat, m)
     assert r.dim() == 4
-    dec = decompose_dual_weyl(build_root_datum("A1.A1"), r)
+    dec = decompose_dual_weyl(r)
     assert dec.terms == {(1, 0): 1, (0, 1): 1} and dec.exact
 
 
@@ -198,7 +197,7 @@ def test_classical_so_split_b1b6_in_d8():
     d8 = build_root_datum("D8")
     nat = dual_weyl_character(d8, fw(8, 0))
     r = restrict_character(nat, m)
-    dec = decompose_dual_weyl(build_root_datum("A1.B6"), r)
+    dec = decompose_dual_weyl(r)
     # SO16 restricted to SO3 x SO13: natural = (3-dim) + (13-dim)
     assert dec.terms == {(2, 0, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0, 0, 0): 1}
     assert dec.exact
@@ -239,7 +238,7 @@ def test_classical_defect_one():
     m = step("class", "B3", "D4")  # SO7 in SO8
     d4 = build_root_datum("D4")
     r = restrict_character(dual_weyl_character(d4, fw(4, 0)), m)
-    dec = decompose_dual_weyl(build_root_datum("B3"), r)
+    dec = decompose_dual_weyl(r)
     assert dec.terms == {(1, 0, 0): 1, (0, 0, 0): 1} and dec.exact
 
 
@@ -303,13 +302,13 @@ def dot_fold(rd, v):
     on a wall, where the dot action kills the character."""
     sign = 1
     while True:
-        i = next((i for i in rd.simple_indices() if v[i] <= 0), None)
+        i = next((i for i in rd.simple if v[i] <= 0), None)
         if i is None:
             return sign, v
         if v[i] == 0:
             return 0, None
         # s_i v = v - v_i alpha_i, alpha_i the Cartan matrix's column i
-        v = tuple(x - v[i] * row[i] for x, row in zip(v, rd.cartan))
+        v = tuple(x - v[i] * a for x, a in zip(v, rd.columns[i]))
         sign = -sign
 
 
@@ -374,7 +373,7 @@ def test_tensor_sp2_in_so4():
     r = restrict_character(nat, m)
     assert r == dual_weyl_character(build_root_datum("A1"),
                                     (1,)) if False else r.dim() == 4
-    dec = decompose_dual_weyl(build_root_datum("A1"), r)
+    dec = decompose_dual_weyl(r)
     assert dec.terms == {(1,): 2} and dec.exact
 
 
@@ -382,7 +381,7 @@ def test_tensor_so3_in_so9():
     m = step("tensor", "B1", "B4")
     b4 = build_root_datum("B4")
     r = restrict_character(dual_weyl_character(b4, fw(4, 0)), m)
-    dec = decompose_dual_weyl(build_root_datum("A1"), r)
+    dec = decompose_dual_weyl(r)
     # 9-dim = 3 copies of the 3-dim SO3 natural
     assert dec.terms == {(2,): 3} and dec.exact
 
@@ -391,7 +390,7 @@ def test_tensor_sp4_in_so16():
     m = step("tensor", "C2", "D8")
     d8 = build_root_datum("D8")
     r = restrict_character(dual_weyl_character(d8, fw(8, 0)), m)
-    dec = decompose_dual_weyl(build_root_datum("B2"), r)
+    dec = decompose_dual_weyl(r)
     conv = normalization_map(G("C2"))
     assert dec.terms == {image(conv, (1, 0)): 4} and dec.exact
 
