@@ -205,12 +205,10 @@ def _read_character(rd, path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            mult_text, coords_text = line.split(None, 1)
-            mult = int(mult_text)
-            w = tuple(int(c) for c in coords_text.split(","))
-        except ValueError:
+        fields = line.split(None, 1)
+        if len(fields) != 2 or not _LAM.fullmatch(",".join(fields)):
             raise UsageError(f"{path}:{lineno}: expected 'MULT c1,c2,...'")
+        mult, w = int(fields[0]), tuple(map(int, fields[1].split(",")))
         if len(w) != rd.rank:
             raise UsageError(f"{path}:{lineno}: weight has wrong length")
         support[w] = support.get(w, 0) + mult
@@ -238,9 +236,10 @@ def exterior(ns):
     LAM is read in the coordinates of the normalized type that the first
     output line prints, as for char.
     """
-    prime = None if ns.prime is None else int(ns.prime) if ns.prime.isdecimal() else 0
+    p = ns.prime
+    prime = None if p is None else int(p) if p.isascii() and p.isdecimal() else 0
     if prime is not None and ch.min_prime_greater(prime - 1) != prime:
-        raise UsageError(f"--p {ns.prime} is not a prime")
+        raise UsageError(f"--p {p} is not a prime")
     rd = _datum(ns.type)
     _, chi = _character(rd, ns.lam)
     ea = ch.exterior_algebra(chi)
@@ -289,10 +288,9 @@ def orbit_classical(ns):
     kind = ns.kind
     if kind not in ("GL", "Sp", "SO"):
         raise UsageError(f"KIND is GL, Sp or SO, not {kind!r}")
-    try:
-        parts = [int(p) for p in ns.partition.split(",")]
-    except ValueError:
+    if not _LAM.fullmatch(ns.partition):
         raise UsageError("PARTITION must be comma-separated integers")
+    parts = [int(p) for p in ns.partition.split(",")]
     jt = nilpotent.JordanType.from_partition(kind, parts)
     if not nilpotent.validate_jordan(jt):
         _emit(ns.fmt, "orbit",
@@ -356,8 +354,7 @@ def spot_check(ns):
             raise DonkinError(f"{path}: cannot infer the ambient group")
         rd = build_root_datum(ambient)
         w = rd.dominant(_parse_weight(ns.lam, rd.rank))
-        for rec in recs:
-            v = verifier.spot_check(rec, w)
+        for rec, v in zip(recs, verifier.spot_check_table(recs, w)):
             failed += v.status == "FAIL"
             _emit(ns.fmt, "spot-check", lambda: {"file": path, **v.as_dict()},
                   lambda: [f"{v.status} {rec.label} ({ambient}): {v.detail}"])

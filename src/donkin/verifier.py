@@ -4,7 +4,8 @@ composition, and character-level spot checks.
 
 Verdicts are data, not exceptions, so a run over a whole table reports every
 failure.  :func:`verify_record` is the one gate for a row, and
-:func:`spot_check` runs it before the character check.
+:func:`spot_check` runs it before the character check, which
+:func:`spot_check_table` shares between the rows of a table.
 """
 from __future__ import annotations
 
@@ -99,24 +100,49 @@ class SpotVerdict(namedtuple("SpotVerdict", "record status detail terms", defaul
                 if self.terms is not None else None}
 
 
-@functools.lru_cache(maxsize=1)
-def _ambient_character(gtype: GroupType, lam: tuple[int, ...]) -> FormalCharacter:
-    """∇(lam) of the ambient group, shared read-only by the records of a table."""
-    return dual_weyl_character(build_root_datum(gtype), lam)
+class _Suffix:
+    """A kept node of one table's suffix trie: ∇(λ) restricted along
+    ``steps``, a run of chain steps in chain order, from the character of
+    ``parent``, the node at their ambient end, or from ``ambient()``, the
+    table's ∇(λ), when there is none.  Its map and character are made on
+    first use and shared by the rows at and below the node."""
+
+    __slots__ = ("ambient", "parent", "steps", "map", "chi", "dec")
+
+    def __init__(self, ambient, parent, steps):
+        self.ambient, self.parent, self.steps = ambient, parent, steps
+        self.map = self.chi = False
+        self.dec = None
+
+    def restriction_map(self):
+        """The composite map of ``steps``, or None if a step here or above
+        has no map; no map is built below such a step."""
+        if self.map is False:
+            above = self.parent is None or self.parent.restriction_map()
+            self.map = above and chain_restriction_map(self.steps)
+        return self.map
+
+    def character(self) -> FormalCharacter | None:
+        """The restricted character, or None under a map-less (max-rank)
+        step, for which no character is made."""
+        if self.chi is False:
+            total = self.restriction_map()
+            self.chi = total and restrict_character(
+                self.parent.character() if self.parent else self.ambient(), total)
+        return self.chi
 
 
-def spot_check(rec: OrbitRecord, lam) -> SpotVerdict:
-    """:func:`verify_record`, then restrict ∇(lam) of the ambient group
-    along the chain and demand an exact nonnegative dual-Weyl decomposition
-    of the result, over the group the restricted character carries (the
-    chain's start).
+def spot_check(rec: OrbitRecord, suffix: _Suffix | None) -> SpotVerdict:
+    """:func:`verify_record`, then demand an exact nonnegative dual-Weyl
+    decomposition of ∇(λ) of the ambient group restricted along the chain,
+    over the group the restricted character carries (the chain's start).
+    ``suffix`` is the row's node of its table's suffix trie (see
+    :func:`spot_check_table`), None for a row with no chain.
 
     Torus rows, rows with no ambient group and chains with a map-less
     (maximal-rank) step are SKIPPED; a row that :func:`verify_record` fails
     is a FAIL naming its notes, so ``verify-tables`` and ``spot-check`` fail
-    the same rows for the same causes.  A ``lam`` that is not a dominant
-    weight of the ambient group is bad input, not a verdict: the ambient
-    root datum's ``dominant`` raises DimensionMismatch or NotDominant.
+    the same rows for the same causes.
     """
     if rec.is_torus:
         return SpotVerdict(rec, "SKIPPED", "torus centralizer carries no map data")
@@ -125,17 +151,55 @@ def spot_check(rec: OrbitRecord, lam) -> SpotVerdict:
     report = verify_record(rec)
     if not report.passed:
         return SpotVerdict(rec, "FAIL", "; ".join(report.notes))
-    total = chain_restriction_map(rec.chain)
-    if total is None:
+    restricted = suffix.character()
+    if restricted is None:
         return SpotVerdict(rec, "SKIPPED", "chain contains a map-less max-rank step")
-    chi = _ambient_character(build_root_datum(rec.ambient).gtype, tuple(lam))
-    restricted = restrict_character(chi, total)
-    if restricted.dim() != chi.dim():
+    if restricted.dim() != suffix.ambient().dim():
         return SpotVerdict(rec, "FAIL", "restriction changed the dimension")
-    dec = decompose_dual_weyl(restricted)
+    # the rows of one chain share one decomposition
+    dec = suffix.dec = suffix.dec or decompose_dual_weyl(restricted)
     if not dec.exact:
         return SpotVerdict(rec, "FAIL",
                            "decomposition has negative multiplicities", dec.terms)
     return SpotVerdict(rec, "PASS",
                        f"exact decomposition with {len(dec.terms)} terms in "
                        f"{dec.ambient}", dec.terms)
+
+
+def spot_check_table(recs, lam) -> list[SpotVerdict]:
+    """The :func:`spot_check` verdict of every row of one table at ``lam``,
+    in table order; every row's ambient group is the first row's, as the
+    table parser gives them.
+
+    The chains make a trie rooted at the ambient group.  A node is kept
+    where a row's chain ends or where chains branch, so ∇(λ) is restricted
+    once per unbranched run of steps, along its composite map, and only
+    when a row at or below asks.  The trie is walked depth-first, subtrees
+    in the table order of their first row, and a node is freed when its
+    subtree is done.  A ``lam`` that is not a dominant weight of the ambient
+    group is bad input, not a verdict: the ambient root datum's ``dominant``
+    raises DimensionMismatch or NotDominant.
+    """
+    ambient = functools.cache(
+        lambda: dual_weyl_character(build_root_datum(recs[0].ambient), tuple(lam)))
+    verdicts = [None] * len(recs)
+    # (rows sharing the last ``depth`` steps of their chains, depth, the
+    # nearest kept node above them and its number of steps from the ambient end)
+    stack = [(range(len(recs)), 0, None, 0)]
+    while stack:
+        rows, depth, node, start = stack.pop()
+        ends, kids = [], {}
+        for i in rows:
+            chain = recs[i].chain or ()
+            if len(chain) == depth:
+                ends.append(i)
+            else:
+                kids.setdefault(chain[-depth - 1], []).append(i)
+        if depth > start and (ends or len(kids) != 1):
+            chain = recs[rows[0]].chain
+            node = _Suffix(ambient, node, chain[len(chain) - depth:len(chain) - start])
+            start = depth
+        for i in ends:
+            verdicts[i] = spot_check(recs[i], node)
+        stack += [(below, depth + 1, node, start) for below in reversed(kids.values())]
+    return verdicts

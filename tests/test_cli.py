@@ -250,7 +250,7 @@ def test_exterior_fail_exit_code():
     assert "FAIL" in result.output
 
 
-@pytest.mark.parametrize("prime", ["4", "1", "0", "-3"])
+@pytest.mark.parametrize("prime", ["4", "1", "0", "-3", "\u0663", "\uff13"])
 def test_exterior_non_prime_is_a_usage_error(prime):
     result = run_cli(["exterior", "G2", "1,0", "--p", prime])
     assert result.exit_code == 2
@@ -267,6 +267,19 @@ def test_decompose_from_file(tmp_path, cache_dir):
     assert "nabla(0): 1" in result.output
     # the decomposition computes no dual Weyl character, so no cache is written
     assert not cache_dir.exists()
+
+
+@pytest.mark.parametrize("line", ["1 1_0", "1 -1_0", "+1 2", "1 +2", "1_0 2", "1 \u0662",
+                                  "1 2 0", "1", "1 2,"])
+def test_decompose_file_line_is_ascii_integers(tmp_path, line):
+    """MULT and the coordinates are read as LAM is: ``int`` would take
+    ``1_0``, ``+1`` or a non-ASCII digit, and the line would count."""
+    src = tmp_path / "char.txt"
+    src.write_text(f"1 2\n1 0\n{line}\n1 -2\n")
+    result = run_cli(["decompose", "A1", f"@{src}"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == f"Error: {src}:3: expected 'MULT c1,c2,...'"
 
 
 def test_decompose_non_invariant_file_names_the_weights(tmp_path):
@@ -439,6 +452,14 @@ def test_orbit_classical():
     assert result.exit_code == 0
     assert "GL1.GL1" in result.output
     assert "centralizer dimension: 6" in result.output
+
+
+@pytest.mark.parametrize("partition", ["1_0,+2", "+3,1", "3,\u0661", "3,,1", "3 ,1"])
+def test_orbit_partition_is_ascii_integers(partition):
+    result = run_cli(["orbit", "classical", "GL", partition])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines()[-1] == "Error: PARTITION must be comma-separated integers"
 
 
 def test_orbit_invalid_partition():

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_table
+
 ROOT = Path(__file__).resolve().parents[1]
 F4 = str(ROOT / "src" / "donkin" / "data" / "f4.tbl")
 
@@ -87,10 +89,13 @@ def test_tracer_sees_every_layer(tmp_path, args, spans):
     """perfbench/trace_job.py wraps the functions of every donkin module in
     ``sys.modules`` after ``import donkin.cli``; a module missing there, or
     one whose functions it cannot rebind, would read zero in the per-layer
-    metrics."""
+    metrics.  ``verifier.spot_check`` is called through the module once per
+    table row, so it has one span per row."""
     out = tmp_path / "spans.jsonl"
     proc = run_python(str(ROOT / "perfbench" / "trace_job.py"), str(out), "0", *args,
                       cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    seen = {json.loads(line)["name"] for line in out.read_text().splitlines()}
-    assert spans <= seen
+    names = [json.loads(line)["name"] for line in out.read_text().splitlines()]
+    assert spans <= set(names)
+    if "spot-check" in args:
+        assert names.count("verifier.spot_check") == len(load_table("f4"))

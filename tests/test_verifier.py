@@ -1,16 +1,20 @@
 import pytest
 
 from conftest import serialize_orbit_tables
-from donkin.embeddings import _CLAUSES, EmbeddingStep, check_step, match_step
+import donkin.verifier
+from donkin.characters import decompose_dual_weyl, dual_weyl_character
+from donkin.embeddings import (
+    _CLAUSES,
+    EmbeddingStep,
+    chain_restriction_map,
+    check_step,
+    match_step,
+    restrict_character,
+)
 from donkin.errors import NotDominant, UnknownType
 from donkin.nilpotent import OrbitRecord, parse_orbit_tables
-from donkin.rootsystem import GroupType, SimpleType
-from donkin.verifier import (
-    _ambient_character,
-    good_prime_bound,
-    spot_check,
-    verify_record,
-)
+from donkin.rootsystem import GroupType, SimpleType, build_root_datum
+from donkin.verifier import good_prime_bound, spot_check_table, verify_record
 
 G = GroupType.parse
 
@@ -140,7 +144,7 @@ def test_spot_check_fails_every_row_verify_record_fails(shipped_tables):
             for bad in _mutations(rec):
                 report = verify_record(bad)
                 assert not report.passed and report.notes, (name, rec.label)
-                v = spot_check(bad, zero)
+                [v] = spot_check_table([bad], zero)
                 assert (v.status, v.detail) == ("FAIL", "; ".join(report.notes)), \
                     (name, rec.label, v.detail)
 
@@ -148,8 +152,8 @@ def test_spot_check_fails_every_row_verify_record_fails(shipped_tables):
 def test_spot_check_lambda_zero(shipped_tables):
     for name, recs in shipped_tables.items():
         zero = (0,) * recs[0].ambient.rank
-        for rec in recs:
-            v = spot_check(rec, zero)
+        for rec, v in zip(recs, spot_check_table(recs, zero)):
+            assert v.record is rec
             assert v.status in ("PASS", "SKIPPED"), (name, rec.label, v.detail)
             if v.status == "PASS":
                 assert list(v.terms.values()) == [1]
@@ -158,9 +162,9 @@ def test_spot_check_lambda_zero(shipped_tables):
 
 def test_spot_check_skips_max_and_torus(shipped_tables):
     g2 = shipped_tables["g2"]
-    assert all(spot_check(r, (0, 0)).status == "SKIPPED" for r in g2)
+    assert all(v.status == "SKIPPED" for v in spot_check_table(g2, (0, 0)))
     torus = next(r for r in shipped_tables["e8"] if r.is_torus)
-    assert spot_check(torus, (0,) * 8).status == "SKIPPED"
+    assert spot_check_table([torus], (0,) * 8)[0].status == "SKIPPED"
 
 
 @pytest.mark.parametrize("name,lam", [
@@ -170,8 +174,8 @@ def test_spot_check_skips_max_and_torus(shipped_tables):
     ("e8", (0, 0, 0, 0, 0, 0, 0, 1)),
 ])
 def test_spot_check_nontrivial(shipped_tables, name, lam):
-    for rec in shipped_tables[name]:
-        v = spot_check(rec, lam)
+    recs = shipped_tables[name]
+    for rec, v in zip(recs, spot_check_table(recs, lam)):
         assert v.status in ("PASS", "SKIPPED"), (rec.label, v.detail)
 
 
@@ -180,25 +184,90 @@ def test_spot_check_rejects_nondominant(shipped_tables):
     check raises NotDominant from dual_weyl_character."""
     rec = next(r for r in shipped_tables["e7"] if not r.is_torus)
     with pytest.raises(NotDominant, match=r"^\(-1, 0, 0, 0, 0, 0, 0\) is not dominant$"):
-        spot_check(rec, (-1, 0, 0, 0, 0, 0, 0))
+        spot_check_table([rec], (-1, 0, 0, 0, 0, 0, 0))
 
 
-def test_spot_check_ambient_memo_never_goes_stale(shipped_tables):
-    """The shared ambient character follows the type and λ: a run that reuses
-    it gives the verdicts of a run that rebuilds it for every record."""
-    order = [("e8", (0, 0, 0, 0, 0, 0, 0, 1)), ("e7", (0, 0, 0, 0, 0, 0, 1)),
-             ("e8", (1, 0, 0, 0, 0, 0, 0, 0)), ("e8", (0, 0, 0, 0, 0, 0, 0, 1))]
+# two highest weights per table: the spot-check jobs of perfbench/workloads.py
+SPOT_LAMBDAS = {
+    "e8": [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1, 0)],
+    "e7": [(0, 0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0, 2)],
+    "e6": [(0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 0)],
+    "f4": [(0, 0, 0, 1), (1, 0, 0, 0)],
+    "g2": [(1, 0), (0, 1)],
+}
 
-    def run(clear):
-        out = []
-        for name, lam in order:
-            for rec in shipped_tables[name]:
-                if clear:
-                    _ambient_character.cache_clear()
-                v = spot_check(rec, lam)
-                out.append((name, lam, rec.label, v.status, v.terms))
-        return out
 
-    shared = run(clear=False)
-    assert {s for *_, s, _ in shared} == {"PASS", "SKIPPED"}
-    assert shared == run(clear=True)
+def _per_row_verdict(rec, chi):
+    """(status, detail, terms) of ∇(λ) = ``chi`` restricted along the row's
+    whole chain on its own, with nothing shared between rows."""
+    if rec.is_torus:
+        return "SKIPPED", "torus centralizer carries no map data", None
+    report = verify_record(rec)
+    if not report.passed:
+        return "FAIL", "; ".join(report.notes), None
+    total = chain_restriction_map(rec.chain)
+    if total is None:
+        return "SKIPPED", "chain contains a map-less max-rank step", None
+    dec = decompose_dual_weyl(restrict_character(chi, total))
+    assert dec.exact, rec.label
+    return "PASS", f"exact decomposition with {len(dec.terms)} terms in {dec.ambient}", dec.terms
+
+
+def test_spot_check_table_matches_the_per_row_route(shipped_tables):
+    """Every verdict of the suffix trie, for each table at two weights run
+    one after another, is the verdict of restricting ∇(λ) along the row's
+    own chain."""
+    statuses = set()
+    for name, lams in SPOT_LAMBDAS.items():
+        recs = shipped_tables[name]
+        for lam in lams:
+            chi = dual_weyl_character(build_root_datum(recs[0].ambient), lam)
+            got = [(v.record, v.status, v.detail, v.terms) for v in spot_check_table(recs, lam)]
+            assert got == [(rec, *_per_row_verdict(rec, chi)) for rec in recs], (name, lam)
+            statuses.update(status for _, status, _, _ in got)
+    assert statuses == {"PASS", "SKIPPED"}
+
+
+def test_illegal_step_below_a_shared_suffix_fails_that_row_alone(shipped_tables):
+    """E6A1 and E6(a3)A1 share the chain A1 -[levi]-> G2 -[auto]-> D4
+    -[levi]-> E8, and two more rows end in its last two steps.  An illegal
+    first step FAILs E6A1 with verify_record's notes; every other verdict
+    stays as it was."""
+    recs = shipped_tables["e8"]
+    i = next(i for i, r in enumerate(recs) if r.label == "E6A1")
+    assert [r.label for r in recs if r.chain == recs[i].chain] == ["E6A1", "E6(a3)A1"]
+    assert sum(r.chain[-2:] == recs[i].chain[-2:] for r in recs if r.chain) == 4
+    bad = _mutations(recs[i])[1]
+    lam = (0, 0, 0, 0, 0, 0, 0, 1)
+    before = spot_check_table(recs, lam)
+    after = spot_check_table([*recs[:i], bad, *recs[i + 1:]], lam)
+    assert (after[i].status, after[i].detail) == ("FAIL", "; ".join(verify_record(bad).notes))
+    assert before[i].status == "PASS"
+    assert after[:i] + after[i + 1:] == before[:i] + before[i + 1:]
+
+
+def test_e8_restricts_each_shared_suffix_once(shipped_tables, monkeypatch):
+    """The weights that e8 at ω7 feeds restrict_character: one restriction
+    per kept node of the suffix trie, 9 of them of the whole ambient support
+    and 6 of a node's, against 17 of the ambient support (17 × 9,121 =
+    155,057) when every row restricts alone.  The two rows of one chain,
+    E6A1 and E6(a3)A1, share the last restriction, of G2's 37 weights.
+    Maps are built for those 15 nodes and asked of the 6 nodes that end in
+    a map-less max step, and of no node below one."""
+    sizes, runs = [], []
+
+    def counted(chi, wmap):
+        sizes.append(len(chi.support))
+        return restrict_character(chi, wmap)
+
+    def mapped(steps):
+        runs.append(steps)
+        return chain_restriction_map(steps)
+
+    monkeypatch.setattr(donkin.verifier, "restrict_character", counted)
+    monkeypatch.setattr(donkin.verifier, "chain_restriction_map", mapped)
+    verdicts = spot_check_table(shipped_tables["e8"], (0, 0, 0, 0, 0, 0, 1, 0))
+    assert sum(v.status == "PASS" for v in verdicts) == 17
+    assert (len(sizes), sum(sizes)) == (15, 88_883)
+    assert len(runs) == 21
+    assert sum(chain_restriction_map(steps) is None for steps in runs) == 6
