@@ -73,46 +73,6 @@ _ON_DISK: dict[tuple[str, Weight], dict[Weight, int]] = {}
 _LOCK = threading.Lock()
 
 
-def _dominant_weights_below(rd: RootDatum, lam: Weight) -> list[Weight]:
-    """All dominant weights of the dual Weyl module with highest weight lam,
-    by descending height, ties by ascending weight.
-
-    These are exactly the dominant mu <= lam; they are generated by repeatedly
-    subtracting positive roots while staying dominant (covers in the dominance
-    order on dominant weights differ by a positive root).  mu - alpha is
-    dominant iff mu[i] >= alpha[i] wherever alpha[i] > 0, so only those
-    coordinates are tested.  The weights go into one bucket per height, as in
-    ``weyl_orbit``: a bucket is complete when the walk reaches it, since every
-    weight is found from a higher one.
-    """
-    lam = tuple(lam)
-    top = rd.height(lam)
-    steps = [(alpha, rd.height(alpha), tuple((i, a) for i, a in enumerate(alpha) if a > 0))
-             for alpha in rd.positive_roots]
-    # levels[d] holds the weights of height top - d
-    levels: list[list[Weight] | None] = [[] for _ in range(top + 1)]
-    levels[0].append(lam)
-    found = {lam}
-    out: list[Weight] = []
-    for d, level in enumerate(levels):
-        if not level:
-            continue
-        levels[d] = None
-        level.sort()
-        out += level
-        for mu in level:
-            for alpha, h, above in steps:
-                for i, a in above:
-                    if mu[i] < a:
-                        break
-                else:
-                    nu = tuple([m - a for m, a in zip(mu, alpha)])
-                    if nu not in found:
-                        found.add(nu)
-                        levels[d + h].append(nu)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _root_orbits(rd: RootDatum, walls: tuple[int, ...]
                  ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -179,29 +139,36 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
     there and adds S(mu, gamma), which is S(mu, beta) for the beta of
     gamma's orbit in mu's plan.
 
+    The dominant mu are the dominant weights <= lam.  Covers among them differ
+    by a positive root, so one walk down from lam finds and computes them, one
+    height level at a time: m(mu) reads only higher levels, which are done,
+    and then mu adds its dominant children mu - alpha to their own levels.
+
     An entry read from the cache file is used if ``_cached_entry_ok`` passes
     it, else recomputed.  Runs on ints only: inner products are taken with
     the integer Gram matrix ``rd.gram``, whose scale cancels in the quotient.
     """
-    key = (str(rd.gtype), tuple(lam))
+    lam = tuple(lam)
+    key = (str(rd.gtype), lam)
     with _LOCK:
         cached = _DOMINANT_MULTS.get(key)
         on_disk = _ON_DISK.pop(key, None)
     if cached is not None:
         return cached
-    if on_disk is not None and _cached_entry_ok(rd, key[1], on_disk):
+    if on_disk is not None and _cached_entry_ok(rd, lam, on_disk):
         mults = on_disk
     else:
         simple, columns = rd.simple, rd.columns
-        # (alpha, G alpha, <alpha, alpha>): <mu + k alpha, alpha> = <mu, alpha> + k <alpha, alpha>
+        # (alpha, its height, the (i, alpha[i]) with alpha[i] > 0, G alpha, <alpha, alpha>):
+        # <mu + k alpha, alpha> = <mu, alpha> + k <alpha, alpha>
         roots = []
         for alpha in rd.positive_roots:
             g_alpha = tuple(sum(map(mul, row, alpha)) for row in rd.gram)
-            roots.append((alpha, g_alpha, sum(map(mul, alpha, g_alpha))))
-        order = _dominant_weights_below(rd, lam)
+            above = tuple((i, a) for i, a in enumerate(alpha) if a > 0)
+            roots.append((alpha, rd.height(alpha), above, g_alpha, sum(map(mul, alpha, g_alpha))))
         lam_rho = tuple(a + r for a, r in zip(lam, rd.rho))
         clam = rd.scaled_inner(lam_rho, lam_rho)
-        mults = {order[0]: 1}
+        mults = {lam: 1}
         # m(nu) of every nu = mu + k beta looked up so far: the dominant
         # representative of nu lies above mu, so its multiplicity is already
         # final (computed, or 0 for a weight outside the module)
@@ -209,38 +176,51 @@ def _freudenthal(rd: RootDatum, lam: Weight) -> dict[Weight, int]:
         # sums[mu] = (plan position of each positive root's orbit, S(mu, beta)
         # per orbit) for the dominant mu done so far
         sums: dict[Weight, tuple[tuple[int, ...], list[int]]] = {}
-        for mu in order[1:]:
-            mu_rho = tuple(m + r for m, r in zip(mu, rd.rho))
-            denom = clam - rd.scaled_inner(mu_rho, mu_rho)
-            total = 0
-            plan, orbit_of = _root_orbits(rd, tuple(i for i in simple if not mu[i]))
-            row = []
-            for b, weight in plan:
-                beta, g_beta, bb = roots[b]
-                ip = sum(map(mul, mu, g_beta))
-                s = 0
-                nu = mu
-                while True:
-                    nu = tuple([x + y for x, y in zip(nu, beta)])
-                    m_nu = folded.get(nu)
-                    if m_nu is None:
-                        m_nu = folded[nu] = mults.get(_dominant(nu, simple, columns), 0)
-                    if m_nu == 0:
-                        break
-                    ip += bb
-                    s += m_nu * ip
-                    hit = sums.get(nu)
-                    if hit is not None:
-                        s += hit[1][hit[0][b]]
-                        break
-                row.append(s)
-                total += weight * s
-            sums[mu] = (orbit_of, row)
-            q, r = divmod(total, denom)
-            if r:
-                raise AssertionError("Freudenthal multiplicity not integral")
-            if q:
-                mults[mu] = q
+        # levels[d] holds the dominant weights of height height(lam) - d as keys
+        levels: list[dict[Weight, None] | None] = [{} for _ in range(rd.height(lam) + 1)]
+        levels[0][lam] = None
+        for d, level in enumerate(levels):
+            levels[d] = None
+            for mu in level:
+                if d:
+                    mu_rho = tuple(m + r for m, r in zip(mu, rd.rho))
+                    denom = clam - rd.scaled_inner(mu_rho, mu_rho)
+                    total = 0
+                    plan, orbit_of = _root_orbits(rd, tuple(i for i in simple if not mu[i]))
+                    row = []
+                    for b, weight in plan:
+                        beta, _, _, g_beta, bb = roots[b]
+                        ip = sum(map(mul, mu, g_beta))
+                        s = 0
+                        nu = mu
+                        while True:
+                            nu = tuple([x + y for x, y in zip(nu, beta)])
+                            m_nu = folded.get(nu)
+                            if m_nu is None:
+                                m_nu = folded[nu] = mults.get(_dominant(nu, simple, columns), 0)
+                            if m_nu == 0:
+                                break
+                            ip += bb
+                            s += m_nu * ip
+                            hit = sums.get(nu)
+                            if hit is not None:
+                                s += hit[1][hit[0][b]]
+                                break
+                        row.append(s)
+                        total += weight * s
+                    sums[mu] = (orbit_of, row)
+                    q, r = divmod(total, denom)
+                    if r:
+                        raise AssertionError("Freudenthal multiplicity not integral")
+                    if q:
+                        mults[mu] = q
+                # mu - alpha is dominant iff mu[i] >= alpha[i] wherever alpha[i] > 0
+                for alpha, h, above, _, _ in roots:
+                    for i, a in above:
+                        if mu[i] < a:
+                            break
+                    else:
+                        levels[d + h][tuple([m - a for m, a in zip(mu, alpha)])] = None
     with _LOCK:
         _DOMINANT_MULTS.setdefault(key, mults)
     return mults

@@ -16,7 +16,7 @@ import time
 import types
 
 from .errors import DonkinError, TableSyntaxError
-from .rootsystem import GroupType, build_root_datum, highest_roots, weyl_dim
+from .rootsystem import GroupType, build_root_datum, weyl_dim
 
 
 def _on_demand(name):
@@ -150,7 +150,7 @@ def roots(ns):
     """Positive-root count and the highest root of each simple factor of
     TYPE (e.g. E8 or A1.B6)."""
     rd = _datum(ns.type)
-    hrs = highest_roots(rd)
+    hrs = rd.highest_roots
 
     def payload():
         out = {"type": str(rd.gtype), "rank": rd.rank,

@@ -19,7 +19,7 @@ import re
 from collections import Counter, namedtuple
 
 from . import embeddings
-from .errors import InvalidJordanType, TableSyntaxError
+from .errors import DonkinError, InvalidJordanType, TableSyntaxError
 from .rootsystem import GroupType, SimpleType, build_root_datum, normalize_type
 
 KINDS = ("GL", "Sp", "SO")
@@ -169,13 +169,13 @@ class OrbitRecord(namedtuple("OrbitRecord", "label centralizer chain ambient",
         return self.chain[-1].amb if self.chain else None
 
 
-_ARROW_RE = re.compile(r" -\[([a-z]+)(?:,p>(\d+))?\]-> ")
+_ARROW_RE = re.compile(r" -\[([a-z]+)(?:,p>([0-9]+))?\]-> ")
 
 
 def _parse_type(text: str) -> GroupType:
     try:
         return GroupType.parse(text)
-    except Exception:
+    except DonkinError:
         raise ValueError(f"bad type {text!r}") from None
 
 

@@ -25,7 +25,7 @@ from .errors import BadIndex, DimensionMismatch, NotDominant, UnknownType
 
 Weight = tuple[int, ...]
 
-_TYPE_RE = re.compile(r"([A-GT])(\d+)$")
+_TYPE_RE = re.compile(r"([A-GT])([0-9]+)$")
 
 # The one alias table.  The tables freely spell low-rank classical groups
 # (SO3 = B1, Sp2 = C1, Sp4 = C2, SO2 = D1, SO4 = D2, SO6 = D3); each alias maps
@@ -262,7 +262,8 @@ class RootDatum:
     the Cartan matrix (``_positive_roots``), factor by factor.  They are
     full-length vectors: roots in fundamental-weight coordinates, coroots as
     integer functionals on those coordinates (coefficients on the simple
-    coroots).  Torus coordinates carry no roots and zero Cartan rows.
+    coroots).  Torus coordinates carry no roots and zero Cartan rows.  Each
+    factor's walk ends at its highest root: ``highest_roots``, in factor order.
 
     The W-invariant inner product on fw coordinates is G = (A^{-1})^T D per
     semisimple block, zero on torus coordinates.  It is kept as the integer
@@ -284,6 +285,7 @@ class RootDatum:
         self.columns = columns = tuple(zip(*cartan))
         blocks = []  # (offset, numerators of G's block, det A) per semisimple factor
         roots: list[tuple[Weight, Weight]] = []  # (root, coroot), factor by factor
+        highest = []
         offset = 0
         for fac in gtype.factors:
             r = fac.rank
@@ -293,12 +295,14 @@ class RootDatum:
                 nums = [[adj[j][i] * d[j] for j in range(r)] for i in range(r)]
                 blocks.append((offset, nums, det))
                 roots += _positive_roots(columns, range(offset, offset + r))
+                highest.append(roots[-1][0])
             offset += r
         expected = sum(_POSITIVE_ROOT_COUNTS[f.letter](f.rank) for f in gtype.factors)
         if len(roots) != expected:
             raise AssertionError(f"{gtype}: got {len(roots)} roots, expected {expected}")
         self.positive_roots = tuple(root for root, _ in roots)
         self.positive_coroots = tuple(coroot for _, coroot in roots)
+        self.highest_roots = tuple(highest)
         self.gram_scale = scale = math.lcm(*(
             det // math.gcd(det, *(x for row in nums for x in row)) for _, nums, det in blocks))
         gram = [[0] * n for _ in range(n)]
@@ -485,20 +489,6 @@ def weyl_dim(rd: RootDatum, lam: Weight) -> int:
     if num % den:
         raise AssertionError("Weyl dimension formula did not divide")
     return num // den
-
-
-def highest_roots(rd: RootDatum) -> tuple[Weight, ...]:
-    """The highest root of each simple factor, in factor order; a torus
-    factor has none."""
-    out = []
-    offset = 0
-    for fac in rd.gtype.factors:
-        block = range(offset, offset + fac.rank)
-        offset += fac.rank
-        if not fac.is_torus:
-            out.append(max((r for r in rd.positive_roots if any(r[i] for i in block)),
-                           key=rd.height))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -269,10 +269,12 @@ def test_freudenthal_matches_racah_oracle(name, lam):
     ("E7", (0, 1, 0, 0, 0, 0, 2)), ("A1.B3.T2", (2, 0, 0, 2, 1, -3)),
 ])
 def test_dominant_weights_below_matches_the_sorted_closure(name, lam):
-    """The same list in the same order as a plain closure sorted by
-    descending height, ties by ascending weight."""
+    """Freudenthal's level walk finds the dominant weights of a plain
+    closure: its keys, sorted by descending height, ties by ascending weight,
+    are the closure's list."""
     rd = build_root_datum(name)
-    assert ch._dominant_weights_below(rd, lam) == dominant_weights_below(rd, lam)
+    found = sorted(ch._freudenthal(rd, lam), key=lambda mu: (-rd.height(mu), mu))
+    assert found == dominant_weights_below(rd, lam)
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "D4", "F4", "A1.B3.T2", "E6", "E8"])

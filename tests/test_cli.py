@@ -80,6 +80,8 @@ def test_unknown_flag_is_an_error():
     (["char", "A1", " 1"], 2, ""),
     (["char", "A1", "\u0661"], 2, ""),
     (["restrict", "A1 -[alias]-> A1", "1_0"], 2, ""),
+    (["roots", "E\u0668"], 2, ""),
+    (["restrict", "A1 -[resirr,p>\u0663]-> A2", "1,0"], 2, ""),
 ])
 def test_exit_code_contract(args, code, shown):
     """Parse and usage errors exit 2, print nothing on stdout and end stderr
@@ -87,7 +89,7 @@ def test_exit_code_contract(args, code, shown):
     the command and options are never abbreviated; a weight, negative
     coordinates included, is an argument, and after ``--`` any word is.  A
     weight is comma-separated ASCII decimal integers: no '+', blank, '_' or
-    other digits."""
+    other digits; so are the rank in a TYPE and the k of a chain's p>k."""
     result = run_cli(args)
     assert result.exit_code == code
     if shown:

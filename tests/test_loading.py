@@ -90,12 +90,17 @@ def test_tracer_sees_every_layer(tmp_path, args, spans):
     ``sys.modules`` after ``import donkin.cli``; a module missing there, or
     one whose functions it cannot rebind, would read zero in the per-layer
     metrics.  ``verifier.spot_check`` is called through the module once per
-    table row, so it has one span per row."""
+    table row, so it has one span per row.  The Freudenthal span counts the
+    dominant weights ``_freudenthal`` returns: (1,0) and (0,0) for G2 ∇(1,0)."""
     out = tmp_path / "spans.jsonl"
     proc = run_python(str(ROOT / "perfbench" / "trace_job.py"), str(out), "0", *args,
                       cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    names = [json.loads(line)["name"] for line in out.read_text().splitlines()]
+    found = [json.loads(line) for line in out.read_text().splitlines()]
+    names = [span["name"] for span in found]
     assert spans <= set(names)
     if "spot-check" in args:
         assert names.count("verifier.spot_check") == len(load_table("f4"))
+    else:
+        assert [span["dominant_weights"] for span in found
+                if span["name"] == "characters.freudenthal"] == [2]

@@ -148,12 +148,16 @@ def test_parse_errors_carry_position():
         parse_orbit_tables("A1\tE7\tE7 -[levi]-> E8 \n")  # trailing whitespace
     with pytest.raises(TableSyntaxError):
         parse_orbit_tables("A1\tZ9\tTORUS\n")
+    with pytest.raises(TableSyntaxError) as exc:  # p>k takes ASCII digits only
+        parse_orbit_tables("A1\tE7\tE7 -[levi,p>\u0663]-> E8\n")
+    assert str(exc.value) == "line 1, column 7: bad type 'E7 -[levi,p>\u0663]-> E8'"
 
 
 @pytest.mark.parametrize("text, message", [
     ("E7 -[bogus]-> E8", "unknown tag 'bogus'"),
     ("E7 -[levi]-> Q9", "bad type 'Q9'"),
     ("E7", "chain needs at least one step"),
+    ("E\u0667 -[levi]-> E8", "bad type 'E\u0667'"),
 ])
 def test_parse_chain_errors(text, message):
     with pytest.raises(ValueError) as exc:

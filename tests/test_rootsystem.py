@@ -38,7 +38,6 @@ from donkin.rootsystem import (
     _simple_cartan,
     build_root_datum,
     cartan_matrix,
-    highest_roots,
     normalize_type,
     weyl_dim,
     weyl_orbit,
@@ -52,7 +51,7 @@ COUNTS = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n,
 
 # sha256 of the lines "name roots coroots" over ROOT_TYPES: pins the order of
 # positive_roots (factor by factor, by height, ties by root coordinates), which
-# _root_orbits, highest_roots and every printed decomposition see
+# _root_orbits, rd.highest_roots and every printed decomposition see
 ROOT_DATA_SHA256 = "e1b15ef4e8e794c793159c99280511d19904ccfbf602407c8cf43a25cd33cf5a"
 
 
@@ -234,10 +233,10 @@ def test_weyl_dim():
 
 
 def test_highest_roots():
-    assert highest_roots(build_root_datum("E8")) == ((0,) * 7 + (1,),)
-    assert highest_roots(build_root_datum("G2")) == ((0, 1),)
-    assert highest_roots(build_root_datum("A2")) == ((1, 1),)
-    assert highest_roots(build_root_datum("F4")) == ((1, 0, 0, 0),)
+    assert build_root_datum("E8").highest_roots == ((0,) * 7 + (1,),)
+    assert build_root_datum("G2").highest_roots == ((0, 1),)
+    assert build_root_datum("A2").highest_roots == ((1, 1),)
+    assert build_root_datum("F4").highest_roots == ((1, 0, 0, 0),)
 
 
 @pytest.mark.parametrize("gtype, expected", [
@@ -250,7 +249,7 @@ def test_highest_roots():
 ])
 def test_highest_roots_per_factor(gtype, expected):
     rd = build_root_datum(gtype)
-    assert highest_roots(rd) == expected
+    assert rd.highest_roots == expected
     # each is a root and the highest weight of its factor's adjoint module
     assert set(expected) <= set(rd.positive_roots)
     assert sum(weyl_dim(rd, hr) for hr in expected) == rd.group_dimension() - rd.gtype.torus_rank()

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import serialize_orbit_tables
 import donkin.verifier
-from donkin.characters import decompose_dual_weyl, dual_weyl_character
+from donkin.characters import decompose_dual_weyl, dual_weyl_character, min_prime_greater
 from donkin.embeddings import (
     _CLAUSES,
     EmbeddingStep,
@@ -13,7 +13,7 @@ from donkin.embeddings import (
 )
 from donkin.errors import NotDominant, UnknownType
 from donkin.nilpotent import OrbitRecord, parse_orbit_tables
-from donkin.rootsystem import GroupType, SimpleType, build_root_datum
+from donkin.rootsystem import GroupType, SimpleType, build_root_datum, normalize_type
 from donkin.verifier import good_prime_bound, spot_check_table, verify_record
 
 G = GroupType.parse
@@ -271,3 +271,38 @@ def test_e8_restricts_each_shared_suffix_once(shipped_tables, monkeypatch):
     assert (len(sizes), sum(sizes)) == (15, 88_883)
     assert len(runs) == 21
     assert sum(chain_restriction_map(steps) is None for steps in runs) == 6
+
+
+# Label-blind verdicts (ROADMAP item 14): mutant rows of the shipped tables
+# that the row-level checks let through.  An escape count may only go down,
+# and a change that lowers one updates its pin here.
+CHAIN_SWAP_ESCAPES = {"e8": 224, "e7": 132, "e6": 8, "f4": 16, "g2": 0}
+
+
+def test_chain_swaps_escape_verify_record(shipped_tables):
+    """Row A given row B's chain, for each ordered pair of rows of one table
+    with equal normalized centralizer type and different chains: 380
+    mutants.  ``verify_record`` never reads a label, so a swapped chain that
+    is legal for the centralizer type passes."""
+    escapes = {}
+    for name, recs in shipped_tables.items():
+        swaps = [a._replace(chain=b.chain) for a in recs for b in recs
+                 if normalize_type(a.centralizer) == normalize_type(b.centralizer)
+                 and a.chain != b.chain]
+        escapes[name] = sum(verify_record(rec).passed for rec in swaps)
+    assert escapes == CHAIN_SWAP_ESCAPES
+
+
+def test_p_bound_mutants_are_all_rejected(shipped_tables):
+    """The control family: each distinct legal shipped step with its p>k
+    changed to every k in 0..11 that names another minimal prime than the
+    catalog's.  ``check_step`` rejects every one of the 1,776."""
+    steps = {s for recs in shipped_tables.values() for r in recs if r.chain for s in r.chain}
+    mutants = []
+    for step in steps:
+        m = check_step(step)
+        if m.legal:
+            mutants += [step._replace(p_bound=k) for k in range(12)
+                        if min_prime_greater(k) != max(m.p_min, 2)]
+    assert len(mutants) == 1776
+    assert [step for step in mutants if check_step(step).legal] == []
