@@ -74,6 +74,15 @@ _LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=None)
+def _reflections(rd: RootDatum) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per positive root alpha: (i, index of s_i alpha) for each simple i with
+    <alpha, alpha_i^vee> < 0; s_i alpha is a higher root of alpha's factor."""
+    index = {alpha: n for n, alpha in enumerate(rd.positive_roots)}
+    return tuple(tuple((i, index[rd.reflect(alpha, i)]) for i in rd.simple if alpha[i] < 0)
+                 for alpha in rd.positive_roots)
+
+
+@functools.lru_cache(maxsize=None)
 def _root_orbits(rd: RootDatum, walls: tuple[int, ...]
                  ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """Moody–Patera's plan for a dominant mu whose zero simple coordinates
@@ -88,12 +97,16 @@ def _root_orbits(rd: RootDatum, walls: tuple[int, ...]
     outside Phi_J to themselves, so there it is 2|O|.  An orbit inside Phi_J
     holds each of its roots with its negative, and S(mu, -alpha) =
     S(mu, alpha) there, so it is |O|.  The weights times S(mu, beta) sum to
-    2 * sum over alpha > 0 of S(mu, alpha).
+    2 * sum over alpha > 0 of S(mu, alpha).  A root alpha folds through
+    ``_reflections``: at its first wall j with <alpha, alpha_j^vee> < 0, to
+    the fold of s_j alpha, a later root and so folded first.
     """
-    index = {alpha: n for n, alpha in enumerate(rd.positive_roots)}
+    reflections = _reflections(rd)
+    fold = list(range(len(reflections)))
+    for n in reversed(range(len(fold))):
+        fold[n] = next((fold[up] for j, up in reflections[n] if j in walls), n)
     position: dict[int, int] = {}
-    orbit_of = [position.setdefault(index[_dominant(alpha, walls, rd.columns)], len(position))
-                for alpha in rd.positive_roots]
+    orbit_of = [position.setdefault(b, len(position)) for b in fold]
     return tuple((b, 2 * orbit_of.count(k)) for b, k in position.items()), tuple(orbit_of)
 
 

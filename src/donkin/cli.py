@@ -57,11 +57,20 @@ class UsageError(Exception):
 _LAM = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
 
 
-def _parse_weight(text: str, rank: int):
-    if not _LAM.fullmatch(text):
+def _ints(text: str):
+    """The integers of a ``_LAM`` text within Python's digit limit for int, else None."""
+    try:
+        return tuple(map(int, text.split(","))) if _LAM.fullmatch(text) else None
+    except ValueError:
+        return None
+
+
+def _parse_weight(text: str, rank: int | None = None):
+    """The weight ``text`` writes, of ``rank`` coordinates unless it is None."""
+    coords = _ints(text)
+    if coords is None:
         raise UsageError(f"bad weight {text!r}; expected comma-separated integers")
-    coords = tuple(map(int, text.split(",")))
-    if len(coords) != rank:
+    if rank is not None and len(coords) != rank:
         raise UsageError(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
     return coords
 
@@ -206,9 +215,10 @@ def _read_character(rd, path):
         if not line or line.startswith("#"):
             continue
         fields = line.split(None, 1)
-        if len(fields) != 2 or not _LAM.fullmatch(",".join(fields)):
+        ints = _ints(",".join(fields)) if len(fields) == 2 else None
+        if ints is None:
             raise UsageError(f"{path}:{lineno}: expected 'MULT c1,c2,...'")
-        mult, w = int(fields[0]), tuple(map(int, fields[1].split(",")))
+        mult, w = ints[0], ints[1:]
         if len(w) != rd.rank:
             raise UsageError(f"{path}:{lineno}: weight has wrong length")
         support[w] = support.get(w, 0) + mult
@@ -237,7 +247,7 @@ def exterior(ns):
     output line prints, as for char.
     """
     p = ns.prime
-    prime = None if p is None else int(p) if p.isascii() and p.isdecimal() else 0
+    prime = None if p is None else (p.isdecimal() and _ints(p) or (0,))[0]  # else 0, no prime
     if prime is not None and ch.min_prime_greater(prime - 1) != prime:
         raise UsageError(f"--p {p} is not a prime")
     rd = _datum(ns.type)
@@ -288,9 +298,9 @@ def orbit_classical(ns):
     kind = ns.kind
     if kind not in ("GL", "Sp", "SO"):
         raise UsageError(f"KIND is GL, Sp or SO, not {kind!r}")
-    if not _LAM.fullmatch(ns.partition):
+    parts = _ints(ns.partition)
+    if parts is None:
         raise UsageError("PARTITION must be comma-separated integers")
-    parts = [int(p) for p in ns.partition.split(",")]
     jt = nilpotent.JordanType.from_partition(kind, parts)
     if not nilpotent.validate_jordan(jt):
         _emit(ns.fmt, "orbit",
@@ -344,6 +354,7 @@ def verify_tables(ns):
 def spot_check(ns):
     """Character-level spot check of every chain at LAM, a dominant weight of
     the ambient group; exit 1 on any failure."""
+    _parse_weight(ns.lam)  # its length is checked per table
     ch.load_cache_file()
     failed = 0
     for path, recs in _read_tables(ns.files):

@@ -380,8 +380,22 @@ def _match_levi(sub: GroupType, amb: GroupType) -> StepMatch:
     candidates = [i + 1 for i, row in enumerate(cartan) if row[i]]
     if total > len(candidates):
         return StepMatch(False, "subgroup rank exceeds the ambient diagram")
+    # classify only the subsets whose components have the wanted ranks; a
+    # component grows from its lowest node through the Cartan rows' bitmasks
+    ranks = sorted(r for _, r in want)
+    links = [sum(1 << v for v, a in enumerate(row) if a) for row in cartan]
     hit = None
     for nodes in itertools.combinations(candidates, total):
+        left, sizes = sum(1 << (i - 1) for i in nodes), []
+        while left:
+            comp = grow = left & -left
+            while grow:  # add the neighbours in ``left`` of grow's lowest node
+                new = links[(grow & -grow).bit_length() - 1] & left & ~comp
+                comp, grow = comp | new, (grow & grow - 1) | new
+            left &= ~comp
+            sizes.append(comp.bit_count())
+        if sorted(sizes) != ranks:
+            continue
         try:
             comps = _classify_nodes(cartan, nodes)
         except UnknownType:

@@ -192,8 +192,11 @@ def parse_chain(text: str) -> tuple[embeddings.EmbeddingStep, ...]:
         if tag not in embeddings._CLAUSES:
             raise ValueError(f"unknown tag {tag!r}")
         target = _parse_type(ttext)
-        steps.append(embeddings.EmbeddingStep(
-            tag, types[-1], target, int(p_text) if p_text else None))
+        try:  # int refuses a k past Python's limit on the digits of a conversion
+            p_bound = int(p_text) if p_text else None
+        except ValueError:
+            raise ValueError(f"bad bound p>{p_text}") from None
+        steps.append(embeddings.EmbeddingStep(tag, types[-1], target, p_bound))
         types.append(target)
     if not steps:
         raise ValueError("chain needs at least one step")

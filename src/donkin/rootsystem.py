@@ -95,9 +95,12 @@ class SimpleType(namedtuple("SimpleType", "letter rank")):
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
         m = _TYPE_RE.match(text.strip())
-        if not m:
-            raise UnknownType(f"cannot parse simple type {text!r}")
-        return cls(m.group(1), int(m.group(2)))
+        if m:
+            try:
+                return cls(m.group(1), int(m.group(2)))
+            except ValueError:  # a rank past Python's limit on the digits of int
+                pass
+        raise UnknownType(f"cannot parse simple type {text!r}")
 
 
 class GroupType(namedtuple("GroupType", "factors")):
@@ -141,6 +144,7 @@ def normal_parts(gtype: GroupType) -> tuple[tuple[SimpleType, int, linalg.IntMat
     return tuple(parts)
 
 
+@functools.lru_cache(maxsize=None)
 def normalize_type(gtype: GroupType) -> GroupType:
     """Canonical form: aliases resolved, factors sorted, tori merged.
 

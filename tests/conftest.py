@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import importlib.resources as ir
 import io
+import itertools
 from fractions import Fraction
 from operator import add, mul, sub
 from typing import NamedTuple
@@ -21,7 +22,8 @@ import pytest
 import donkin.characters as ch
 from donkin.characters import FormalCharacter, dual_weyl_character, exterior_algebra
 from donkin.cli import main
-from donkin.errors import AmbientMismatch, NegativeInput, NotSymmetric
+from donkin.embeddings import StepMatch
+from donkin.errors import AmbientMismatch, NegativeInput, NotSymmetric, UnknownType
 from donkin.nilpotent import JordanType, parse_orbit_tables
 from donkin.rootsystem import (
     GroupType,
@@ -167,6 +169,41 @@ def subdiagram_type(rd, nodes) -> GroupType:
     if corank:
         facs.append(SimpleType("T", corank))
     return normalize_type(GroupType(tuple(facs)))
+
+
+# Every node subset of these diagrams, 2,078 in all, is classified in
+# test_rootsystem, and each ambient's Levi clause is checked in test_embeddings.
+CLASSIFIED_DIAGRAMS = ("A1", "A2", "A8", "B2", "B3", "B7", "C3", "C7", "D4", "D5", "D6",
+                       "D8", "E6", "E7", "E8", "F4", "G2", "A3.D5", "B4.C3", "A1.E7", "G2.F4")
+
+
+def levi_oracle(sub: GroupType, amb: GroupType) -> StepMatch:
+    """The Levi clause's verdict by the unscreened search: every node subset
+    of the wanted size is classified, in ``itertools.combinations`` order,
+    and the first whose components are the sub's semisimple factors is the
+    hit."""
+    cartan = cartan_matrix(amb)
+    norm = normalize_type(sub)
+    want = sorted((f.letter, f.rank) for f in norm.factors if not f.is_torus)
+    total = sum(r for _, r in want)
+    candidates = [i + 1 for i, row in enumerate(cartan) if row[i]]
+    if total > len(candidates):
+        return StepMatch(False, "subgroup rank exceeds the ambient diagram")
+    hit = None
+    for nodes in itertools.combinations(candidates, total):
+        try:
+            comps = _classify_nodes(cartan, nodes)
+        except UnknownType:
+            continue
+        if sorted((st.letter, st.rank) for st, _ in comps) == want:
+            hit = comps
+            break
+    if hit is None and total > 0:
+        return StepMatch(False, "no Levi subdiagram matches")
+    if norm.torus_rank() > len(cartan) - total:
+        return StepMatch(False, "not enough central torus for the sub type")
+    return StepMatch(True, "Levi subgroup", 1,
+                     tuple((st, tuple(order)) for st, order in hit or []))
 
 
 # ---------------------------------------------------------------------------

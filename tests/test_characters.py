@@ -302,6 +302,40 @@ def test_root_orbits_plan(name):
         assert sorted(set(orbit_of)) == list(range(len(plan)))
 
 
+PLAN_TYPES = ("E8", "E7", "E6", "F4", "G2", "B3", "A1.B3.T2")
+PLANS_SHA256 = "e065bea24de27b863079fd48c764bdf52105c31fec5aa44699e8e177c267f2f1"
+
+
+def test_root_orbits_plans_are_frozen():
+    """One line per wall set J of each type: ``_root_orbits``' plan and the
+    plan position of each positive root."""
+    lines = []
+    for name in PLAN_TYPES:
+        rd = build_root_datum(name)
+        for walls in itertools.chain.from_iterable(
+                itertools.combinations(rd.simple, r) for r in range(len(rd.simple) + 1)):
+            lines.append(f"{name} {walls} {ch._root_orbits(rd, walls)}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == PLANS_SHA256
+
+
+def test_freudenthal_folds_few_weights(monkeypatch):
+    """Freudenthal's run for E8 at omega_1 + omega_8, plans included, calls
+    ``_dominant`` at most 20 times (615 when each plan folded every root by
+    reflections)."""
+    calls = []
+
+    def counted(w, simple, columns):
+        calls.append(w)
+        return rs._dominant(w, simple, columns)
+
+    monkeypatch.setattr(ch, "_dominant", counted)
+    clear_memo()
+    ch._root_orbits.cache_clear()
+    rd = build_root_datum("E8")
+    assert ch._freudenthal(rd, (1, 0, 0, 0, 0, 0, 0, 1))[(0,) * 8] == 1407
+    assert len(calls) <= 20
+
+
 # Every simple type of rank <= 4, plus G2, F4 and E6, each with a bound on
 # the coordinates of the highest weights drawn.
 SIMPLE_TYPES = [("A1", 8), ("A2", 4), ("A3", 2), ("A4", 1), ("B2", 4), ("B3", 2), ("B4", 1),

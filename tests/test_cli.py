@@ -25,6 +25,7 @@ from donkin.rootsystem import build_root_datum, weyl_dim, weyl_orbit
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_DIGESTS = json.loads((ROOT / "perfbench" / "reference_digests.json").read_text())
+LONG = "1" * 5000  # past Python's 4,300-digit limit on int conversion
 
 
 def data_path(name):
@@ -82,6 +83,14 @@ def test_unknown_flag_is_an_error():
     (["restrict", "A1 -[alias]-> A1", "1_0"], 2, ""),
     (["roots", "E\u0668"], 2, ""),
     (["restrict", "A1 -[resirr,p>\u0663]-> A2", "1,0"], 2, ""),
+    (["roots", "A" + LONG], 2, ""),
+    (["char", "A1", LONG], 2, ""),
+    (["char", "T2", "-1," + LONG], 2, ""),
+    (["exterior", "A1", "1", "--p", LONG], 2, ""),
+    (["orbit", "classical", "GL", LONG], 2, ""),
+    (["restrict", f"A{LONG} -[alias]-> A1", "1"], 2, ""),
+    (["restrict", f"A1 -[resirr,p>{LONG}]-> A2", "1,0"], 2, ""),
+    (["spot-check", data_path("g2"), "--lambda", LONG], 2, ""),
 ])
 def test_exit_code_contract(args, code, shown):
     """Parse and usage errors exit 2, print nothing on stdout and end stderr
@@ -97,6 +106,22 @@ def test_exit_code_contract(args, code, shown):
     else:
         assert result.stdout == ""
         assert result.stderr.splitlines()[-1].startswith("Error: ")
+
+
+@pytest.mark.parametrize("args, error", [
+    (["roots", "A" + LONG], "cannot parse simple type 'A1111"),
+    (["char", "A1", LONG], "bad weight '1111"),
+    (["exterior", "A1", "1", "--p", LONG], f"--p {LONG} is not a prime"),
+    (["orbit", "classical", "GL", LONG], "PARTITION must be comma-separated integers"),
+    (["restrict", f"A{LONG} -[alias]-> A1", "1"], "bad chain: bad type 'A1111"),
+    (["restrict", f"A1 -[resirr,p>{LONG}]-> A2", "1,0"], f"bad chain: bad bound p>{LONG}"),
+], ids=["rank", "weight", "prime", "partition", "chain-rank", "chain-bound"])
+def test_overlong_integer_is_the_commands_usage_error(args, error):
+    """An integer that ``int`` refuses for its length (a rank, a coordinate,
+    a prime, a part, a chain's k) is bad input of its command, not a crash."""
+    result = run_cli(args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.splitlines()[-1].startswith(f"Error: {error}")
 
 
 @pytest.mark.parametrize("args, usage, run", [
@@ -272,7 +297,9 @@ def test_decompose_from_file(tmp_path, cache_dir):
 
 
 @pytest.mark.parametrize("line", ["1 1_0", "1 -1_0", "+1 2", "1 +2", "1_0 2", "1 \u0662",
-                                  "1 2 0", "1", "1 2,"])
+                                  "1 2 0", "1", "1 2,",
+                                  pytest.param("1 " + LONG, id="long-coordinate"),
+                                  pytest.param(LONG + " 2", id="long-multiplicity")])
 def test_decompose_file_line_is_ascii_integers(tmp_path, line):
     """MULT and the coordinates are read as LAM is: ``int`` would take
     ``1_0``, ``+1`` or a non-ASCII digit, and the line would count."""
@@ -332,6 +359,19 @@ def test_byte_order_mark_is_not_input(tmp_path, args, text):
     assert result.exit_code == expected.exit_code == 0
     assert result.stdout == expected.stdout
     assert "\ufeff" not in result.stdout
+
+
+@pytest.mark.parametrize("table", ["# a table with no rows\n", None], ids=["no-rows", "missing"])
+def test_spot_check_reads_lam_before_the_tables(tmp_path, table):
+    """LAM's syntax is checked once, before any table is read: a bad LAM is
+    a usage error on a table with no rows, and ahead of a missing table."""
+    path = tmp_path / "t.tbl"
+    if table is not None:
+        path.write_text(table)
+    result = run_cli(["spot-check", str(path), "--lambda", "abc"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.splitlines()[-1] == (
+        "Error: bad weight 'abc'; expected comma-separated integers")
 
 
 @pytest.mark.parametrize("table, lam", [("g2", "-1,0"), ("f4", "0,0,0,-1")])

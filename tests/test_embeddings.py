@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import donkin.embeddings as emb
 import donkin.rootsystem as rootsystem
-from conftest import external_product, image
+from conftest import CLASSIFIED_DIAGRAMS, external_product, image, levi_oracle
 from donkin.characters import (
     FormalCharacter,
     decompose_dual_weyl,
@@ -26,6 +26,7 @@ from donkin.embeddings import (
     step_map,
 )
 from donkin.errors import AmbientMismatch, IllegalStep, TypeMismatch, UnknownType
+from donkin.verifier import verify_record
 from donkin.linalg import identity, mat_vec
 from donkin.rootsystem import (
     GroupType,
@@ -670,6 +671,38 @@ def test_levi_skips_unknown_subdiagrams(monkeypatch, fresh_levi_cache):
     monkeypatch.setattr(emb, "_classify_nodes", unknown)
     m = match_step(G("A1"), G("A2"), "levi")
     assert (m.legal, m.reason) == (False, "no Levi subdiagram matches")
+
+
+@pytest.mark.parametrize("amb", CLASSIFIED_DIAGRAMS)
+def test_levi_match_equals_the_unscreened_search(amb, fresh_levi_cache):
+    """Legality, reason and payload of the Levi clause equal the unscreened
+    search's: for every type a node subset of ``amb`` classifies to, alone
+    and with one more torus rank than the corank leaves, and for subs that
+    match nothing."""
+    amb = G(amb)
+    cartan = rootsystem.cartan_matrix(amb)
+    subs = {G("G2"), G("B3"), G("A4.A4"), G("A1.A1.A1.A1.A1"), G("E6"), G("D4")}
+    for nodes in itertools.product((0, 1), repeat=len(cartan)):
+        comps = rootsystem._classify_nodes(cartan, [i + 1 for i, bit in enumerate(nodes) if bit])
+        sub = GroupType(tuple(st for st, _ in comps))
+        subs |= {sub, GroupType((*sub.factors, SimpleType("T", len(cartan) - sub.rank + 1)))}
+    for sub in subs:
+        assert match_step(sub, amb, "levi") == levi_oracle(sub, amb), (sub, amb)
+
+
+def test_levi_screen_classifies_few_subsets(shipped_tables, monkeypatch, fresh_levi_cache):
+    """Verifying the five shipped tables classifies at most 120 node subsets
+    (407 without the component-size screen)."""
+    calls = []
+
+    def counted(cartan, nodes):
+        calls.append(nodes)
+        return rootsystem._classify_nodes(cartan, nodes)
+
+    monkeypatch.setattr(emb, "_classify_nodes", counted)
+    for recs in shipped_tables.values():
+        assert all(verify_record(rec).passed for rec in recs)
+    assert 0 < len(calls) <= 120
 
 
 @pytest.mark.parametrize("tag,sub,amb", [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ALL_SIMPLE,
+    CLASSIFIED_DIAGRAMS,
     KERNEL_TYPES,
     ROOT_TYPES,
     dominant_representative,
@@ -280,9 +281,6 @@ def test_subdiagram_types():
         subdiagram_type(build_root_datum("B2.T1"), [3])
 
 
-# Every node subset of these diagrams, 2,078 in all, is classified below.
-CLASSIFIED_DIAGRAMS = ("A1", "A2", "A8", "B2", "B3", "B7", "C3", "C7", "D4", "D5", "D6",
-                       "D8", "E6", "E7", "E8", "F4", "G2", "A3.D5", "B4.C3", "A1.E7", "G2.F4")
 CLASSIFICATION_SHA256 = "302344f07565db2fcc6bf4de77b6ccf0282f1fd9bc2298d7f670dada03039fbb"
 
 
