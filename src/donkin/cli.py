@@ -7,6 +7,7 @@ on a usage or parse error.  -h or --help after a command prints its help.
 """
 from __future__ import annotations
 
+import gc
 import importlib.util
 import itertools
 import os
@@ -455,7 +456,13 @@ def _parse(ns, argv):
 
 def main(args=None, prog_name=None):
     """Run one command line (``sys.argv[1:]`` when ``args`` is None) and
-    exit with its status."""
+    exit with its status.
+
+    The command runs with the cyclic garbage collector paused.  Its values
+    are tuples and dicts of ints, which the collector would rescan for
+    nothing; a job leaves a few hundred unreachable objects at most, a count
+    that does not grow with the weight.  The caller's setting is restored
+    however the command ends, so an in-process caller gets it back."""
     ns = types.SimpleNamespace(fmt="text", timing=False, name=None, run=None)
     ns.usage = lambda: f"usage: {prog_name or 'donkin'} {_synopsis(ns.name)}\n"
     message = ""
@@ -463,7 +470,13 @@ def main(args=None, prog_name=None):
         try:
             _parse(ns, sys.argv[1:] if args is None else args)
             t0 = time.perf_counter()
-            code = ns.run(ns) or 0
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                code = ns.run(ns) or 0
+            finally:
+                if collecting:
+                    gc.enable()
         except UsageError as exc:
             code, message = 2, f"{ns.usage()}Error: {exc}\n"
         except DonkinError as exc:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.resources as ir
 import itertools
@@ -145,6 +146,49 @@ def test_help_shows_each_command(args, usage, run):
     result = run_cli(["--help"])
     assert result.exit_code == 0
     assert f"  {usage}" in result.stdout.splitlines()
+
+
+def _probe(ns):
+    """A command that returns, or raises what no command should."""
+    if ns.end == "raise":
+        raise RuntimeError("probe")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collecting", "paused"])
+@pytest.mark.parametrize("args, code", [
+    (["probe", "return"], 0),
+    (["char", "G2", "1"], 2),  # UsageError from inside the command
+    (["verify-tables", "missing.tbl"], 2),  # DonkinError
+    (["probe", "raise"], RuntimeError),
+], ids=["exit-0", "usage-error", "donkin-error", "exception"])
+def test_command_runs_with_the_collector_paused(monkeypatch, tmp_path, collecting, args,
+                                                code):
+    """A command runs with the cyclic GC paused, and however ``main`` ends,
+    the caller's setting is back: on, or off for a caller that paused it."""
+    seen = []
+
+    def watched(run):
+        def command(ns):
+            seen.append(gc.isenabled())
+            return run(ns)
+        return command
+
+    commands = {name: (watched(run), *rest) for name, (run, *rest) in cli._COMMANDS.items()}
+    commands["probe"] = (watched(_probe), "END", "")
+    monkeypatch.setattr(cli, "_COMMANDS", commands)
+    args = [str(tmp_path / arg) if arg.endswith(".tbl") else arg for arg in args]
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if code is RuntimeError:
+            with pytest.raises(RuntimeError, match="probe"):
+                run_cli(args)
+        else:
+            assert run_cli(args).exit_code == code
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False]
+    assert after is collecting
 
 
 def run_donkin(*args):
